@@ -119,9 +119,11 @@ lint: vet
 
 # Rebuild and retest the DP packages with the merlin_invariants assertion
 # layer compiled in: frontier non-inferiority/sort order, Cα-tree shape and
-# finite Elmore delays are checked at runtime and panic on violation.
+# finite Elmore delays are checked at runtime and panic on violation. ptree,
+# vangin, lttree and flows run the same curve kernel as core, so they run
+# its assertions too.
 invariants:
-	$(GO) test -tags merlin_invariants ./internal/core/... ./internal/curve/... ./internal/tree/... ./internal/degrade/... ./internal/journal/...
+	$(GO) test -tags merlin_invariants ./internal/core/... ./internal/curve/... ./internal/tree/... ./internal/degrade/... ./internal/journal/... ./internal/ptree/... ./internal/vangin/... ./internal/lttree/... ./internal/flows/...
 
 verify: build test lint race chaos fuzz invariants crash cluster-chaos partition-chaos failover-chaos
 

@@ -344,12 +344,10 @@ func BenchmarkCurveOps(b *testing.B) {
 			Area: float64(rng.Intn(100)) * 50,
 		}
 	}
-	b.Run("TryInsert", func(b *testing.B) {
+	b.Run("Insert", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			c := &curve.Curve{}
-			for _, s := range sols {
-				c.TryInsert(s.Load, s.Req, s.Area, nil)
-			}
+			c.Insert(sols...)
 		}
 	})
 	b.Run("AddPrune", func(b *testing.B) {

@@ -34,14 +34,16 @@ func assertFinalCurves(final []*curve.Curve, where string) {
 // assertBuiltTree panics unless the reconstructed tree realizes a sink order
 // (the alphabetic property: a depth-first traversal meets every sink exactly
 // once). Under Options.ForceGroupBuffers with the Definition 2 hierarchy
-// (MaxInternalChildren ≤ 1) it additionally demands a strict Cα_Tree with
-// branching factor ≤ α; relaxed configurations let unbuffered sub-groups
-// collapse into their parent, where the α bound is legitimately unobservable.
+// (MaxInternalChildren ≤ 1) and no buffers at interior Steiner points it
+// additionally demands a strict Cα_Tree with branching factor ≤ α; relaxed
+// configurations let unbuffered sub-groups collapse into their parent, and
+// Steiner-point buffers (BufferAtSteiner) are internal nodes outside the
+// group hierarchy, so in either the α bound is legitimately unobservable.
 func assertBuiltTree(t *tree.Tree, opts Options) {
 	if ord := t.SinkOrder(); !ord.Valid() {
 		panic(fmt.Sprintf("merlin_invariants: BuildTree: tree does not realize a sink order (got %v)", ord))
 	}
-	if opts.ForceGroupBuffers && opts.MaxInternalChildren <= 1 {
+	if opts.ForceGroupBuffers && opts.MaxInternalChildren <= 1 && !opts.BufferAtSteiner {
 		if _, err := t.IsCaTree(opts.Alpha); err != nil {
 			panic(fmt.Sprintf("merlin_invariants: BuildTree: not a Cα_Tree (α=%d): %v", opts.Alpha, err))
 		}

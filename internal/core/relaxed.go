@@ -161,9 +161,7 @@ func (en *Engine) enumeratePairs(ord order.Order, G []int, inG map[int]bool, L, 
 			items := en.buildItemsMulti(ord, G, groups)
 			res := en.starDP(items)
 			for p := 0; p < k; p++ {
-				for _, s := range res[p].Sols {
-					acc[p].InsertSol(s)
-				}
+				acc[p].Insert(res[p].Sols...)
 			}
 		}
 	}

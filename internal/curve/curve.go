@@ -1,5 +1,6 @@
 // Package curve implements the three-dimensional non-inferior solution
-// curves that BUBBLE_CONSTRUCT and *PTREE propagate (Fig. 8 of the paper).
+// curves that BUBBLE_CONSTRUCT and *PTREE propagate (Fig. 8 of the paper),
+// and the one kernel of curve operators that all three flows build them with.
 //
 // A solution σ records the (load, required time, total buffer area) of a
 // buffered routing structure rooted at some point, plus an opaque reference
@@ -8,8 +9,23 @@
 //
 //	load(σ1) ≤ load(σ2) ∧ reqTime(σ2) ≤ reqTime(σ1) ∧ area(σ1) ≤ area(σ2).
 //
-// A Curve stores only the non-inferior frontier; Prune removes inferior
-// solutions with an O(s log s) sweep.
+// A Curve stores only the non-inferior frontier. The kernel — Insert, Join,
+// Wire and Buffer — grows a frontier incrementally and keeps it
+// non-inferior after every solution; Prune sorts a curve (and removes
+// inferior solutions from one built with Add) with an O(s log s) sweep; Cap
+// thins it.
+//
+// Kernel rules, shared by every operator:
+//
+//   - First wins: a solution equal in all three coordinates to a stored one
+//     is rejected, so of two structures with the same triple the curve keeps
+//     the one inserted first.
+//   - Corner skip: an operator first maps an input's optimistic corner (min
+//     load, max req, min area; see corner) through the same transform as
+//     its solutions. Every transform is monotone, so if the target already
+//     dominates the mapped corner it dominates everything the input could
+//     produce, and the whole input is skipped.
+//   - Refs are built only for solutions that survive the insert.
 package curve
 
 import (
@@ -61,13 +77,6 @@ func (c *Curve) Empty() bool { return len(c.Sols) == 0 }
 // Add appends a solution without pruning. Callers batch Add and then Prune.
 func (c *Curve) Add(s Solution) { c.Sols = append(c.Sols, s) }
 
-// AddAll appends every solution of other without pruning.
-func (c *Curve) AddAll(other *Curve) {
-	if other != nil {
-		c.Sols = append(c.Sols, other.Sols...)
-	}
-}
-
 // Clone returns a deep copy of the curve's solution list (Refs are shared).
 func (c *Curve) Clone() *Curve {
 	out := &Curve{Sols: make([]Solution, len(c.Sols))}
@@ -79,6 +88,8 @@ func (c *Curve) Clone() *Curve {
 // sorted by increasing load, then increasing area. Exact duplicates collapse
 // to a single representative. Lemma 9: pruning never loses a non-inferior
 // solution — guaranteed here by construction and checked by property tests.
+// A curve built by the kernel holds no inferior solution, so on it Prune
+// only sorts.
 func (c *Curve) Prune() {
 	if len(c.Sols) <= 1 {
 		return
@@ -197,10 +208,11 @@ func (c *Curve) PruneNaive() {
 	assertFrontier(c, "PruneNaive")
 }
 
-// Dominated reports whether any stored solution dominates (load, req, area);
-// equal triples count as dominating, so duplicates are rejected.
-func (c *Curve) Dominated(load, req, area float64) bool {
-	for _, t := range c.Sols {
+// dominated reports whether any stored solution dominates (load, req, area);
+// equal triples count as dominating.
+func (c *Curve) dominated(load, req, area float64) bool {
+	for i := range c.Sols {
+		t := &c.Sols[i]
 		if t.Load <= load && t.Req >= req && t.Area <= area {
 			return true
 		}
@@ -208,36 +220,46 @@ func (c *Curve) Dominated(load, req, area float64) bool {
 	return false
 }
 
-// Insert adds a solution to an already-pruned curve, keeping it pruned: if
-// an existing solution dominates s the curve is unchanged and Insert returns
-// false; otherwise solutions dominated by s are removed and s is appended.
-// This O(s) incremental form is what the DP hot loops use in place of batch
-// Add+Prune; the two are cross-checked by property tests.
-func (c *Curve) Insert(s Solution) bool {
-	if c.Dominated(s.Load, s.Req, s.Area) {
-		return false
-	}
-	c.InsertKnownGood(s)
-	return true
-}
-
-// InsertKnownGood appends s after removing solutions it dominates. The
-// caller must already have checked !c.Dominated(s.Load, s.Req, s.Area); DP
-// hot loops do that check before allocating the solution's back-pointer.
-func (c *Curve) InsertKnownGood(s Solution) {
-	out := c.Sols[:0]
-	for _, t := range c.Sols {
-		if s.Dominates(t) {
-			continue
+// corner returns the optimistic corner of a non-empty solution list: its
+// minimum load, maximum required time and minimum area, a triple that
+// dominates every solution in the list.
+func corner(sols []Solution) Solution {
+	lo := Solution{Load: sols[0].Load, Req: sols[0].Req, Area: sols[0].Area}
+	for i := 1; i < len(sols); i++ {
+		t := &sols[i]
+		if t.Load < lo.Load {
+			lo.Load = t.Load
 		}
-		out = append(out, t)
+		if t.Req > lo.Req {
+			lo.Req = t.Req
+		}
+		if t.Area < lo.Area {
+			lo.Area = t.Area
+		}
 	}
-	c.Sols = append(out, s)
-	assertInserted(c, "InsertKnownGood")
+	return lo
 }
 
-// InsertSol is TryInsert for a fully built Solution (its Ref included).
-func (c *Curve) InsertSol(s Solution) bool {
+// Insert adds sols, in order, to a non-inferior curve and keeps it
+// non-inferior (see insert). It returns how many of sols were admitted; a
+// later one may evict an earlier one. The result has the solutions batch
+// Add+Prune would keep, as property tests check.
+func (c *Curve) Insert(sols ...Solution) int {
+	n := 0
+	for i := range sols {
+		if c.insert(sols[i]) {
+			n++
+		}
+	}
+	return n
+}
+
+// insert is the kernel's one fused insert: if a stored solution dominates s
+// (an equal triple counts, so the first of two duplicates wins) the curve is
+// unchanged and insert returns false; otherwise the solutions s dominates
+// are removed and s is appended last. One scan decides both directions of
+// dominance.
+func (c *Curve) insert(s Solution) bool {
 	sols := c.Sols
 	firstDead := -1
 	for i := range sols {
@@ -249,63 +271,122 @@ func (c *Curve) InsertSol(s Solution) bool {
 			firstDead = i
 		}
 	}
-	if firstDead < 0 {
-		c.Sols = append(sols, s)
-		assertInserted(c, "InsertSol")
-		return true
-	}
-	out := sols[:firstDead]
-	for _, t := range sols[firstDead+1:] {
-		if s.Dominates(t) {
-			continue
+	if firstDead >= 0 {
+		out := sols[:firstDead]
+		for _, t := range sols[firstDead+1:] {
+			if !s.Dominates(t) {
+				out = append(out, t)
+			}
 		}
-		out = append(out, t)
+		sols = out
 	}
-	c.Sols = append(out, s)
-	assertInserted(c, "InsertSol")
+	c.Sols = append(sols, s)
+	assertInserted(c, "insert")
 	return true
 }
 
-// TryInsert is the fused hot-loop form of Dominated + Insert: one scan
-// decides both directions of dominance, and the back-pointer is only built
-// (via mkRef) if the solution survives. Returns whether it was inserted.
-func (c *Curve) TryInsert(load, req, area float64, mkRef func() any) bool {
-	sols := c.Sols
-	firstDead := -1
-	for i := range sols {
-		t := &sols[i]
-		if t.Load <= load && t.Req >= req && t.Area <= area {
-			return false // dominated by an existing solution
+// Join inserts into c the merge of every pair (x from a, y from b) of two
+// structures rooted at the same point: loads and areas add, required times
+// take the minimum. Pairs are inserted x-major. ref builds a surviving
+// merge's Ref from its two parts.
+func (c *Curve) Join(a, b *Curve, ref func(x, y *Solution) any) {
+	if len(a.Sols) == 0 || len(b.Sols) == 0 {
+		return
+	}
+	ca, cb := corner(a.Sols), corner(b.Sols)
+	if c.dominated(ca.Load+cb.Load, minReq(ca.Req, cb.Req), ca.Area+cb.Area) {
+		return
+	}
+	for i := range a.Sols {
+		x := &a.Sols[i]
+		for j := range b.Sols {
+			y := &b.Sols[j]
+			if c.insert(Solution{Load: x.Load + y.Load, Req: minReq(x.Req, y.Req), Area: x.Area + y.Area}) {
+				c.Sols[len(c.Sols)-1].Ref = ref(x, y)
+			}
 		}
-		if firstDead < 0 && load <= t.Load && req >= t.Req && area <= t.Area {
-			firstDead = i
-		}
 	}
-	s := Solution{Load: load, Req: req, Area: area}
-	if mkRef != nil {
-		s.Ref = mkRef()
+}
+
+// minReq returns the smaller of two required times; on a tie it returns a.
+func minReq(a, b float64) float64 {
+	if b < a {
+		return b
 	}
-	if firstDead < 0 {
-		c.Sols = append(sols, s)
-		assertInserted(c, "TryInsert")
-		return true
-	}
-	out := sols[:firstDead]
-	for _, t := range sols[firstDead+1:] {
-		if s.Dominates(t) {
+	return a
+}
+
+// Wire inserts into c the solutions of every source curve srcs[q] except
+// srcs[skip] (pass -1 to read them all), each carried through a wire of
+// lens[q] λ to c's root: the wire's Elmore delay is charged against the
+// required time, its capacitance added to the load (then quantized), and
+// areaPerLambda·lens[q] added to the area. Sources are read in index order,
+// each when its turn comes, so a source that aliases a curve the caller
+// updated earlier is read as updated. ref builds a surviving solution's Ref
+// from the source solution.
+func (c *Curve) Wire(t rc.Technology, srcs []*Curve, lens []int64, skip int, areaPerLambda float64, ref func(s *Solution) any) {
+	for q, src := range srcs {
+		if q == skip || src == nil || len(src.Sols) == 0 {
 			continue
 		}
-		out = append(out, t)
+		wl := lens[q]
+		wc := t.WireC(wl)
+		wa := areaPerLambda * float64(wl)
+		lo := corner(src.Sols)
+		if c.dominated(lo.Load+wc, lo.Req-t.WireElmore(wl, lo.Load), lo.Area+wa) {
+			continue
+		}
+		for i := range src.Sols {
+			s := &src.Sols[i]
+			d := t.WireElmore(wl, s.Load)
+			assertFiniteDelay(d, "curve.Wire: WireElmore")
+			if c.insert(Solution{Load: t.QuantizeLoad(s.Load + wc), Req: s.Req - d, Area: s.Area + wa}) {
+				c.Sols[len(c.Sols)-1].Ref = ref(s)
+			}
+		}
 	}
-	c.Sols = append(out, s)
-	assertInserted(c, "TryInsert")
-	return true
+}
+
+// Buffer inserts into c every solution of src driven by each gate in turn
+// (gate-major): the load becomes the gate's quantized input capacitance,
+// the gate's nominal-slew delay is charged and its area added. src may be c
+// itself; Buffer then drives the solutions c held on entry. ref builds a
+// surviving solution's Ref from the driven solution and its gate, a pointer
+// into gates.
+func (c *Curve) Buffer(t rc.Technology, src *Curve, gates []rc.Gate, ref func(s *Solution, g *rc.Gate) any) {
+	base := src.Sols
+	if len(base) == 0 {
+		return
+	}
+	if src == c {
+		base = slices.Clone(base) // inserts rewrite c.Sols in place
+	}
+	lo := corner(base)
+	for gi := range gates {
+		g := &gates[gi]
+		cin := t.QuantizeLoad(g.Cin)
+		if c.dominated(cin, lo.Req-g.DelayNominal(t, lo.Load), lo.Area+g.Area) {
+			continue
+		}
+		for i := range base {
+			s := &base[i]
+			d := g.DelayNominal(t, s.Load)
+			assertFiniteDelay(d, "curve.Buffer: DelayNominal")
+			if c.insert(Solution{Load: cin, Req: s.Req - d, Area: s.Area + g.Area}) {
+				c.Sols[len(c.Sols)-1].Ref = ref(s, g)
+			}
+		}
+	}
 }
 
 // Cap thins the curve to at most max solutions while keeping the endpoints
-// of the frontier. It keeps the best-required-time and best-area extremes
-// and fills the budget with solutions evenly spaced along the frontier.
-// Capping trades optimality for speed exactly like coarser load
+// of the frontier. It stable-sorts the curve by descending required time,
+// so solutions with equal required times keep their curve order, then keeps
+// the best-required-time and best-area extremes and fills the budget with
+// solutions evenly spaced between them. Which solutions survive therefore
+// depends on the curve's order on entry: Flows I and II Prune (sort by load,
+// then area) before every Cap, while Flow III caps curves in insertion
+// order. Capping trades optimality for speed exactly like coarser load
 // quantization; max <= 0 means no cap.
 func (c *Curve) Cap(max int) {
 	if max <= 0 || len(c.Sols) <= max {
@@ -357,102 +438,4 @@ func better(a, b Solution) bool {
 		return a.Area < b.Area
 	}
 	return a.Load < b.Load
-}
-
-// BestReqUnderArea returns the maximum-required-time solution whose total
-// buffer area does not exceed areaBudget (problem variant I). ok is false if
-// no solution fits.
-func (c *Curve) BestReqUnderArea(areaBudget float64) (best Solution, ok bool) {
-	for _, s := range c.Sols {
-		if s.Area > areaBudget {
-			continue
-		}
-		if !ok || better(s, best) {
-			best, ok = s, true
-		}
-	}
-	return best, ok
-}
-
-// MinAreaMeetingReq returns the minimum-buffer-area solution whose required
-// time is at least reqFloor (problem variant II). ok is false if none meets
-// the floor.
-func (c *Curve) MinAreaMeetingReq(reqFloor float64) (best Solution, ok bool) {
-	for _, s := range c.Sols {
-		if s.Req < reqFloor {
-			continue
-		}
-		if !ok || s.Area < best.Area || (s.Area == best.Area && s.Req > best.Req) {
-			best, ok = s, true
-		}
-	}
-	return best, ok
-}
-
-// WireOp describes the effect of extending every solution of a curve through
-// a wire of the given λ length: the Elmore delay of the wire is charged
-// against the required time and the wire capacitance is added to the load.
-// mkRef, if non-nil, builds the new solution's Ref from the old solution.
-func (c *Curve) WireOp(t rc.Technology, length int64, mkRef func(Solution) any) *Curve {
-	out := &Curve{Sols: make([]Solution, 0, len(c.Sols))}
-	wc := t.WireC(length)
-	for _, s := range c.Sols {
-		d := t.WireElmore(length, s.Load)
-		assertFiniteDelay(d, "curve.WireOp: WireElmore")
-		ns := Solution{
-			Load: t.QuantizeLoad(s.Load + wc),
-			Req:  s.Req - d,
-			Area: s.Area,
-		}
-		if mkRef != nil {
-			ns.Ref = mkRef(s)
-		} else {
-			ns.Ref = s.Ref
-		}
-		out.Add(ns)
-	}
-	return out
-}
-
-// BufferOp returns the curve obtained by driving every solution with gate g:
-// the load collapses to g's input capacitance, the gate delay (at nominal
-// slew) is charged, and the gate area is added.
-func (c *Curve) BufferOp(t rc.Technology, g rc.Gate, mkRef func(Solution) any) *Curve {
-	out := &Curve{Sols: make([]Solution, 0, len(c.Sols))}
-	cin := t.QuantizeLoad(g.Cin)
-	for _, s := range c.Sols {
-		d := g.DelayNominal(t, s.Load)
-		assertFiniteDelay(d, "curve.BufferOp: DelayNominal")
-		ns := Solution{
-			Load: cin,
-			Req:  s.Req - d,
-			Area: s.Area + g.Area,
-		}
-		if mkRef != nil {
-			ns.Ref = mkRef(s)
-		}
-		out.Add(ns)
-	}
-	return out
-}
-
-// JoinOp returns the cross-product merge of two curves rooted at the same
-// point: loads and areas add, required times take the minimum. mkRef builds
-// the merged Ref from the two constituents.
-func JoinOp(a, b *Curve, mkRef func(x, y Solution) any) *Curve {
-	out := &Curve{Sols: make([]Solution, 0, len(a.Sols)*len(b.Sols))}
-	for _, x := range a.Sols {
-		for _, y := range b.Sols {
-			ns := Solution{
-				Load: x.Load + y.Load,
-				Req:  math.Min(x.Req, y.Req),
-				Area: x.Area + y.Area,
-			}
-			if mkRef != nil {
-				ns.Ref = mkRef(x, y)
-			}
-			out.Add(ns)
-		}
-	}
-	return out
 }

@@ -19,28 +19,23 @@ func corruptedFrontier() *Curve {
 
 // TestCorruptedFrontierDetection is the invariant layer's regression proof,
 // run in BOTH build modes (`go test` and `go test -tags merlin_invariants`):
-// deliberately corrupting a frontier by inserting an inferior point — the
-// precondition-violating call a buggy DP hot loop would make — must panic
-// under the tag and pass silently without it, demonstrating both that the
-// assertions really detect Definition 6 violations and that the production
-// no-op mirrors cost nothing.
+// the insert assertion, handed a curve whose last (just-inserted) solution
+// is inferior to a kept one — the state a buggy insert would leave — must
+// panic under the tag and pass silently without it, demonstrating both that
+// the assertions really detect Definition 6 violations and that the
+// production no-op mirrors cost nothing.
 func TestCorruptedFrontierDetection(t *testing.T) {
-	clean := &Curve{Sols: []Solution{{Load: 1, Req: 10, Area: 5}}}
-	// inferior is dominated by the existing point (same load, worse req,
-	// worse area). InsertKnownGood's contract is that the caller already
-	// verified !Dominated — calling it anyway is exactly the insert-path bug
-	// the assertion layer exists to catch at the corrupting operation.
-	inferior := Solution{Load: 1, Req: 9, Area: 6}
+	corrupted := corruptedFrontier()
 
 	panicked := func() (p any) {
 		defer func() { p = recover() }()
-		clean.InsertKnownGood(inferior)
+		assertInserted(corrupted, "insert")
 		return nil
 	}()
 
 	if InvariantsEnabled {
 		if panicked == nil {
-			t.Fatalf("merlin_invariants build: inserting an inferior point did not panic")
+			t.Fatalf("merlin_invariants build: an inserted inferior point did not panic")
 		}
 		msg := fmt.Sprint(panicked)
 		if !strings.Contains(msg, "inferior") {
@@ -50,9 +45,9 @@ func TestCorruptedFrontierDetection(t *testing.T) {
 		if panicked != nil {
 			t.Fatalf("production build: invariant assertion fired without the tag: %v", panicked)
 		}
-		// The corruption went through silently; the (test-only) full checker
-		// can still prove the frontier is now broken.
-		if err := clean.CheckFrontier(false); err == nil {
+		// The assertion stayed silent; the (test-only) full checker can
+		// still prove the frontier is broken.
+		if err := corrupted.CheckFrontier(false); err == nil {
 			t.Fatal("production build: frontier not actually corrupted — test scenario is wrong")
 		}
 	}

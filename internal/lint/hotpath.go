@@ -39,17 +39,18 @@ var hotpathAllocRule = &Rule{
 // function is allocation-sensitive.
 var HotPaths = map[string]string{
 	"(*merlin/internal/curve.Curve).Prune":               "frontier prune: runs once per DP merge over every solution",
-	"(*merlin/internal/curve.Curve).Dominated":           "dominance scan: inner test of every insert",
-	"(*merlin/internal/curve.Curve).Insert":              "incremental frontier insert inside DP joins",
-	"(*merlin/internal/curve.Curve).InsertKnownGood":     "insert fast path after external dominance check",
-	"(*merlin/internal/curve.Curve).InsertSol":           "fused dominance+insert for prebuilt solutions",
-	"(*merlin/internal/curve.Curve).TryInsert":           "fused dominance+insert, the DP join kernel",
+	"(*merlin/internal/curve.Curve).dominated":           "corner-skip dominance scan of every kernel op",
+	"merlin/internal/curve.corner":                       "optimistic corner of every kernel op input",
+	"(*merlin/internal/curve.Curve).Insert":              "kernel insert of prebuilt solutions (curve merges)",
+	"(*merlin/internal/curve.Curve).insert":              "fused dominance+insert under every kernel op",
+	"(*merlin/internal/curve.Curve).Join":                "kernel join, the O(s²) pair merge of every interval split",
+	"(*merlin/internal/curve.Curve).Wire":                "kernel wire transfer, O(k·s) per target",
+	"(*merlin/internal/curve.Curve).Buffer":              "kernel buffer sweep over every (solution, gate) pair",
 	"(merlin/internal/curve.Solution).Dominates":         "three-way dominance predicate, called O(s²)",
 	"merlin/internal/curve.better":                       "selector tie-break comparator",
 	"(*merlin/internal/core.Engine).starDP":              "*PTREE interval DP, the O(k·t²) core loop",
-	"(*merlin/internal/core.Engine).addBufferedVariants": "buffer sweep over every (solution, buffer) pair",
+	"(*merlin/internal/core.Engine).addBufferedVariants": "buffer pass at one candidate",
 	"(*merlin/internal/core.Engine).transfer":            "candidate-transfer relaxation, O(k²·s) per hop",
-	"merlin/internal/core.summarize":                     "curve summary, runs per interval pair",
 }
 
 func checkHotPathAllocs(p *Package) []Diagnostic {

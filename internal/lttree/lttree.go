@@ -135,7 +135,7 @@ func Build(n *net.Net, lib *buflib.Library, tech rc.Technology, opts Options) (*
 					if tail.Ref != nil {
 						childRef = tail.Ref.(*chainRef)
 					}
-					acc.Add(curve.Solution{
+					acc.Insert(curve.Solution{
 						Load: tech.QuantizeLoad(b.Cin),
 						Req:  req - b.DelayNominal(tech, load),
 						Area: tail.Area + b.Area,
@@ -187,7 +187,7 @@ func Build(n *net.Net, lib *buflib.Library, tech rc.Technology, opts Options) (*
 			if j < nn {
 				tailLoad += wlm
 			}
-			final.Add(curve.Solution{
+			final.Insert(curve.Solution{
 				Load: tech.QuantizeLoad(baseLoad + tailLoad),
 				Req:  math.Min(baseReq, tail.Req),
 				Area: tail.Area,

@@ -137,20 +137,15 @@ func (s *Solver) Curves(ord order.Order) []*curve.Curve {
 			tab[p][i*n+i] = s.leafCurve(p, ord[i])
 		}
 	}
-	s.transfer(tab, 0, 0, n)
 	for L := 2; L <= n; L++ {
 		for i := 0; i+L-1 < n; i++ {
 			j := i + L - 1
 			for p := 0; p < k; p++ {
 				acc := &curve.Curve{}
 				for u := i; u < j; u++ {
-					left, right := tab[p][i*n+u], tab[p][(u+1)*n+j]
-					if left == nil || right == nil || left.Empty() || right.Empty() {
-						continue
-					}
-					acc.AddAll(curve.JoinOp(left, right, func(x, y curve.Solution) any {
+					acc.Join(tab[p][i*n+u], tab[p][(u+1)*n+j], func(x, y *curve.Solution) any {
 						return &ref{point: p, left: x.Ref.(*ref), right: y.Ref.(*ref)}
-					}))
+					})
 				}
 				acc.Prune()
 				acc.Cap(s.Opts.MaxSols)
@@ -168,35 +163,26 @@ func (s *Solver) Curves(ord order.Order) []*curve.Curve {
 
 // transfer runs the S(p,i,j) = min{ d(p,p′) + S(p′,i,j) } relaxation for one
 // interval across all candidate pairs, Opts.TransferHops times.
+//
+// Unlike core's Jacobi transfer, each sweep is Gauss–Seidel: the sources
+// are the live table curves, which Prune and Cap rewrite as each target is
+// finished, so target p already sees the transfers the sweep made into
+// targets 0..p−1. Flow I and II answers rest on this order.
 func (s *Solver) transfer(tab [][]*curve.Curve, i, j, n int) {
 	k := len(s.Cands)
 	idx := i*n + j
+	live := make([]*curve.Curve, k)
+	for p := 0; p < k; p++ {
+		live[p] = tab[p][idx]
+	}
 	for hop := 0; hop < s.Opts.TransferHops; hop++ {
-		snapshots := make([]*curve.Curve, k)
 		for p := 0; p < k; p++ {
-			snapshots[p] = tab[p][idx]
-		}
-		for p := 0; p < k; p++ {
-			acc := tab[p][idx]
-			if acc == nil {
-				acc = &curve.Curve{}
-			}
-			for q := 0; q < k; q++ {
-				if q == p || snapshots[q] == nil || snapshots[q].Empty() {
-					continue
-				}
-				wl := s.dist[p][q]
-				moved := snapshots[q].WireOp(s.Tech, wl, func(old curve.Solution) any {
-					return &ref{point: p, via: old.Ref.(*ref)}
-				})
-				for si := range moved.Sols {
-					moved.Sols[si].Area += s.Opts.WireCostWeight * float64(wl)
-				}
-				acc.AddAll(moved)
-			}
+			acc := live[p]
+			acc.Wire(s.Tech, live, s.dist[p], p, s.Opts.WireCostWeight, func(old *curve.Solution) any {
+				return &ref{point: p, via: old.Ref.(*ref)}
+			})
 			acc.Prune()
 			acc.Cap(s.Opts.MaxSols)
-			tab[p][idx] = acc
 		}
 	}
 }
@@ -256,22 +242,6 @@ func (s *Solver) buildNode(r *ref) *tree.Node {
 		}
 	}
 	return n
-}
-
-// BestAtSource returns the best required-time solution of the final curve at
-// the source for the given order, without building the tree. Used by tests
-// and by callers that only need the frontier.
-func (s *Solver) BestAtSource(ord order.Order) (curve.Solution, error) {
-	finals := s.Curves(ord)
-	final := finals[s.srcIdx]
-	if final == nil || final.Empty() {
-		return curve.Solution{}, fmt.Errorf("ptree: no solution at source")
-	}
-	best, ok := final.BestReq()
-	if !ok {
-		return curve.Solution{}, fmt.Errorf("ptree: empty final curve")
-	}
-	return best, nil
 }
 
 // ReqAtDriverInput converts a root solution into the driver-input required

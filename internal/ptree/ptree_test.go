@@ -174,13 +174,13 @@ func TestMoreCandidatesNeverWorse(t *testing.T) {
 	ord := order.TSP(nt.Source, nt.SinkPoints())
 	small := newSolver(nt, 6, opts)
 	big := NewSolver(nt, geom.ReducedHanan(nt.Terminals(), 25), testTech(), opts)
-	sSmall, err := small.BestAtSource(ord)
-	if err != nil {
-		t.Fatal(err)
+	sSmall, ok := small.Curves(ord)[small.SourceIndex()].BestReq()
+	if !ok {
+		t.Fatal("no solution at the source with the small candidate set")
 	}
-	sBig, err := big.BestAtSource(ord)
-	if err != nil {
-		t.Fatal(err)
+	sBig, ok := big.Curves(ord)[big.SourceIndex()].BestReq()
+	if !ok {
+		t.Fatal("no solution at the source with the large candidate set")
 	}
 	if sBig.Req < sSmall.Req-1e-9 {
 		t.Fatalf("more candidates got worse: %.6f < %.6f", sBig.Req, sSmall.Req)

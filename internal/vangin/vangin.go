@@ -102,7 +102,8 @@ func bottomUp(t *tree.Tree, n *tree.Node, lib *buflib.Library, tech rc.Technolog
 		for _, ch := range n.Children {
 			cc := bottomUp(t, ch, lib, tech, opts)
 			cc = wireWithInsertion(cc, n.Pos, ch.Pos, lib, tech, opts)
-			base = curve.JoinOp(base, cc, func(x, y curve.Solution) any {
+			joined := &curve.Curve{}
+			joined.Join(base, cc, func(x, y *curve.Solution) any {
 				xr := x.Ref.(*ref)
 				merged := &ref{node: n, pos: n.Pos}
 				merged.kids = append(merged.kids, xr.kids...)
@@ -112,18 +113,19 @@ func bottomUp(t *tree.Tree, n *tree.Node, lib *buflib.Library, tech rc.Technolog
 				merged.kids = append(merged.kids, y.Ref.(*ref))
 				return merged
 			})
+			base = joined
 			base.Prune()
 			base.Cap(opts.MaxSols)
 		}
 	}
 	if n.Kind == tree.KindBuffer {
 		// Existing buffer is fixed: apply it, no choice.
-		b := n.Buffer
-		base = base.BufferOp(tech, b, func(old curve.Solution) any {
-			return &ref{node: n, pos: n.Pos, buffer: &b, child: old.Ref.(*ref)}
+		buffered := &curve.Curve{}
+		buffered.Buffer(tech, base, []rc.Gate{n.Buffer}, func(old *curve.Solution, g *rc.Gate) any {
+			return &ref{node: n, pos: n.Pos, buffer: g, child: old.Ref.(*ref)}
 		})
-		base.Prune()
-		return base
+		buffered.Prune()
+		return buffered
 	}
 	if n.Kind == tree.KindSource {
 		return base
@@ -136,12 +138,9 @@ func bottomUp(t *tree.Tree, n *tree.Node, lib *buflib.Library, tech rc.Technolog
 // library cell, at position pos.
 func withBufferOption(c *curve.Curve, pos geom.Point, lib *buflib.Library, tech rc.Technology, opts Options) *curve.Curve {
 	acc := c.Clone()
-	for i := range lib.Buffers {
-		b := lib.Buffers[i]
-		acc.AddAll(c.BufferOp(tech, b, func(old curve.Solution) any {
-			return &ref{pos: pos, buffer: &b, child: old.Ref.(*ref)}
-		}))
-	}
+	acc.Buffer(tech, c, lib.Buffers, func(old *curve.Solution, g *rc.Gate) any {
+		return &ref{pos: pos, buffer: g, child: old.Ref.(*ref)}
+	})
 	acc.Prune()
 	acc.Cap(opts.MaxSols)
 	return acc
@@ -171,9 +170,11 @@ func wireWithInsertion(c *curve.Curve, parentPos, childPos geom.Point, lib *bufl
 			X: childPos.X + int64(frac*float64(parentPos.X-childPos.X)),
 			Y: childPos.Y + int64(frac*float64(parentPos.Y-childPos.Y)),
 		}
-		cur = cur.WireOp(tech, segLen, func(old curve.Solution) any {
+		wired := &curve.Curve{}
+		wired.Wire(tech, []*curve.Curve{cur}, []int64{segLen}, -1, 0, func(old *curve.Solution) any {
 			return &ref{pos: pos, child: old.Ref.(*ref)}
 		})
+		cur = wired
 		cur.Prune()
 		if s < segs-1 { // interior point: buffer option
 			cur = withBufferOption(cur, pos, lib, tech, opts)
