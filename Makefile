@@ -25,16 +25,19 @@ test:
 
 # Race-detect the concurrent surface: the merlind service (worker pool,
 # caches, brownout controller, graceful shutdown, 32-way concurrent e2e),
-# the degradation ladder, and the core engine's one-engine-per-goroutine
-# contract. Full-repo -race is accurate too but slow; these packages are
-# where concurrency actually lives. TestChaos* is skipped here because the
-# chaos target runs the storms on their own, and TestClusterChaos /
-# TestPartitionChaos / TestFailoverChaos / TestFencingSplitBrain because the
-# cluster-chaos, partition-chaos and failover-chaos targets run those drills
-# on their own.
+# the degradation ladder, the core engine's one-engine-per-goroutine
+# contract, and Flows I-III run side by side with one solver or engine per
+# goroutine (ten times over: ptree.Solver and core.Engine mutate their
+# reconstruction tables on every solve). Full-repo -race is accurate too but
+# slow; these packages are where concurrency actually lives. TestChaos* is
+# skipped here because the chaos target runs the storms on their own, and
+# TestClusterChaos / TestPartitionChaos / TestFailoverChaos /
+# TestFencingSplitBrain because the cluster-chaos, partition-chaos and
+# failover-chaos targets run those drills on their own.
 race:
 	$(GO) test -race -skip 'TestChaos|TestCrashRecovery|TestClusterChaos|TestPartitionChaos|TestFailoverChaos|TestFencingSplitBrain' ./internal/service/... ./internal/degrade/... ./internal/journal/... ./internal/trace/... ./internal/router/... ./internal/qos/... ./internal/gossip/... ./pkg/client/... ./cmd/merlind/... ./cmd/merlintop/...
 	$(GO) test -race -run TestEnginePerGoroutine ./internal/core/
+	$(GO) test -race -count=10 -run TestFlowsConcurrent ./internal/flows/
 
 # The fault-injection storms: 240 concurrent good/bad/huge/degradable
 # requests with panics and errors injected into the worker pool, the DP, and

@@ -3,11 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime/debug"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"merlin/internal/buflib"
@@ -126,15 +125,15 @@ const (
 	refBuf                 // buffer gate at point driving a
 )
 
-// ref reconstructs buffered routing structures from solution curves. It is
-// deliberately compact — a Construct holds millions of live refs, and GC
-// scan time of this graph dominated the profile before the shrink.
+// ref is one record of the engine's reconstruction table: a solution's
+// Ref is the handle of the record that rebuilds its structure. Records hold
+// no pointers, so the collector never scans the table, which reaches about
+// a million records on an 8-sink net.
 type ref struct {
 	kind  refKind
 	point int32 // candidate index the structure is rooted at
-	sink  int32 // leaf: net sink index
-	a, b  *ref
-	gate  *rc.Gate // refBuf only
+	a     int32 // refLeaf: net sink index; otherwise the handle of the (left) part
+	b     int32 // refJoin: handle of the right part; refBuf: gate index in Lib.Buffers
 }
 
 // Engine runs BUBBLE_CONSTRUCT for one net over a fixed candidate set,
@@ -173,6 +172,19 @@ type Engine struct {
 	// (l,e,r) enumerations; this is the call-level complement of gammaMemo.
 	starMemo map[string][]*curve.Curve
 
+	// refs holds the reconstruction records of every stored solution.
+	refs curve.Refs[ref]
+	// scratch is the curve every join, buffer and wire pass accumulates
+	// into; its capped result is sealed and stored as an exact-size slice,
+	// so a stored solution list is never rewritten in place.
+	scratch curve.Curve
+	// snap and srcs are transfer's per-hop view of the sources.
+	snap []curve.Curve
+	srcs []*curve.Curve
+	// accs accumulates one Γ sub-problem's per-candidate curves across its
+	// starDP calls; the capped result is stored by storeCurves.
+	accs []*curve.Curve
+
 	// stats
 	StarDPCalls int
 	MemoHits    int
@@ -183,27 +195,20 @@ type Engine struct {
 	budgetStart  time.Time
 }
 
-// newRef heap-allocates a ref. (A chunked arena was measurably faster but
-// pinned every pruned solution's ref for the lifetime of the run — a large
-// memory leak on big nets — so refs are individually collectable.)
-func (en *Engine) newRef(r ref) *ref {
-	p := new(ref)
-	*p = r
-	return p
-}
-
 // NewEngine prepares an engine. The candidate set is deduplicated and the
 // source position appended if missing.
 //
-// Concurrency contract: an Engine is NOT safe for concurrent use. Construct,
-// Merlin and Extract all mutate the engine's memo tables (memo, gammaMemo,
-// starMemo) and stats counters without synchronization — the memos are the
-// whole point of engine reuse (§III.4's OVERLAP optimization), and guarding
-// them would serialize the DP hot loops. Use one Engine per goroutine. The
-// inputs (net, candidates, library, technology) are only read, so any number
-// of engines may share them; this is what a worker pool relies on when each
-// worker owns its engines over shared immutable nets and libraries (see
-// internal/service and TestEnginePerGoroutine).
+// Concurrency contract: an Engine is NOT safe for concurrent use. Construct
+// and Merlin mutate the engine's memo tables (memo, gammaMemo, starMemo),
+// its table of reconstruction records, its scratch curves and its stats
+// counters without synchronization, and BuildTree reads the record table
+// that Construct grows — the memos are the whole point of engine reuse
+// (§III.4's OVERLAP optimization), and guarding them would serialize the DP
+// hot loops. Use one Engine per goroutine. The inputs (net, candidates,
+// library, technology) are only read, so any number of engines may share
+// them; this is what a worker pool relies on when each worker owns its
+// engines over shared immutable nets and libraries (see internal/service,
+// TestEnginePerGoroutine and TestFlowsConcurrent).
 func NewEngine(n *net.Net, cands []geom.Point, lib *buflib.Library, tech rc.Technology, opts Options) *Engine {
 	en := &Engine{
 		Net: n, Lib: lib, Tech: tech, Opts: opts.withDefaults(),
@@ -224,6 +229,9 @@ func NewEngine(n *net.Net, cands []geom.Point, lib *buflib.Library, tech rc.Tech
 		en.Cands = append(en.Cands, n.Source)
 	}
 	k := len(en.Cands)
+	en.snap = make([]curve.Curve, k)
+	en.srcs = make([]*curve.Curve, k)
+	en.accs = newCurves(k)
 	en.dist = make([][]int64, k)
 	for i := range en.dist {
 		en.dist[i] = make([]int64, k)
@@ -288,37 +296,6 @@ type item struct {
 
 // Construct runs BUBBLE_CONSTRUCT (Fig. 9) for the given sink order and
 // returns the final per-candidate solution curves Γ(n, χ0, R=n−1, ·).
-// gcBoost reference-counts the GC-target override so concurrent
-// constructions (one engine per goroutine, e.g. the merlind worker pool)
-// compose: debug.SetGCPercent is process-global, and a naive
-// save/set/restore pair interleaves badly — a worker finishing early would
-// restore the default mid-flight under another worker, and the last one out
-// could "restore" the boosted value permanently. The first construction in
-// sets the boost, the last one out restores what it found.
-var gcBoost struct {
-	mu    sync.Mutex
-	depth int
-	prev  int
-}
-
-func acquireGCBoost() {
-	gcBoost.mu.Lock()
-	defer gcBoost.mu.Unlock()
-	if gcBoost.depth == 0 {
-		gcBoost.prev = debug.SetGCPercent(300)
-	}
-	gcBoost.depth++
-}
-
-func releaseGCBoost() {
-	gcBoost.mu.Lock()
-	defer gcBoost.mu.Unlock()
-	gcBoost.depth--
-	if gcBoost.depth == 0 {
-		debug.SetGCPercent(gcBoost.prev)
-	}
-}
-
 // Use Extract / BuildTree on the result.
 func (en *Engine) Construct(ord order.Order) ([]*curve.Curve, error) {
 	return en.ConstructCtx(context.Background(), ord)
@@ -344,12 +321,6 @@ func (en *Engine) ConstructCtx(ctx context.Context, ord order.Order) (final []*c
 	if n == 0 || n != en.Net.N() || !ord.Valid() {
 		return nil, fmt.Errorf("core: order must be a permutation of the %d sinks", en.Net.N())
 	}
-	// The DP's working set is a large, long-lived pointer graph; with the
-	// default GC target the collector spends more time re-scanning it than
-	// the DP spends computing. Trade heap headroom for throughput while the
-	// construction runs.
-	acquireGCBoost()
-	defer releaseGCBoost()
 	k := len(en.Cands)
 
 	// Γ(L, E, R, ·); indexed [L-1][E][R]. Entries stay nil when the span
@@ -382,12 +353,10 @@ func (en *Engine) ConstructCtx(ctx context.Context, ord order.Order) (final []*c
 				en.chargeSols(cached)
 				continue
 			}
-			cs := make([]*curve.Curve, k)
+			cs := newCurves(k)
 			for p := 0; p < k; p++ {
-				c := en.leafCurve(p, sinkIdx)
-				en.addBufferedVariants(c, p)
-				c.Cap(en.Opts.MaxSols)
-				cs[p] = c
+				cs[p].Sols = en.leafSols(p, sinkIdx)
+				en.addBufferedVariants(cs[p], p)
 			}
 			gamma[0][e][r] = cs
 			en.gammaMemo[key] = cs
@@ -433,9 +402,9 @@ func (en *Engine) ConstructCtx(ctx context.Context, ord order.Order) (final []*c
 				for _, p := range G {
 					inG[p] = true
 				}
-				acc := make([]*curve.Curve, k)
-				for p := range acc {
-					acc[p] = &curve.Curve{}
+				acc := en.accs
+				for _, c := range acc {
+					c.Sols = c.Sols[:0]
 				}
 				lMin := 1
 				if L-en.Opts.Alpha+1 > lMin {
@@ -493,9 +462,10 @@ func (en *Engine) ConstructCtx(ctx context.Context, ord order.Order) (final []*c
 					}
 				}
 				if any {
-					gamma[L-1][E][R] = acc
-					en.gammaMemo[key] = acc
-					en.chargeSols(acc)
+					cs := storeCurves(acc)
+					gamma[L-1][E][R] = cs
+					en.gammaMemo[key] = cs
+					en.chargeSols(cs)
 				}
 			}
 		}
@@ -523,26 +493,67 @@ func gammaKey(e Chi, ids []int) string {
 	return b.String()
 }
 
-// leafCurve is the minimum-distance path from candidate p to a sink.
-func (en *Engine) leafCurve(p, sinkIdx int) *curve.Curve {
+// leafSols is the minimum-distance path from candidate p to a sink, as a
+// one-solution list. No Cap can drop that solution, so its record is kept
+// directly.
+func (en *Engine) leafSols(p, sinkIdx int) []curve.Solution {
 	sk := en.Net.Sinks[sinkIdx]
 	wl := geom.Dist(en.Cands[p], sk.Pos)
-	c := &curve.Curve{}
-	c.Add(curve.Solution{
+	return []curve.Solution{{
 		Load: en.Tech.QuantizeLoad(sk.Load + en.Tech.WireC(wl)),
 		Req:  sk.Req - en.Tech.WireElmore(wl, sk.Load),
-		Ref:  &ref{kind: refLeaf, point: int32(p), sink: int32(sinkIdx)},
-	})
-	return c
+		Ref:  en.refs.Keep(ref{kind: refLeaf, point: int32(p), a: int32(sinkIdx)}),
+	}}
 }
 
-// addBufferedVariants inserts into c, for every current solution and every
-// library buffer, the variant driven by that buffer placed at candidate p.
-// c must already be pruned; it stays pruned.
+// newCurves returns k empty curves allocated as one block.
+func newCurves(k int) []*curve.Curve {
+	cells := make([]curve.Curve, k)
+	cs := make([]*curve.Curve, k)
+	for p := range cs {
+		cs[p] = &cells[p]
+	}
+	return cs
+}
+
+// storeCurves copies per-candidate curves into new curves with exact-size
+// solution lists.
+func storeCurves(from []*curve.Curve) []*curve.Curve {
+	cs := newCurves(len(from))
+	for p, c := range from {
+		cs[p].Sols = slices.Clone(c.Sols)
+	}
+	return cs
+}
+
+// startScratch empties the scratch curve and returns it, seeded with a copy
+// of from's solutions (from may be nil).
+func (en *Engine) startScratch(from *curve.Curve) *curve.Curve {
+	sc := &en.scratch
+	sc.Sols = sc.Sols[:0]
+	if from != nil {
+		sc.Sols = append(sc.Sols, from.Sols...)
+	}
+	return sc
+}
+
+// storeScratch caps the scratch curve, seals its survivors' records and
+// stores them in c as an exact-size slice, replacing c's solutions.
+func (en *Engine) storeScratch(c *curve.Curve) {
+	sc := &en.scratch
+	sc.Cap(en.Opts.MaxSols)
+	en.refs.Seal(sc)
+	c.Sols = slices.Clone(sc.Sols)
+}
+
+// addBufferedVariants adds to c, for every solution of c and every library
+// buffer, the variant driven by that buffer placed at candidate p, then
+// caps c.
 func (en *Engine) addBufferedVariants(c *curve.Curve, p int) {
-	c.Buffer(en.Tech, c, en.Lib.Buffers, func(s *curve.Solution, g *rc.Gate) any {
-		return en.newRef(ref{kind: refBuf, point: int32(p), gate: g, a: s.Ref.(*ref)})
+	en.startScratch(c).Buffer(en.Tech, c, en.Lib.Buffers, func(s *curve.Solution, gi int) int32 {
+		return en.refs.Add(ref{kind: refBuf, point: int32(p), a: s.Ref, b: int32(gi)})
 	})
+	en.storeScratch(c)
 }
 
 // buildItems assembles the ordered child list of the sub-group being built:
@@ -626,37 +637,34 @@ func (en *Engine) starDP(items []item) []*curve.Curve {
 			}
 			mask := en.intervalMask(items[a : b+1])
 			allowed := func(p int) bool { return mask == nil || mask[p] }
-			cur := make([]*curve.Curve, k)
+			// Every pass replaces a cell's solution list, never rewrites it
+			// in place, so a cell may share its list with an inner group's.
+			cur := newCurves(k)
 			if length == 1 {
 				it := items[a]
 				for p := 0; p < k; p++ {
 					switch {
 					case !allowed(p):
-						cur[p] = &curve.Curve{} //lint:allow hotpath-alloc -- table cells need distinct identity: transfer may insert into any of them
 					case it.group != nil:
-						if it.group[p] == nil {
-							cur[p] = &curve.Curve{} //lint:allow hotpath-alloc -- table cells need distinct identity: transfer may insert into any of them
-						} else {
-							cur[p] = it.group[p].Clone()
+						if it.group[p] != nil {
+							cur[p].Sols = it.group[p].Sols
 						}
 					default:
-						cur[p] = en.leafCurve(p, it.sinkIdx)
+						cur[p].Sols = en.leafSols(p, it.sinkIdx)
 					}
 				}
 			} else {
 				for p := 0; p < k; p++ {
-					acc := &curve.Curve{} //lint:allow hotpath-alloc -- per-candidate accumulator, amortized over the whole interval join
 					if !allowed(p) {
-						cur[p] = acc
 						continue
 					}
+					sc := en.startScratch(nil)
 					for u := a; u < b; u++ {
-						acc.Join(tab[a*t+u][p], tab[(u+1)*t+b][p], func(x, y *curve.Solution) any {
-							return en.newRef(ref{kind: refJoin, point: int32(p), a: x.Ref.(*ref), b: y.Ref.(*ref)})
+						sc.Join(tab[a*t+u][p], tab[(u+1)*t+b][p], func(x, y *curve.Solution) int32 {
+							return en.refs.Add(ref{kind: refJoin, point: int32(p), a: x.Ref, b: y.Ref})
 						})
 					}
-					acc.Cap(en.Opts.MaxSols)
-					cur[p] = acc
+					en.storeScratch(cur[p])
 				}
 			}
 			// Per-interval pipeline: raw → buffer → transfer → buffer.
@@ -684,7 +692,7 @@ func (en *Engine) starDP(items []item) []*curve.Curve {
 			}
 			if final && en.Opts.ForceGroupBuffers {
 				for p := 0; p < k; p++ {
-					keepBufferedRoots(cur[p])
+					en.keepBufferedRoots(cur[p])
 				}
 			}
 			tab[idx] = cur
@@ -719,12 +727,12 @@ func starKey(items []item) string {
 
 // keepBufferedRoots filters a curve to solutions whose structure root (via
 // chains stripped) is a buffer, making the sub-group a true internal node.
-func keepBufferedRoots(c *curve.Curve) {
-	out := c.Sols[:0]
+func (en *Engine) keepBufferedRoots(c *curve.Curve) {
+	out := make([]curve.Solution, 0, len(c.Sols))
 	for _, s := range c.Sols {
-		r := s.Ref.(*ref)
+		r := en.refs.At(s.Ref)
 		for r.kind == refVia {
-			r = r.a
+			r = en.refs.At(r.a)
 		}
 		if r.kind == refBuf {
 			out = append(out, s)
@@ -748,33 +756,25 @@ func runKey(items []item) string {
 // transfer relaxes curves across candidate locations: a structure rooted at
 // p′ may serve root p through a direct wire p→p′ (the S = min{d(p,p′)+S′}
 // recursion). Opts.TransferHops sweeps are performed. Each sweep is Jacobi:
-// every target reads the sources as they stood before the sweep.
+// every target reads the sources as they stood before the sweep. A target's
+// result replaces its solution list rather than rewriting it, so copying
+// the slice headers is snapshot enough.
 func (en *Engine) transfer(cur []*curve.Curve, mask []bool) {
 	k := len(en.Cands)
+	snap, srcs := en.snap, en.srcs
 	for hop := 0; hop < en.Opts.TransferHops; hop++ {
-		// Deep snapshot: inserts rewrite curve backing arrays in place, so
-		// the source solutions must be copied out before any target mutates.
-		snap := make([]curve.Curve, k)
-		srcs := make([]*curve.Curve, k)
 		for q := 0; q < k; q++ {
-			if cur[q] != nil {
-				snap[q].Sols = append([]curve.Solution(nil), cur[q].Sols...)
-			}
+			snap[q] = *cur[q]
 			srcs[q] = &snap[q]
 		}
 		for p := 0; p < k; p++ {
-			acc := cur[p]
-			if acc == nil {
-				acc = &curve.Curve{} //lint:allow hotpath-alloc -- nil-cell backfill, at most k per hop and each becomes a live table cell
-				cur[p] = acc
-			}
 			if mask != nil && !mask[p] {
 				continue
 			}
-			acc.Wire(en.Tech, srcs, en.dist[p], p, 0, func(s *curve.Solution) any {
-				return en.newRef(ref{kind: refVia, point: int32(p), a: s.Ref.(*ref)})
+			en.startScratch(cur[p]).Wire(en.Tech, srcs, en.dist[p], p, 0, func(s *curve.Solution) int32 {
+				return en.refs.Add(ref{kind: refVia, point: int32(p), a: s.Ref})
 			})
-			acc.Cap(en.Opts.MaxSols)
+			en.storeScratch(cur[p])
 		}
 	}
 }
@@ -834,12 +834,11 @@ func (en *Engine) Extract(final []*curve.Curve, goal Goal) (curve.Solution, floa
 // BuildTree reconstructs the buffered routing tree of a solution (Fig. 9
 // line 22). The solution must come from curves produced by this engine.
 func (en *Engine) BuildTree(sol curve.Solution) (*tree.Tree, error) {
-	t := tree.New(en.Net)
-	r, ok := sol.Ref.(*ref)
-	if !ok || r == nil {
-		return nil, fmt.Errorf("core: solution carries no reconstruction reference")
+	if sol.Ref < 0 || int(sol.Ref) >= en.refs.Len() {
+		return nil, fmt.Errorf("core: solution carries no reconstruction reference (handle %d, %d records)", sol.Ref, en.refs.Len())
 	}
-	node := en.buildNode(r)
+	t := tree.New(en.Net)
+	node := en.buildNode(sol.Ref)
 	if node.Kind == tree.KindSteiner && node.Pos == en.Net.Source {
 		t.Root.Children = node.Children
 	} else {
@@ -852,21 +851,22 @@ func (en *Engine) BuildTree(sol curve.Solution) (*tree.Tree, error) {
 	return t, nil
 }
 
-// buildNode expands a ref into tree nodes; joins at the same point flatten
-// into one Steiner/buffer node so child order (and hence the realized sink
-// order) is preserved left to right.
-func (en *Engine) buildNode(r *ref) *tree.Node {
+// buildNode expands the record of handle h into tree nodes; joins at the
+// same point flatten into one Steiner/buffer node so child order (and hence
+// the realized sink order) is preserved left to right.
+func (en *Engine) buildNode(h int32) *tree.Node {
+	r := en.refs.At(h)
 	switch r.kind {
 	case refLeaf:
 		n := &tree.Node{Kind: tree.KindSteiner, Pos: en.Cands[r.point]}
-		sk := en.Net.Sinks[r.sink]
+		sk := en.Net.Sinks[r.a]
 		if n.Pos == sk.Pos {
-			return &tree.Node{Kind: tree.KindSink, Pos: sk.Pos, SinkIdx: int(r.sink)}
+			return &tree.Node{Kind: tree.KindSink, Pos: sk.Pos, SinkIdx: int(r.a)}
 		}
-		n.AddChild(&tree.Node{Kind: tree.KindSink, Pos: sk.Pos, SinkIdx: int(r.sink)})
+		n.AddChild(&tree.Node{Kind: tree.KindSink, Pos: sk.Pos, SinkIdx: int(r.a)})
 		return n
 	case refBuf:
-		n := &tree.Node{Kind: tree.KindBuffer, Pos: en.Cands[r.point], Buffer: *r.gate}
+		n := &tree.Node{Kind: tree.KindBuffer, Pos: en.Cands[r.point], Buffer: en.Lib.Buffers[r.b]}
 		child := en.buildNode(r.a)
 		if child.Kind == tree.KindSteiner && child.Pos == n.Pos {
 			n.Children = child.Children
@@ -885,7 +885,7 @@ func (en *Engine) buildNode(r *ref) *tree.Node {
 		return n
 	default: // refJoin
 		n := &tree.Node{Kind: tree.KindSteiner, Pos: en.Cands[r.point]}
-		for _, part := range []*ref{r.a, r.b} {
+		for _, part := range []int32{r.a, r.b} {
 			sub := en.buildNode(part)
 			if sub.Kind == tree.KindSteiner && sub.Pos == n.Pos {
 				n.Children = append(n.Children, sub.Children...)

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"merlin/internal/buflib"
@@ -376,5 +377,32 @@ func TestExtractGoalFallback(t *testing.T) {
 	}
 	if reqFall != reqBest {
 		t.Fatalf("fallback req %.6f != best req %.6f", reqFall, reqBest)
+	}
+}
+
+// TestBuildTreeRejectsBadHandles: a solution whose handle names no kept
+// record — negative, as a provisional handle is, or past the end of the
+// engine's table — is an error, not a panic.
+func TestBuildTreeRejectsBadHandles(t *testing.T) {
+	nt, cands, lib, tech := testSetup(4, 3, 6)
+	en := NewEngine(nt, cands, lib, tech, exactOpts())
+	final, err := en.Construct(order.Identity(nt.N()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, _, err := en.Extract(final, Goal{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := en.BuildTree(sol); err != nil {
+		t.Fatalf("extracted solution: %v", err)
+	}
+	for _, h := range []int32{-1, 1 << 30} {
+		bad := sol
+		bad.Ref = h
+		tr, err := en.BuildTree(bad)
+		if err == nil || !strings.Contains(err.Error(), "no reconstruction reference") {
+			t.Fatalf("handle %d: got tree %v, error %v; want the no-reconstruction-reference error", h, tr, err)
+		}
 	}
 }

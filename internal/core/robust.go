@@ -45,8 +45,9 @@ var (
 type Budget struct {
 	// MaxSolutions caps the total number of solutions retained across all of
 	// the DP's sub-problem curves during one search. Retained solutions are
-	// the DP's dominant memory term (each pins a reconstruction ref chain),
-	// so this is a direct memory bound: the engine aborts within one
+	// the DP's dominant memory term (each is a flat triple and handle, and
+	// the engine's table of reconstruction records grows with them), so
+	// this is a direct memory bound: the engine aborts within one
 	// sub-problem of crossing it, and a sub-problem adds at most
 	// k·MaxSols solutions.
 	MaxSolutions int

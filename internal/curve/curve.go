@@ -3,9 +3,10 @@
 // and the one kernel of curve operators that all three flows build them with.
 //
 // A solution σ records the (load, required time, total buffer area) of a
-// buffered routing structure rooted at some point, plus an opaque reference
-// used to rebuild the structure during extraction. Definition 6 of the paper
-// orders solutions: σ2 is inferior to σ1 iff
+// buffered routing structure rooted at some point, plus the handle of the
+// record its owner rebuilds the structure from during extraction (see
+// Refs). Definition 6 of the paper orders solutions: σ2 is inferior to σ1
+// iff
 //
 //	load(σ1) ≤ load(σ2) ∧ reqTime(σ2) ≤ reqTime(σ1) ∧ area(σ1) ≤ area(σ2).
 //
@@ -25,7 +26,9 @@
 //     its solutions. Every transform is monotone, so if the target already
 //     dominates the mapped corner it dominates everything the input could
 //     produce, and the whole input is skipped.
-//   - Refs are built only for solutions that survive the insert.
+//   - Records are built only for solutions that survive the insert: an
+//     operator calls its ref callback, which writes a provisional record into
+//     the owner's Refs table, right after the insert admits the solution.
 package curve
 
 import (
@@ -46,9 +49,10 @@ type Solution struct {
 	Req float64
 	// Area is the total buffer area (λ²) used inside the structure.
 	Area float64
-	// Ref is the back-pointer the owner uses to reconstruct the structure
-	// (line 22 of BUBBLE_CONSTRUCT). The curve package never inspects it.
-	Ref any
+	// Ref is the handle of the record the owner reconstructs the structure
+	// from (line 22 of BUBBLE_CONSTRUCT), an index into the owner's Refs
+	// table. The kernel only copies it.
+	Ref int32
 }
 
 // Dominates reports whether s is at least as good as t in all three
@@ -77,7 +81,7 @@ func (c *Curve) Empty() bool { return len(c.Sols) == 0 }
 // Add appends a solution without pruning. Callers batch Add and then Prune.
 func (c *Curve) Add(s Solution) { c.Sols = append(c.Sols, s) }
 
-// Clone returns a deep copy of the curve's solution list (Refs are shared).
+// Clone returns a copy of the curve with its own solution list.
 func (c *Curve) Clone() *Curve {
 	out := &Curve{Sols: make([]Solution, len(c.Sols))}
 	copy(out.Sols, c.Sols)
@@ -287,9 +291,9 @@ func (c *Curve) insert(s Solution) bool {
 
 // Join inserts into c the merge of every pair (x from a, y from b) of two
 // structures rooted at the same point: loads and areas add, required times
-// take the minimum. Pairs are inserted x-major. ref builds a surviving
-// merge's Ref from its two parts.
-func (c *Curve) Join(a, b *Curve, ref func(x, y *Solution) any) {
+// take the minimum. Pairs are inserted x-major. ref returns a surviving
+// merge's Ref, built from its two parts.
+func (c *Curve) Join(a, b *Curve, ref func(x, y *Solution) int32) {
 	if len(a.Sols) == 0 || len(b.Sols) == 0 {
 		return
 	}
@@ -322,9 +326,9 @@ func minReq(a, b float64) float64 {
 // required time, its capacitance added to the load (then quantized), and
 // areaPerLambda·lens[q] added to the area. Sources are read in index order,
 // each when its turn comes, so a source that aliases a curve the caller
-// updated earlier is read as updated. ref builds a surviving solution's Ref
-// from the source solution.
-func (c *Curve) Wire(t rc.Technology, srcs []*Curve, lens []int64, skip int, areaPerLambda float64, ref func(s *Solution) any) {
+// updated earlier is read as updated. ref returns a surviving solution's
+// Ref, built from the source solution.
+func (c *Curve) Wire(t rc.Technology, srcs []*Curve, lens []int64, skip int, areaPerLambda float64, ref func(s *Solution) int32) {
 	for q, src := range srcs {
 		if q == skip || src == nil || len(src.Sols) == 0 {
 			continue
@@ -349,17 +353,14 @@ func (c *Curve) Wire(t rc.Technology, srcs []*Curve, lens []int64, skip int, are
 
 // Buffer inserts into c every solution of src driven by each gate in turn
 // (gate-major): the load becomes the gate's quantized input capacitance,
-// the gate's nominal-slew delay is charged and its area added. src may be c
-// itself; Buffer then drives the solutions c held on entry. ref builds a
-// surviving solution's Ref from the driven solution and its gate, a pointer
-// into gates.
-func (c *Curve) Buffer(t rc.Technology, src *Curve, gates []rc.Gate, ref func(s *Solution, g *rc.Gate) any) {
+// the gate's nominal-slew delay is charged and its area added. src must not
+// be c: inserts rewrite c.Sols in place. ref returns a surviving solution's
+// Ref, built from the driven solution and its gate's index in gates.
+func (c *Curve) Buffer(t rc.Technology, src *Curve, gates []rc.Gate, ref func(s *Solution, gi int) int32) {
+	assertNotAliased(c, src, "curve.Buffer")
 	base := src.Sols
 	if len(base) == 0 {
 		return
-	}
-	if src == c {
-		base = slices.Clone(base) // inserts rewrite c.Sols in place
 	}
 	lo := corner(base)
 	for gi := range gates {
@@ -373,7 +374,7 @@ func (c *Curve) Buffer(t rc.Technology, src *Curve, gates []rc.Gate, ref func(s 
 			d := g.DelayNominal(t, s.Load)
 			assertFiniteDelay(d, "curve.Buffer: DelayNominal")
 			if c.insert(Solution{Load: cin, Req: s.Req - d, Area: s.Area + g.Area}) {
-				c.Sols[len(c.Sols)-1].Ref = ref(s, g)
+				c.Sols[len(c.Sols)-1].Ref = ref(s, gi)
 			}
 		}
 	}
@@ -387,7 +388,8 @@ func (c *Curve) Buffer(t rc.Technology, src *Curve, gates []rc.Gate, ref func(s 
 // depends on the curve's order on entry: Flows I and II Prune (sort by load,
 // then area) before every Cap, while Flow III caps curves in insertion
 // order. Capping trades optimality for speed exactly like coarser load
-// quantization; max <= 0 means no cap.
+// quantization; max <= 0 means no cap. Cap works in place: it reorders and
+// truncates c.Sols without allocating.
 func (c *Curve) Cap(max int) {
 	if max <= 0 || len(c.Sols) <= max {
 		return
@@ -404,18 +406,21 @@ func (c *Curve) Cap(max int) {
 		}
 		sols[j+1] = s
 	}
-	kept := make([]Solution, 0, max)
-	step := float64(len(c.Sols)-1) / float64(max-1)
-	prev := -1
+	// The kept indices strictly increase from 0, so the w-th one is at least
+	// w and compacting into the prefix never overwrites a solution still to
+	// be read.
+	step := float64(len(sols)-1) / float64(max-1)
+	w, prev := 0, -1
 	for i := 0; i < max; i++ {
 		idx := int(math.Round(float64(i) * step))
 		if idx == prev {
 			continue
 		}
 		prev = idx
-		kept = append(kept, c.Sols[idx])
+		sols[w] = sols[idx]
+		w++
 	}
-	c.Sols = kept
+	c.Sols = sols[:w]
 	assertNonInferior(c, "Cap")
 }
 

@@ -75,3 +75,12 @@ func assertFiniteDelay(d float64, op string) {
 		panic(fmt.Sprintf("merlin_invariants: %s produced a non-finite or negative delay %g ns", op, d))
 	}
 }
+
+// assertNotAliased panics when an operator's source is its own target: the
+// inserts rewrite the target's solutions in place, so the operator would
+// read solutions it had already evicted or overwritten.
+func assertNotAliased(c, src *Curve, op string) {
+	if c == src {
+		panic(fmt.Sprintf("merlin_invariants: %s: the source curve is the target", op))
+	}
+}

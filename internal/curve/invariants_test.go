@@ -97,3 +97,20 @@ func nanf() float64 {
 	z := 0.0
 	return z / z
 }
+
+// TestBufferRejectsAliasedSource: Buffer rewrites its target in place, so a
+// source that is the target itself must trip the assertion layer.
+func TestBufferRejectsAliasedSource(t *testing.T) {
+	if !InvariantsEnabled {
+		t.Skip("the aliasing assertion is compiled in only with -tags merlin_invariants")
+	}
+	c := &Curve{Sols: []Solution{{Load: 0.5, Req: 5, Area: 0}}}
+	msg := func() (p any) {
+		defer func() { p = recover() }()
+		c.Buffer(kernelTech, c, kernelGates, func(*Solution, int) int32 { return 0 })
+		return nil
+	}()
+	if !strings.Contains(fmt.Sprint(msg), "source curve is the target") {
+		t.Fatalf("Buffer with its target as source: got panic %v, want the aliasing assertion", msg)
+	}
+}

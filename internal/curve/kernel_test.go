@@ -12,20 +12,23 @@ import (
 
 // The kernel operators are checked against brute force: apply the operator
 // to every input solution, append the results to the target's solutions and
-// prune with PruneNaive, which keeps the first of equal triples. The kernel
-// must leave the same solutions — triples and refs — so the property covers
-// dominance, first-wins on exact duplicates and the corner skip at once.
+// prune with PruneNaive, which keeps the first of equal triples. Every input
+// solution carries a distinct handle, and each operator's ref callback
+// derives the output handle from its inputs the way the brute force does, so
+// the kernel must leave the same solutions — triples and handles — and the
+// property covers dominance, first-wins on exact duplicates and the corner
+// skip at once.
 
 // kernelTech has wires and quantization coarse enough, next to the test
 // grids, that wires create and merge duplicates.
 var kernelTech = rc.Technology{RPerLambda: 0.001, CPerLambda: 0.002, NominalSlew: 0.2, LoadQuantum: 0.1}
 
 // gridCurve draws n solutions from a small grid, so duplicates and
-// dominations are common, each with a distinct ref id starting at id.
-func gridCurve(rng *rand.Rand, n, id int) *Curve {
+// dominations are common, each with a distinct handle starting at id.
+func gridCurve(rng *rand.Rand, n int, id int32) *Curve {
 	c := randomCurve(rng, n)
 	for i := range c.Sols {
-		c.Sols[i].Ref = id + i
+		c.Sols[i].Ref = id + int32(i)
 	}
 	return c
 }
@@ -47,7 +50,7 @@ func bruteForce(target *Curve, produced []Solution) *Curve {
 	return c
 }
 
-// checkSameSolutions compares two curves as sets of (triple, ref).
+// checkSameSolutions compares two curves as sets of (triple, handle).
 func checkSameSolutions(t *testing.T, what string, got, want *Curve) {
 	t.Helper()
 	if err := got.CheckFrontier(false); err != nil {
@@ -69,12 +72,14 @@ func checkSameSolutions(t *testing.T, what string, got, want *Curve) {
 	}
 	for i := range g {
 		if g[i] != want.Sols[i] {
-			t.Fatalf("%s: solution %d is %v ref %v, brute force %v ref %v", what, i, g[i], g[i].Ref, want.Sols[i], want.Sols[i].Ref)
+			t.Fatalf("%s: solution %d is %v handle %d, brute force %v handle %d", what, i, g[i], g[i].Ref, want.Sols[i], want.Sols[i].Ref)
 		}
 	}
 }
 
-type joinRef struct{ x, y any }
+// joinHandle is the handle TestJoinOp derives for the merge of x and y;
+// the parts' handles are below 1000, so distinct pairs get distinct handles.
+func joinHandle(x, y int32) int32 { return 1000*x + y }
 
 // TestJoinOp: Join into a random non-inferior target keeps exactly what
 // brute force keeps, including on inputs the corner skip drops.
@@ -91,7 +96,7 @@ func TestJoinOp(t *testing.T) {
 		var produced []Solution
 		for _, x := range a.Sols {
 			for _, y := range b.Sols {
-				produced = append(produced, Solution{x.Load + y.Load, math.Min(x.Req, y.Req), x.Area + y.Area, joinRef{x.Ref, y.Ref}})
+				produced = append(produced, Solution{x.Load + y.Load, math.Min(x.Req, y.Req), x.Area + y.Area, joinHandle(x.Ref, y.Ref)})
 			}
 		}
 		if len(b.Sols) > 0 {
@@ -102,7 +107,7 @@ func TestJoinOp(t *testing.T) {
 		}
 		want := bruteForce(target, produced)
 		got := target.Clone()
-		got.Join(a, b, func(x, y *Solution) any { return joinRef{x.Ref, y.Ref} })
+		got.Join(a, b, func(x, y *Solution) int32 { return joinHandle(x.Ref, y.Ref) })
 		checkSameSolutions(t, "Join", got, want)
 	}
 	if skips < 100 {
@@ -110,7 +115,8 @@ func TestJoinOp(t *testing.T) {
 	}
 }
 
-type viaRef struct{ s any }
+// viaHandle is the handle TestWireOp derives for a wired source solution.
+func viaHandle(s int32) int32 { return s + 1<<20 }
 
 // TestWireOp: Wire over nil, empty, skipped and duplicated sources keeps
 // exactly what brute force keeps, including sources the corner skip drops.
@@ -132,14 +138,14 @@ func TestWireOp(t *testing.T) {
 				if q > 0 && srcs[q-1] != nil {
 					srcs[q] = srcs[q-1].Clone()
 					for i := range srcs[q].Sols {
-						srcs[q].Sols[i].Ref = 1000*(q+1) + i
+						srcs[q].Sols[i].Ref = int32(1000*(q+1) + i)
 					}
 					lens[q] = lens[q-1]
 					continue
 				}
-				srcs[q] = gridCurve(rng, 1+rng.Intn(5), 1000*(q+1))
+				srcs[q] = gridCurve(rng, 1+rng.Intn(5), int32(1000*(q+1)))
 			default:
-				srcs[q] = gridCurve(rng, 1+rng.Intn(5), 1000*(q+1))
+				srcs[q] = gridCurve(rng, 1+rng.Intn(5), int32(1000*(q+1)))
 			}
 		}
 		skip := rng.Intn(k+1) - 1
@@ -156,7 +162,7 @@ func TestWireOp(t *testing.T) {
 					kernelTech.QuantizeLoad(s.Load + wc),
 					s.Req - kernelTech.WireElmore(lens[q], s.Load),
 					s.Area + wa,
-					viaRef{s.Ref},
+					viaHandle(s.Ref),
 				})
 			}
 			if len(src.Sols) > 0 {
@@ -168,7 +174,7 @@ func TestWireOp(t *testing.T) {
 		}
 		want := bruteForce(target, produced)
 		got := target.Clone()
-		got.Wire(kernelTech, srcs, lens, skip, areaPerLambda, func(s *Solution) any { return viaRef{s.Ref} })
+		got.Wire(kernelTech, srcs, lens, skip, areaPerLambda, func(s *Solution) int32 { return viaHandle(s.Ref) })
 		checkSameSolutions(t, "Wire", got, want)
 	}
 	if skips < 100 {
@@ -176,10 +182,9 @@ func TestWireOp(t *testing.T) {
 	}
 }
 
-type bufRef struct {
-	s    any
-	gate string
-}
+// bufHandle is the handle TestBufferOp derives for solution s driven by
+// gate gi; there are fewer than 10 gates.
+func bufHandle(s int32, gi int) int32 { return 10*s + int32(gi) }
 
 // kernelGates has two electrically identical cells, so buffering one
 // solution with both yields an exact duplicate and first-wins decides.
@@ -189,27 +194,23 @@ var kernelGates = []rc.Gate{
 	{Name: "B1twin", K0: 0.1, K1: 2, K2: 0.5, Cin: 0.03, Area: 100},
 }
 
-// TestBufferOp: Buffer from another curve or from the target itself keeps
-// exactly what brute force keeps, including gates the corner skip drops.
+// TestBufferOp: Buffer from another curve keeps exactly what brute force
+// keeps, including gates the corner skip drops.
 func TestBufferOp(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	skips := 0
 	for trial := 0; trial < 3000; trial++ {
 		target := randomTarget(rng, rng.Intn(10))
 		src := gridCurve(rng, 1+rng.Intn(6), 100)
-		self := trial%3 == 0
-		if self {
-			src = target // buffer the target's own solutions into itself
-		}
 		gates := kernelGates[:1+rng.Intn(len(kernelGates))]
 		var produced []Solution
-		for _, g := range gates {
+		for gi, g := range gates {
 			for _, s := range src.Sols {
 				produced = append(produced, Solution{
 					kernelTech.QuantizeLoad(g.Cin),
 					s.Req - g.DelayNominal(kernelTech, s.Load),
 					s.Area + g.Area,
-					bufRef{s.Ref, g.Name},
+					bufHandle(s.Ref, gi),
 				})
 			}
 			if len(src.Sols) > 0 {
@@ -221,10 +222,7 @@ func TestBufferOp(t *testing.T) {
 		}
 		want := bruteForce(target, produced)
 		got := target.Clone()
-		if self {
-			src = got
-		}
-		got.Buffer(kernelTech, src, gates, func(s *Solution, g *rc.Gate) any { return bufRef{s.Ref, g.Name} })
+		got.Buffer(kernelTech, src, gates, func(s *Solution, gi int) int32 { return bufHandle(s.Ref, gi) })
 		checkSameSolutions(t, "Buffer", got, want)
 	}
 	if skips < 100 {
@@ -235,26 +233,28 @@ func TestBufferOp(t *testing.T) {
 // TestInsertKeepsFirstDuplicate: of two solutions with the same triple, the
 // curve keeps the one inserted first, whichever operator inserts them.
 func TestInsertKeepsFirstDuplicate(t *testing.T) {
+	const first, other, second = 1, 2, 3
 	c := &Curve{}
-	c.Insert(Solution{1, 5, 2, "first"}, Solution{2, 6, 3, "other"}, Solution{1, 5, 2, "second"})
-	if got := refsOf(c); len(got) != 2 || got[0] != "first" {
-		t.Fatalf("Insert: kept %v, want first and other", got)
+	c.Insert(Solution{1, 5, 2, first}, Solution{2, 6, 3, other}, Solution{1, 5, 2, second})
+	if got := refsOf(c); len(got) != 2 || got[0] != first {
+		t.Fatalf("Insert: kept handles %v, want [%d %d]", got, first, other)
 	}
 
 	// Join: a0+b0 and a1+b1 both give (1, 3, 1), which nothing dominates.
-	a := &Curve{Sols: []Solution{{1, 5, 0, "a0"}, {0, 3, 1, "a1"}}}
-	b := &Curve{Sols: []Solution{{0, 3, 1, "b0"}, {1, 5, 0, "b1"}}}
+	const a0, a1, b0, b1 = 10, 11, 20, 21
+	a := &Curve{Sols: []Solution{{1, 5, 0, a0}, {0, 3, 1, a1}}}
+	b := &Curve{Sols: []Solution{{0, 3, 1, b0}, {1, 5, 0, b1}}}
 	j := &Curve{}
-	j.Join(a, b, func(x, y *Solution) any { return x.Ref.(string) + "+" + y.Ref.(string) })
-	if !hasSolution(j, Solution{1, 3, 1, "a0+b0"}) || j.Len() != 3 {
-		t.Fatalf("Join: got %v, want (1, 3, 1) from a0+b0 among 3", refsOf(j))
+	j.Join(a, b, func(x, y *Solution) int32 { return joinHandle(x.Ref, y.Ref) })
+	if !hasSolution(j, Solution{1, 3, 1, joinHandle(a0, b0)}) || j.Len() != 3 {
+		t.Fatalf("Join: got handles %v, want (1, 3, 1) from a0+b0 among 3", refsOf(j))
 	}
 
 	// Buffer: twin gates produce identical triples; the first gate wins.
 	bc := &Curve{}
-	bc.Buffer(kernelTech, &Curve{Sols: []Solution{{0.5, 5, 0, "s"}}}, kernelGates, func(s *Solution, g *rc.Gate) any { return g.Name })
-	if got := refsOf(bc); len(got) != 2 || got[0] != "B1" || got[1] != "B2" {
-		t.Fatalf("Buffer: kept %v, want [B1 B2]", got)
+	bc.Buffer(kernelTech, &Curve{Sols: []Solution{{0.5, 5, 0, 0}}}, kernelGates, func(s *Solution, gi int) int32 { return int32(gi) })
+	if got := refsOf(bc); len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Fatalf("Buffer: kept gates %v, want [0 1] (B1, B2)", got)
 	}
 }
 
@@ -267,8 +267,8 @@ func hasSolution(c *Curve, want Solution) bool {
 	return false
 }
 
-func refsOf(c *Curve) []any {
-	out := make([]any, len(c.Sols))
+func refsOf(c *Curve) []int32 {
+	out := make([]int32, len(c.Sols))
 	for i, s := range c.Sols {
 		out[i] = s.Ref
 	}
@@ -281,7 +281,7 @@ func TestWireOpMonotone(t *testing.T) {
 	tech := rc.Default035()
 	wire := func(src *Curve, length int64) Solution {
 		c := &Curve{}
-		c.Wire(tech, []*Curve{src}, []int64{length}, -1, 0, func(*Solution) any { return nil })
+		c.Wire(tech, []*Curve{src}, []int64{length}, -1, 0, func(*Solution) int32 { return 0 })
 		return c.Sols[0]
 	}
 	prop := func(l1, l2 uint16, loadCenti uint8) bool {
@@ -307,7 +307,7 @@ func TestBufferOpChargesExactly(t *testing.T) {
 	c.Add(sol(0.4, 7, 100))
 	c.Add(sol(0.8, 9, 500))
 	out := &Curve{}
-	out.Buffer(tech, c, []rc.Gate{g}, func(*Solution, *rc.Gate) any { return nil })
+	out.Buffer(tech, c, []rc.Gate{g}, func(*Solution, int) int32 { return 0 })
 	if out.Len() != 2 {
 		t.Fatalf("both buffered solutions are non-inferior, got %v", out.Sols)
 	}

@@ -1,6 +1,7 @@
 package flows
 
 import (
+	"sync"
 	"testing"
 
 	"merlin/internal/net"
@@ -111,5 +112,46 @@ func TestShape(t *testing.T) {
 	}
 	if wins < 2 {
 		t.Fatalf("MERLIN beat Flow I on only %d of 3 nets", wins)
+	}
+}
+
+// TestFlowsConcurrent runs Flows I, II and III at once, one net and one
+// solver or engine per goroutine, and checks every answer against the same
+// flow run alone. ptree.Solver and core.Engine mutate their reconstruction
+// tables on every solve, so under the race detector (`make race` runs this
+// ten times) it checks that no such state is shared between goroutines.
+func TestFlowsConcurrent(t *testing.T) {
+	p := FastProfile()
+	var nets []*net.Net
+	for seed := int64(31); seed < 33; seed++ {
+		nets = append(nets, net.Generate(net.DefaultGenSpec(6, seed), p.Tech, p.Lib.Driver))
+	}
+	flows := []ID{FlowI, FlowII, FlowIII}
+	want := make([]Result, len(flows)*len(nets))
+	for i := range want {
+		r, err := Run(flows[i%len(flows)], nets[i/len(flows)], p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = r
+	}
+	got := make([]Result, len(want))
+	errs := make([]error, len(want))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = Run(flows[i%len(flows)], nets[i/len(flows)], p)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("%v on net %d: %v", flows[i%len(flows)], i/len(flows), errs[i])
+		}
+		if got[i].Eval != want[i].Eval || got[i].Tree.String() != want[i].Tree.String() {
+			t.Errorf("%v on net %d: concurrent run %+v differs from the serial run %+v", flows[i%len(flows)], i/len(flows), got[i].Eval, want[i].Eval)
+		}
 	}
 }

@@ -51,6 +51,12 @@ var HotPaths = map[string]string{
 	"(*merlin/internal/core.Engine).starDP":              "*PTREE interval DP, the O(k·t²) core loop",
 	"(*merlin/internal/core.Engine).addBufferedVariants": "buffer pass at one candidate",
 	"(*merlin/internal/core.Engine).transfer":            "candidate-transfer relaxation, O(k²·s) per hop",
+	"(*merlin/internal/core.Engine).startScratch":        "seeds the scratch curve of every join, buffer and wire pass",
+	"(*merlin/internal/core.Engine).storeScratch":        "caps, seals and stores the scratch curve after every pass",
+	"(*merlin/internal/curve.Refs[T]).Add":               "provisional record of every surviving kernel insert",
+	"(*merlin/internal/curve.Refs[T]).Keep":              "kept record of every Cap survivor and leaf",
+	"(*merlin/internal/curve.Refs[T]).At":                "record lookup of every reconstruction step",
+	"(*merlin/internal/curve.Refs[T]).Seal":              "moves a curve's surviving records after every Cap",
 }
 
 func checkHotPathAllocs(p *Package) []Diagnostic {

@@ -55,20 +55,26 @@ func DefaultOptions() Options {
 }
 
 // chainRef reconstructs a chain solution: the node drives direct sinks
-// ord[i..i+direct-1] plus, if child != nil, one buffer continuing the chain.
+// ord[i..i+direct-1] plus, unless child is chainEnd, one buffer continuing
+// the chain.
 type chainRef struct {
 	buffer rc.Gate
-	i      int // first direct sink position (in the req-sorted order)
-	direct int // number of direct sinks
-	child  *chainRef
+	i      int   // first direct sink position (in the req-sorted order)
+	direct int   // number of direct sinks
+	child  int32 // handle of the next level's record, or chainEnd
 }
 
+// chainEnd marks the last level of a chain; 0 is a valid handle.
+const chainEnd int32 = -1
+
 // Chain is the logic-domain result: the req-sorted order used and the final
-// curve at the driver, each solution's Ref being a *chainRef.
+// curve at the driver, each solution's Ref the handle of its top level's
+// chainRef in refs.
 type Chain struct {
 	Net   *net.Net
 	Order order.Order // sinks sorted by increasing required time
 	Curve *curve.Curve
+	refs  *curve.Refs[chainRef]
 }
 
 // Build runs the LT-Tree DP for the net. Sink loads and required times are
@@ -87,8 +93,10 @@ func Build(n *net.Net, lib *buflib.Library, tech rc.Technology, opts Options) (*
 	wlm := opts.WireLoadPerSink
 
 	// dp[i] = curve of buffered chains driving order positions i..nn-1,
-	// rooted at a buffer whose input is the chain's interface upward.
+	// rooted at a buffer whose input is the chain's interface upward. Each
+	// is sealed right after its Cap, before dp[i-1] references it.
 	dp := make([]*curve.Curve, nn+1)
+	refs := &curve.Refs[chainRef]{}
 	// Prefix sums over loads (with the wire-load model applied per fanout)
 	// and running min over reqs of the sorted order.
 	loadSum := make([]float64, nn+1)
@@ -126,26 +134,26 @@ func Build(n *net.Net, lib *buflib.Library, tech rc.Technology, opts Options) (*
 			}
 			for _, tail := range tails {
 				load := baseLoad + tail.Load
+				child := tail.Ref
 				if j < nn {
 					load += wlm // the wire reaching the chain buffer
+				} else {
+					child = chainEnd
 				}
 				req := math.Min(baseReq, tail.Req)
 				for _, b := range lib.Buffers {
-					var childRef *chainRef
-					if tail.Ref != nil {
-						childRef = tail.Ref.(*chainRef)
-					}
 					acc.Insert(curve.Solution{
 						Load: tech.QuantizeLoad(b.Cin),
 						Req:  req - b.DelayNominal(tech, load),
 						Area: tail.Area + b.Area,
-						Ref:  &chainRef{buffer: b, i: i, direct: direct, child: childRef},
+						Ref:  refs.Add(chainRef{buffer: b, i: i, direct: direct, child: child}),
 					})
 				}
 			}
 		}
 		acc.Prune()
 		acc.Cap(opts.MaxSols)
+		refs.Seal(acc)
 		dp[i] = acc
 	}
 
@@ -176,31 +184,28 @@ func Build(n *net.Net, lib *buflib.Library, tech rc.Technology, opts Options) (*
 			if j == nn && nn == 0 {
 				continue
 			}
-			var childRef *chainRef
-			if tail.Ref != nil {
-				childRef = tail.Ref.(*chainRef)
-			}
-			if j == nn {
-				childRef = nil
-			}
+			child := tail.Ref
 			tailLoad := tail.Load
 			if j < nn {
 				tailLoad += wlm
+			} else {
+				child = chainEnd
 			}
 			final.Insert(curve.Solution{
 				Load: tech.QuantizeLoad(baseLoad + tailLoad),
 				Req:  math.Min(baseReq, tail.Req),
 				Area: tail.Area,
-				Ref:  &chainRef{i: 0, direct: direct, child: childRef},
+				Ref:  refs.Add(chainRef{i: 0, direct: direct, child: child}),
 			})
 		}
 	}
 	final.Prune()
 	final.Cap(opts.MaxSols)
+	refs.Seal(final)
 	if final.Empty() {
 		return nil, fmt.Errorf("lttree: no solution for net %q", n.Name)
 	}
-	return &Chain{Net: n, Order: ord, Curve: final}, nil
+	return &Chain{Net: n, Order: ord, Curve: final, refs: refs}, nil
 }
 
 // cluster is one hierarchy level of the chosen chain during embedding.
@@ -243,10 +248,12 @@ func PlaceAndRoute(ch *Chain, lib *buflib.Library, tech rc.Technology, opts Opti
 
 func placeAndRouteSolution(ch *Chain, sol curve.Solution, tech rc.Technology, opts Options, maxCands int) (*tree.Tree, error) {
 	n := ch.Net
-	// Materialize clusters from the ref chain.
+	// Materialize clusters from the chain of records.
 	var top *cluster
 	var prev *cluster
-	for r := sol.Ref.(*chainRef); r != nil; r = r.child {
+	for h := sol.Ref; h != chainEnd; {
+		r := ch.refs.At(h)
+		h = r.child
 		c := &cluster{}
 		if r.buffer.Name != "" {
 			b := r.buffer

@@ -52,18 +52,30 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// ref reconstructs solutions; it is stored in curve.Solution.Ref.
+// refKind discriminates ref shapes.
+type refKind int8
+
+const (
+	refLeaf refKind = iota // direct wire from point to a sink
+	refJoin                // two sub-routings joined at point (a=left, b=right)
+	refVia                 // transfer: wire from point to a's point
+)
+
+// ref is one record of the solver's reconstruction table; a solution's Ref
+// is the handle of its record.
 type ref struct {
-	point int // candidate index the solution is rooted at
-	// Exactly one of the following shapes is set:
-	sink        int  // leaf: sink index (valid when isLeaf)
-	isLeaf      bool //
-	left, right *ref // join at the same point
-	via         *ref // transfer: wire from point to via.point
+	kind  refKind
+	point int32 // candidate index the solution is rooted at
+	a     int32 // refLeaf: sink index; otherwise the handle of the (left) part
+	b     int32 // refJoin: handle of the right part
 }
 
 // Solver runs PTREE on one net. Create with NewSolver, then call Solve with
 // any sink order; the candidate set and technology are fixed per solver.
+//
+// Each Curves call (and so each Solve) starts the solver's reconstruction
+// table afresh, so BuildTree takes solutions of the latest Curves call
+// only. A Solver is not safe for concurrent use.
 type Solver struct {
 	Net   *net.Net
 	Cands []geom.Point
@@ -72,6 +84,7 @@ type Solver struct {
 
 	srcIdx int
 	dist   [][]int64 // candidate-to-candidate Manhattan distances
+	refs   curve.Refs[ref]
 }
 
 // NewSolver prepares a PTREE solver. The source position is appended to the
@@ -106,7 +119,7 @@ func NewSolver(n *net.Net, cands []geom.Point, tech rc.Technology, opts Options)
 func (s *Solver) SourceIndex() int { return s.srcIdx }
 
 // leafCurve builds S(p, i, i): the direct minimum-distance routing from
-// candidate p to the sink at order position i.
+// candidate p to the sink at order position i. Its record is kept directly.
 func (s *Solver) leafCurve(p, sinkIdx int) *curve.Curve {
 	sk := s.Net.Sinks[sinkIdx]
 	wl := geom.Dist(s.Cands[p], sk.Pos)
@@ -115,19 +128,22 @@ func (s *Solver) leafCurve(p, sinkIdx int) *curve.Curve {
 		Load: s.Tech.QuantizeLoad(sk.Load + s.Tech.WireC(wl)),
 		Req:  sk.Req - s.Tech.WireElmore(wl, sk.Load),
 		Area: s.Opts.WireCostWeight * float64(wl),
-		Ref:  &ref{point: p, sink: sinkIdx, isLeaf: true},
+		Ref:  s.refs.Keep(ref{kind: refLeaf, point: int32(p), a: int32(sinkIdx)}),
 	})
 	return c
 }
 
 // Curves computes the full DP table for the given order and returns the
 // final solution curve at every candidate: result[p] covers all sinks rooted
-// at candidate p. The caller picks a solution and calls BuildTree.
+// at candidate p. The caller picks a solution and calls BuildTree. Curves
+// empties the reconstruction table first, invalidating the solutions of
+// earlier calls.
 func (s *Solver) Curves(ord order.Order) []*curve.Curve {
 	n := len(ord)
 	if n == 0 {
 		return nil
 	}
+	s.refs.Reset()
 	k := len(s.Cands)
 	// tab[p][i][j] with j >= i; index intervals by i*n + j.
 	tab := make([][]*curve.Curve, k)
@@ -143,12 +159,13 @@ func (s *Solver) Curves(ord order.Order) []*curve.Curve {
 			for p := 0; p < k; p++ {
 				acc := &curve.Curve{}
 				for u := i; u < j; u++ {
-					acc.Join(tab[p][i*n+u], tab[p][(u+1)*n+j], func(x, y *curve.Solution) any {
-						return &ref{point: p, left: x.Ref.(*ref), right: y.Ref.(*ref)}
+					acc.Join(tab[p][i*n+u], tab[p][(u+1)*n+j], func(x, y *curve.Solution) int32 {
+						return s.refs.Add(ref{kind: refJoin, point: int32(p), a: x.Ref, b: y.Ref})
 					})
 				}
 				acc.Prune()
 				acc.Cap(s.Opts.MaxSols)
+				s.refs.Seal(acc)
 				tab[p][i*n+j] = acc
 			}
 			s.transfer(tab, i, j, n)
@@ -178,11 +195,12 @@ func (s *Solver) transfer(tab [][]*curve.Curve, i, j, n int) {
 	for hop := 0; hop < s.Opts.TransferHops; hop++ {
 		for p := 0; p < k; p++ {
 			acc := live[p]
-			acc.Wire(s.Tech, live, s.dist[p], p, s.Opts.WireCostWeight, func(old *curve.Solution) any {
-				return &ref{point: p, via: old.Ref.(*ref)}
+			acc.Wire(s.Tech, live, s.dist[p], p, s.Opts.WireCostWeight, func(old *curve.Solution) int32 {
+				return s.refs.Add(ref{kind: refVia, point: int32(p), a: old.Ref})
 			})
 			acc.Prune()
 			acc.Cap(s.Opts.MaxSols)
+			s.refs.Seal(acc)
 		}
 	}
 }
@@ -204,13 +222,13 @@ func (s *Solver) Solve(ord order.Order) (*tree.Tree, curve.Solution, error) {
 	return t, best, nil
 }
 
-// BuildTree reconstructs the routing tree of a solution returned by Curves
-// or Solve. The solution must be rooted at the source candidate.
+// BuildTree reconstructs the routing tree of a solution returned by the
+// latest Curves or Solve call. The solution must be rooted at the source
+// candidate.
 func (s *Solver) BuildTree(sol curve.Solution) *tree.Tree {
 	t := tree.New(s.Net)
-	r := sol.Ref.(*ref)
-	node := s.buildNode(r)
-	if r.point == s.srcIdx {
+	node := s.buildNode(sol.Ref)
+	if int(s.refs.At(sol.Ref).point) == s.srcIdx {
 		// The DP root coincides with the source: graft its children directly.
 		t.Root.Children = node.Children
 	} else {
@@ -219,23 +237,24 @@ func (s *Solver) BuildTree(sol curve.Solution) *tree.Tree {
 	return t
 }
 
-// buildNode turns a ref DAG into tree nodes. Joins at the same point are
-// flattened into a single Steiner node so the output degree reflects the
-// physical branch.
-func (s *Solver) buildNode(r *ref) *tree.Node {
+// buildNode turns the record DAG below handle h into tree nodes. Joins at
+// the same point are flattened into a single Steiner node so the output
+// degree reflects the physical branch.
+func (s *Solver) buildNode(h int32) *tree.Node {
+	r := s.refs.At(h)
 	n := &tree.Node{Kind: tree.KindSteiner, Pos: s.Cands[r.point]}
-	switch {
-	case r.isLeaf:
-		n.AddChild(&tree.Node{Kind: tree.KindSink, Pos: s.Net.Sinks[r.sink].Pos, SinkIdx: r.sink})
-	case r.via != nil:
-		child := s.buildNode(r.via)
+	switch r.kind {
+	case refLeaf:
+		n.AddChild(&tree.Node{Kind: tree.KindSink, Pos: s.Net.Sinks[r.a].Pos, SinkIdx: int(r.a)})
+	case refVia:
+		child := s.buildNode(r.a)
 		if child.Pos == n.Pos {
 			n.Children = child.Children
 		} else {
 			n.AddChild(child)
 		}
 	default:
-		for _, part := range []*ref{r.left, r.right} {
+		for _, part := range []int32{r.a, r.b} {
 			sub := s.buildNode(part)
 			// Sub is rooted at the same point; flatten its children here.
 			n.Children = append(n.Children, sub.Children...)

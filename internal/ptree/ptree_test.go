@@ -205,3 +205,34 @@ func TestSourceAppended(t *testing.T) {
 		t.Fatal("source not in candidate set")
 	}
 }
+
+// TestSolverReuse: a Solver reused for successive Solve calls returns the
+// tree and solution a fresh solver returns, and Curves resets the
+// reconstruction table, so it is the same length after every call instead
+// of growing with each one.
+func TestSolverReuse(t *testing.T) {
+	nt := testNet(7, 5)
+	ord := order.TSP(nt.Source, nt.SinkPoints())
+	want, wantSol, err := newSolver(nt, 12, DefaultOptions()).Solve(ord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newSolver(nt, 12, DefaultOptions())
+	var lens []int
+	for call := 0; call < 2; call++ {
+		got, sol, err := s.Solve(ord)
+		if err != nil {
+			t.Fatalf("call %d: %v", call, err)
+		}
+		if sol.Load != wantSol.Load || sol.Req != wantSol.Req || sol.Area != wantSol.Area {
+			t.Fatalf("call %d: solution %v, fresh solver %v", call, sol, wantSol)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("call %d: tree differs from a fresh solver's\n got %s\nwant %s", call, got, want)
+		}
+		lens = append(lens, s.refs.Len())
+	}
+	if lens[0] == 0 || lens[1] != lens[0] {
+		t.Fatalf("table holds %v records after successive calls, want the same non-zero length", lens)
+	}
+}

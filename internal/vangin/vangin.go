@@ -33,15 +33,35 @@ type Options struct {
 // DefaultOptions returns the experiment configuration.
 func DefaultOptions() Options { return Options{SegLen: 0, MaxSols: 12} }
 
-// ref reconstructs the buffered tree.
+// refKind discriminates ref shapes.
+type refKind int8
+
+const (
+	refSink   refKind = iota // a sink pin
+	refBranch                // an original tree node before any child is joined
+	refJoin                  // a branch (a) joined with one more child solution (b)
+	refVia                   // a wire waypoint above a
+	refBuf                   // a buffer at pos driving a
+)
+
+// ref is one record of an insertion's reconstruction table; a solution's
+// Ref is the handle of its record. A branch node with children c1 … cm is
+// the chain join(…join(branch, c1)…, cm).
 type ref struct {
-	node    *tree.Node // original tree node this solution is rooted at (nil for wire midpoints)
-	buffer  *rc.Gate   // buffer inserted here, if any
-	child   *ref       // solution below the inserted buffer / this point
-	kids    []*ref     // children solutions at a branch node
+	kind    refKind
 	pos     geom.Point
-	sinkIdx int
-	isSink  bool
+	gate    *rc.Gate // refBuf: the inserted or fixed buffer
+	a, b    int32    // handles of the parts (see refKind)
+	sinkIdx int      // refSink only
+}
+
+// inserter is one Insert call: its inputs and reconstruction table.
+type inserter struct {
+	t    *tree.Tree
+	lib  *buflib.Library
+	tech rc.Technology
+	opts Options
+	refs curve.Refs[ref]
 }
 
 // Insert runs buffer insertion on t (which must be unbuffered or partially
@@ -57,7 +77,8 @@ func Insert(t *tree.Tree, lib *buflib.Library, tech rc.Technology, opts Options)
 	if root == nil {
 		return nil, curve.Solution{}, fmt.Errorf("vangin: empty tree")
 	}
-	c := bottomUp(t, root, lib, tech, opts)
+	ins := &inserter{t: t, lib: lib, tech: tech, opts: opts}
+	c := ins.bottomUp(root)
 	if c.Empty() {
 		return nil, curve.Solution{}, fmt.Errorf("vangin: no solutions")
 	}
@@ -74,7 +95,7 @@ func Insert(t *tree.Tree, lib *buflib.Library, tech rc.Technology, opts Options)
 		}
 	}
 	out := tree.New(t.Net)
-	out.Root.Children = buildNode(best.Ref.(*ref)).Children
+	out.Root.Children = ins.buildNode(best.Ref).Children
 	if err := out.Validate(); err != nil {
 		return nil, curve.Solution{}, fmt.Errorf("vangin: rebuilt tree invalid: %w", err)
 	}
@@ -83,72 +104,70 @@ func Insert(t *tree.Tree, lib *buflib.Library, tech rc.Technology, opts Options)
 
 // bottomUp returns the solution curve looking into node n from its parent,
 // before the parent wire (the wire to the parent is applied by the caller).
-func bottomUp(t *tree.Tree, n *tree.Node, lib *buflib.Library, tech rc.Technology, opts Options) *curve.Curve {
+// Every curve it returns is sealed.
+func (ins *inserter) bottomUp(n *tree.Node) *curve.Curve {
+	tech, opts := ins.tech, ins.opts
 	var base *curve.Curve
 	switch n.Kind {
 	case tree.KindSink:
 		base = &curve.Curve{}
-		s := t.Net.Sinks[n.SinkIdx]
+		s := ins.t.Net.Sinks[n.SinkIdx]
 		base.Add(curve.Solution{
 			Load: tech.QuantizeLoad(s.Load),
 			Req:  s.Req,
-			Ref:  &ref{node: n, pos: n.Pos, sinkIdx: n.SinkIdx, isSink: true},
+			Ref:  ins.refs.Keep(ref{kind: refSink, pos: n.Pos, sinkIdx: n.SinkIdx}),
 		})
 		return base // no buffer directly on a sink pin
 	default:
 		// Join children through their wires.
 		base = &curve.Curve{}
-		base.Add(curve.Solution{Req: inf(), Ref: &ref{node: n, pos: n.Pos}})
+		base.Add(curve.Solution{Req: inf(), Ref: ins.refs.Keep(ref{kind: refBranch, pos: n.Pos})})
 		for _, ch := range n.Children {
-			cc := bottomUp(t, ch, lib, tech, opts)
-			cc = wireWithInsertion(cc, n.Pos, ch.Pos, lib, tech, opts)
+			cc := ins.wireWithInsertion(ins.bottomUp(ch), n.Pos, ch.Pos)
 			joined := &curve.Curve{}
-			joined.Join(base, cc, func(x, y *curve.Solution) any {
-				xr := x.Ref.(*ref)
-				merged := &ref{node: n, pos: n.Pos}
-				merged.kids = append(merged.kids, xr.kids...)
-				if len(xr.kids) == 0 && (xr.isSink || xr.child != nil || xr.buffer != nil) {
-					merged.kids = append(merged.kids, xr)
-				}
-				merged.kids = append(merged.kids, y.Ref.(*ref))
-				return merged
+			joined.Join(base, cc, func(x, y *curve.Solution) int32 {
+				return ins.refs.Add(ref{kind: refJoin, pos: n.Pos, a: x.Ref, b: y.Ref})
 			})
 			base = joined
 			base.Prune()
 			base.Cap(opts.MaxSols)
+			ins.refs.Seal(base)
 		}
 	}
 	if n.Kind == tree.KindBuffer {
 		// Existing buffer is fixed: apply it, no choice.
 		buffered := &curve.Curve{}
-		buffered.Buffer(tech, base, []rc.Gate{n.Buffer}, func(old *curve.Solution, g *rc.Gate) any {
-			return &ref{node: n, pos: n.Pos, buffer: g, child: old.Ref.(*ref)}
+		buffered.Buffer(tech, base, []rc.Gate{n.Buffer}, func(old *curve.Solution, _ int) int32 {
+			return ins.refs.Add(ref{kind: refBuf, pos: n.Pos, gate: &n.Buffer, a: old.Ref})
 		})
 		buffered.Prune()
+		ins.refs.Seal(buffered)
 		return buffered
 	}
 	if n.Kind == tree.KindSource {
 		return base
 	}
 	// Steiner point: optionally insert a buffer.
-	return withBufferOption(base, n.Pos, lib, tech, opts)
+	return ins.withBufferOption(base, n.Pos)
 }
 
 // withBufferOption unions the unbuffered curve with one buffered variant per
-// library cell, at position pos.
-func withBufferOption(c *curve.Curve, pos geom.Point, lib *buflib.Library, tech rc.Technology, opts Options) *curve.Curve {
+// library cell, at position pos. c must be sealed; so is the result.
+func (ins *inserter) withBufferOption(c *curve.Curve, pos geom.Point) *curve.Curve {
 	acc := c.Clone()
-	acc.Buffer(tech, c, lib.Buffers, func(old *curve.Solution, g *rc.Gate) any {
-		return &ref{pos: pos, buffer: g, child: old.Ref.(*ref)}
+	acc.Buffer(ins.tech, c, ins.lib.Buffers, func(old *curve.Solution, gi int) int32 {
+		return ins.refs.Add(ref{kind: refBuf, pos: pos, gate: &ins.lib.Buffers[gi], a: old.Ref})
 	})
 	acc.Prune()
-	acc.Cap(opts.MaxSols)
+	acc.Cap(ins.opts.MaxSols)
+	ins.refs.Seal(acc)
 	return acc
 }
 
 // wireWithInsertion carries curve c (rooted at childPos) up the wire to
 // parentPos, inserting optional buffers at interior subdivision points.
-func wireWithInsertion(c *curve.Curve, parentPos, childPos geom.Point, lib *buflib.Library, tech rc.Technology, opts Options) *curve.Curve {
+func (ins *inserter) wireWithInsertion(c *curve.Curve, parentPos, childPos geom.Point) *curve.Curve {
+	opts := ins.opts
 	total := geom.Dist(parentPos, childPos)
 	if total == 0 {
 		return c
@@ -171,42 +190,52 @@ func wireWithInsertion(c *curve.Curve, parentPos, childPos geom.Point, lib *bufl
 			Y: childPos.Y + int64(frac*float64(parentPos.Y-childPos.Y)),
 		}
 		wired := &curve.Curve{}
-		wired.Wire(tech, []*curve.Curve{cur}, []int64{segLen}, -1, 0, func(old *curve.Solution) any {
-			return &ref{pos: pos, child: old.Ref.(*ref)}
+		wired.Wire(ins.tech, []*curve.Curve{cur}, []int64{segLen}, -1, 0, func(old *curve.Solution) int32 {
+			return ins.refs.Add(ref{kind: refVia, pos: pos, a: old.Ref})
 		})
 		cur = wired
 		cur.Prune()
-		if s < segs-1 { // interior point: buffer option
-			cur = withBufferOption(cur, pos, lib, tech, opts)
+		if s < segs-1 { // interior point: buffer option, which reads cur's records
+			ins.refs.Seal(cur)
+			cur = ins.withBufferOption(cur, pos)
 		}
 		cur.Cap(opts.MaxSols)
+		ins.refs.Seal(cur)
 	}
 	return cur
 }
 
 func inf() float64 { return 1e300 }
 
-// buildNode converts a ref into a tree node subtree rooted at the ref's
-// position.
-func buildNode(r *ref) *tree.Node {
-	switch {
-	case r.isSink:
+// buildNode converts the record of handle h into a tree node subtree rooted
+// at the record's position.
+func (ins *inserter) buildNode(h int32) *tree.Node {
+	r := ins.refs.At(h)
+	switch r.kind {
+	case refSink:
 		return &tree.Node{Kind: tree.KindSink, Pos: r.pos, SinkIdx: r.sinkIdx}
-	case r.buffer != nil:
-		n := &tree.Node{Kind: tree.KindBuffer, Pos: r.pos, Buffer: *r.buffer}
-		n.AddChild(buildNode(r.child))
+	case refBuf:
+		n := &tree.Node{Kind: tree.KindBuffer, Pos: r.pos, Buffer: *r.gate}
+		n.AddChild(ins.buildNode(r.a))
 		return n
-	case r.child != nil:
+	case refVia:
 		// Pure wire waypoint: collapse — the child carries the position that
 		// matters; wirelength is preserved because waypoints lie on the
 		// Manhattan path.
 		n := &tree.Node{Kind: tree.KindSteiner, Pos: r.pos}
-		n.AddChild(buildNode(r.child))
+		n.AddChild(ins.buildNode(r.a))
 		return n
 	default:
+		// A branch: walk the join chain back to its start, collecting the
+		// children last to first.
+		var kids []int32
+		for r.kind == refJoin {
+			kids = append(kids, r.b)
+			r = ins.refs.At(r.a)
+		}
 		n := &tree.Node{Kind: tree.KindSteiner, Pos: r.pos}
-		for _, k := range r.kids {
-			n.AddChild(buildNode(k))
+		for i := len(kids) - 1; i >= 0; i-- {
+			n.AddChild(ins.buildNode(kids[i]))
 		}
 		return n
 	}
