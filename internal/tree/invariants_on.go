@@ -11,7 +11,7 @@ import (
 // `-tags merlin_invariants` (`make invariants`); invariants_off.go is the
 // zero-cost production mirror. Elmore wire delays and gate delays are sums
 // of non-negative RC products — a NaN, infinite or negative value here means
-// a corrupted technology model, load map or position, and would otherwise
+// a corrupted technology model, load table or position, and would otherwise
 // surface only as a silently wrong required time.
 
 // assertFiniteDelay panics when a charged delay is NaN, infinite or negative.

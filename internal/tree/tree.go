@@ -225,20 +225,16 @@ func (t *Tree) Evaluate(tech rc.Technology, drv rc.Gate) Eval {
 	if driver.Name == "" {
 		driver = drv
 	}
-	// seen[n] is the capacitance the incoming wire observes at n (a buffer's
-	// input pin); driven[n] is the capacitance a source/buffer at n drives.
-	seen := make(map[*Node]float64)
-	driven := make(map[*Node]float64)
-	t.computeLoads(t.Root, tech, seen, driven)
+	ld := t.loads(tech)
 
 	ev := Eval{
-		LoadAtSource: driven[t.Root],
+		LoadAtSource: ld.driven[0],
 		BufferArea:   t.BufferArea(),
 		Wirelength:   t.Wirelength(),
 		CriticalSink: -1,
 	}
-	driverDelay := driver.Delay(driven[t.Root], tech.NominalSlew)
-	slew0 := driver.SlewOut(driven[t.Root])
+	driverDelay := driver.Delay(ld.driven[0], tech.NominalSlew)
+	slew0 := driver.SlewOut(ld.driven[0])
 
 	worst := math.Inf(1)
 	var maxReq float64 = math.Inf(-1)
@@ -247,62 +243,91 @@ func (t *Tree) Evaluate(tech rc.Technology, drv rc.Gate) Eval {
 			maxReq = s.Req
 		}
 	}
-	var down func(n *Node, delay, slew float64)
-	down = func(n *Node, delay, slew float64) {
-		switch n.Kind {
-		case KindSink:
-			req := t.Net.Sinks[n.SinkIdx].Req - delay
-			if req < worst {
-				worst = req
-				ev.CriticalSink = n.SinkIdx
-			}
-			return
-		case KindBuffer:
-			d := n.Buffer.Delay(driven[n], slew)
-			assertFiniteDelay(d, "tree.Evaluate: buffer delay")
-			delay += d
-			slew = n.Buffer.SlewOut(driven[n])
+	ld.down(t.Root, 0, slew0, func(n *Node, delay, _ float64) {
+		req := t.Net.Sinks[n.SinkIdx].Req - delay
+		if req < worst {
+			worst = req
+			ev.CriticalSink = n.SinkIdx
 		}
-		for _, c := range n.Children {
-			wl := geom.Dist(n.Pos, c.Pos)
-			el := tech.WireElmore(wl, seen[c])
-			assertFiniteDelay(el, "tree.Evaluate: wire Elmore")
-			down(c, delay+el, tech.WireSlewOut(slew, el))
-		}
-	}
-	down(t.Root, 0, slew0)
+	})
 
 	ev.ReqAtDriverInput = worst - driverDelay
 	ev.Delay = maxReq - ev.ReqAtDriverInput
 	return ev
 }
 
-// computeLoads fills seen[n] (capacitance the incoming wire observes at n:
-// the pin cap for buffers/sinks, the whole subtree cap for Steiner nodes)
-// and driven[n] (capacitance a source/buffer at n drives, i.e. its subtree
-// cap below the gate output). Returns seen[n].
-func (t *Tree) computeLoads(n *Node, tech rc.Technology, seen, driven map[*Node]float64) float64 {
-	subtree := func() float64 {
-		var l float64
-		for _, c := range n.Children {
-			wl := geom.Dist(n.Pos, c.Pos)
-			l += tech.WireC(wl) + t.computeLoads(c, tech, seen, driven)
-		}
-		return l
+// nodeLoads holds one tree's node capacitances by preorder index, the
+// order of Walk: seen[i] is the capacitance the incoming wire observes at
+// node i (the pin cap for buffers and sinks, the whole subtree cap for
+// Steiner nodes and the source), driven[i] the capacitance a source or
+// buffer at node i drives (its subtree cap below the gate output).
+type nodeLoads struct {
+	tech         rc.Technology
+	seen, driven []float64
+	next         int // preorder index of the next node a walk enters
+}
+
+// loads computes every node's capacitances in one preorder pass. A sink's
+// children, which Validate rejects, are neither counted nor timed.
+func (t *Tree) loads(tech rc.Technology) *nodeLoads {
+	count := 0
+	t.Walk(func(*Node, *Node, int) bool { count++; return true })
+	buf := make([]float64, 2*count)
+	ld := &nodeLoads{tech: tech, seen: buf[:count], driven: buf[count:]}
+	ld.fill(t, t.Root)
+	ld.next = 0
+	return ld
+}
+
+// fill computes the capacitances of n's subtree, children summed left to
+// right, and returns seen at n.
+func (ld *nodeLoads) fill(t *Tree, n *Node) float64 {
+	i := ld.next
+	ld.next++
+	if n.Kind == KindSink {
+		ld.seen[i] = t.Net.Sinks[n.SinkIdx].Load
+		return ld.seen[i]
+	}
+	var l float64
+	for _, c := range n.Children {
+		wl := geom.Dist(n.Pos, c.Pos)
+		l += ld.tech.WireC(wl) + ld.fill(t, c)
 	}
 	switch n.Kind {
-	case KindSink:
-		seen[n] = t.Net.Sinks[n.SinkIdx].Load
 	case KindBuffer:
-		driven[n] = subtree()
-		seen[n] = n.Buffer.Cin
+		ld.driven[i] = l
+		ld.seen[i] = n.Buffer.Cin
 	case KindSource:
-		driven[n] = subtree()
-		seen[n] = driven[n]
+		ld.driven[i] = l
+		ld.seen[i] = l
 	default:
-		seen[n] = subtree()
+		ld.seen[i] = l
 	}
-	return seen[n]
+	return ld.seen[i]
+}
+
+// down propagates delay and slew from n to every sink below it, in
+// depth-first order with children left to right, calling sink at each.
+// n must be the node whose preorder index is ld.next.
+func (ld *nodeLoads) down(n *Node, delay, slew float64, sink func(n *Node, delay, slew float64)) {
+	i := ld.next
+	ld.next++
+	switch n.Kind {
+	case KindSink:
+		sink(n, delay, slew)
+		return
+	case KindBuffer:
+		d := n.Buffer.Delay(ld.driven[i], slew)
+		assertFiniteDelay(d, "tree: buffer delay")
+		delay += d
+		slew = n.Buffer.SlewOut(ld.driven[i])
+	}
+	for _, c := range n.Children {
+		wl := geom.Dist(n.Pos, c.Pos)
+		el := ld.tech.WireElmore(wl, ld.seen[ld.next]) // c enters next
+		assertFiniteDelay(el, "tree: wire Elmore")
+		ld.down(c, delay+el, ld.tech.WireSlewOut(slew, el), sink)
+	}
 }
 
 // PathTiming is the delay and transition time at one sink of a tree, as
@@ -319,31 +344,12 @@ type PathTiming struct {
 // net sink. Static timing analysis uses this to fold routed nets into
 // arrival-time propagation.
 func (t *Tree) PathDelays(tech rc.Technology, rootSlew float64) (loadAtSource float64, per []PathTiming) {
-	seen := make(map[*Node]float64)
-	driven := make(map[*Node]float64)
-	t.computeLoads(t.Root, tech, seen, driven)
+	ld := t.loads(tech)
 	per = make([]PathTiming, len(t.Net.Sinks))
-	var down func(n *Node, delay, slew float64)
-	down = func(n *Node, delay, slew float64) {
-		switch n.Kind {
-		case KindSink:
-			per[n.SinkIdx] = PathTiming{Delay: delay, Slew: slew}
-			return
-		case KindBuffer:
-			d := n.Buffer.Delay(driven[n], slew)
-			assertFiniteDelay(d, "tree.PathDelays: buffer delay")
-			delay += d
-			slew = n.Buffer.SlewOut(driven[n])
-		}
-		for _, c := range n.Children {
-			wl := geom.Dist(n.Pos, c.Pos)
-			el := tech.WireElmore(wl, seen[c])
-			assertFiniteDelay(el, "tree.PathDelays: wire Elmore")
-			down(c, delay+el, tech.WireSlewOut(slew, el))
-		}
-	}
-	down(t.Root, 0, rootSlew)
-	return driven[t.Root], per
+	ld.down(t.Root, 0, rootSlew, func(n *Node, delay, slew float64) {
+		per[n.SinkIdx] = PathTiming{Delay: delay, Slew: slew}
+	})
+	return ld.driven[0], per
 }
 
 // String renders an indented dump for debugging and golden tests.

@@ -173,6 +173,52 @@ func TestPathDelaysMatchesEvaluate(t *testing.T) {
 	}
 }
 
+// bufferedFanTree returns an n-sink tree: the source drives a buffer, which
+// drives one Steiner point per pair of sinks.
+func bufferedFanTree(n int) *Tree {
+	nt := &net.Net{Name: "fan", Source: geom.Point{X: 0, Y: 0}, Driver: testGate("DRV")}
+	for i := 0; i < n; i++ {
+		nt.Sinks = append(nt.Sinks, net.Sink{Pos: geom.Point{X: int64(1000 + 100*i), Y: int64(500 * (i % 3))}, Load: 0.05, Req: 10})
+	}
+	t := New(nt)
+	buf := t.Root.AddChild(&Node{Kind: KindBuffer, Pos: geom.Point{X: 500, Y: 0}, Buffer: testGate("BUF")})
+	var st *Node
+	for i, s := range nt.Sinks {
+		if i%2 == 0 {
+			st = buf.AddChild(&Node{Kind: KindSteiner, Pos: geom.Point{X: s.Pos.X, Y: 0}})
+		}
+		st.AddChild(&Node{Kind: KindSink, Pos: s.Pos, SinkIdx: i})
+	}
+	return t
+}
+
+// TestTimingAllocsIndependentOfSize: Evaluate and PathDelays keep their
+// per-node loads in slices sized once, so a 32-sink tree costs them as
+// many allocations as a 6-sink one.
+func TestTimingAllocsIndependentOfSize(t *testing.T) {
+	tech := testTech()
+	small, large := bufferedFanTree(6), bufferedFanTree(32)
+	if err := small.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := large.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(tr *Tree) (eval, paths float64) {
+		eval = testing.AllocsPerRun(50, func() { tr.Evaluate(tech, tr.Net.Driver) })
+		paths = testing.AllocsPerRun(50, func() { tr.PathDelays(tech, 0.1) })
+		return eval, paths
+	}
+	se, sp := allocs(small)
+	le, lp := allocs(large)
+	if se != le {
+		t.Errorf("Evaluate: %v allocs on 6 sinks, %v on 32", se, le)
+	}
+	if sp != lp {
+		t.Errorf("PathDelays: %v allocs on 6 sinks, %v on 32", sp, lp)
+	}
+}
+
 func TestSinkOrder(t *testing.T) {
 	n := &net.Net{
 		Name:   "four",
