@@ -384,7 +384,8 @@ func (c *Curve) Buffer(t rc.Technology, src *Curve, gates []rc.Gate, ref func(s 
 // of the frontier. It stable-sorts the curve by descending required time,
 // so solutions with equal required times keep their curve order, then keeps
 // the best-required-time and best-area extremes and fills the budget with
-// solutions evenly spaced between them. Which solutions survive therefore
+// solutions evenly spaced between them; max == 1 keeps the
+// best-required-time solution alone. Which solutions survive therefore
 // depends on the curve's order on entry: Flows I and II Prune (sort by load,
 // then area) before every Cap, while Flow III caps curves in insertion
 // order. Capping trades optimality for speed exactly like coarser load
@@ -409,7 +410,10 @@ func (c *Curve) Cap(max int) {
 	// The kept indices strictly increase from 0, so the w-th one is at least
 	// w and compacting into the prefix never overwrites a solution still to
 	// be read.
-	step := float64(len(sols)-1) / float64(max-1)
+	step := 0.0
+	if max > 1 {
+		step = float64(len(sols)-1) / float64(max-1)
+	}
 	w, prev := 0, -1
 	for i := 0; i < max; i++ {
 		idx := int(math.Round(float64(i) * step))

@@ -154,6 +154,11 @@ func TestCap(t *testing.T) {
 	if c.Len() != n {
 		t.Fatal("no-op Cap changed the curve")
 	}
+	// A cap of one keeps the best-required-time solution alone.
+	c.Cap(1)
+	if c.Len() != 1 || c.Sols[0] != best {
+		t.Fatalf("Cap(1) left %v, want [%v]", c.Sols, best)
+	}
 }
 
 func TestSelectors(t *testing.T) {

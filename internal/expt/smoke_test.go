@@ -42,6 +42,18 @@ func TestSweep(t *testing.T) {
 	}
 }
 
+// TestSweepMaxSolsOne: a curve cap of one keeps each curve's
+// best-required-time solution, and the sweep still solves the net.
+func TestSweepMaxSolsOne(t *testing.T) {
+	pts, err := RunSweep(SweepSpec{Knob: "maxsols", Values: []int{1, 2}, Sinks: 5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != 2 {
+		t.Fatalf("want 2 points, got %d", len(pts))
+	}
+}
+
 func TestCSVWriters(t *testing.T) {
 	rows := []Table1Row{{Spec: Table1Spec{Circuit: "C1", Net: "n1", Sinks: 4}, AreaI: 10, DelayI: 1, AreaII: 0.5, DelayII: 0.9, Loops: 2}}
 	var b strings.Builder
