@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"merlin/internal/buflib"
@@ -136,10 +134,19 @@ type ref struct {
 	b     int32 // refJoin: handle of the right part; refBuf: gate index in Lib.Buffers
 }
 
+// memoKey names a memoized key by its longest proper prefix and last code.
+type memoKey struct{ prefix, code int32 }
+
+// finalCode ends the key of a final *PTREE interval whose pipeline differs
+// from that of the non-final interval with the same items. A Γ key starts
+// with its structure's code −1−χ; item codes are ≥ 0, so no two kinds of key
+// share an id.
+const finalCode = -1 - int32(NumChi)
+
 // Engine runs BUBBLE_CONSTRUCT for one net over a fixed candidate set,
-// library and technology. It is reusable across MERLIN iterations; the
-// sink-run memo persists so overlapping neighborhoods share sub-solutions
-// (the OVERLAP reuse discussed in §III.4).
+// library and technology. It is reusable across MERLIN iterations; its memo
+// persists so overlapping neighborhoods share sub-solutions (the OVERLAP
+// reuse discussed in §III.4).
 type Engine struct {
 	Net   *net.Net
 	Cands []geom.Point
@@ -151,26 +158,20 @@ type Engine struct {
 	dist   [][]int64
 	margin int64 // root-window inflation in λ (0 = unrestricted)
 
-	// memo caches interval curves for runs of directly-attached sinks,
-	// keyed by the exact net-sink sequence. Entries are valid across
-	// (L,E,R) sub-problems and across MERLIN iterations because such runs
-	// are self-contained sub-problems (Lemma 7).
-	memo map[string][]*curve.Curve
-
-	// gammaMemo caches Γ sub-problem curves across MERLIN iterations, keyed
-	// by content (grouping structure + the exact sink sequence): the curves
-	// of a sub-group depend only on which sinks it holds in which realized
-	// order, not on the positions, so overlapping neighborhoods of
-	// consecutive iterations share them. This is the OVERLAP optimization of
-	// §III.4 ("keep the solution curves of the very last iteration ...
-	// at the cost of doubling the memory usage").
-	gammaMemo map[string][]*curve.Curve
-
-	// starMemo caches whole *PTREE invocations by content: the inner group's
-	// content key plus the ordered directly-attached sinks. Bubble-aligned
-	// nestings frequently produce identical item lists from different
-	// (l,e,r) enumerations; this is the call-level complement of gammaMemo.
-	starMemo map[string][]*curve.Curve
+	// ids and curves are the memo: the per-candidate curves of every Γ
+	// sub-problem and every *PTREE interval computed so far, keyed by
+	// content. A key is a sequence of int32 codes, interned one code at a
+	// time: ids maps (prefix id, next code) to the key's id, and curves[id]
+	// holds its curves once computed. Id 0 is the empty key, which never
+	// holds curves. A Γ key is its structure's code followed by its net-sink
+	// indices; an interval key is its items' codes (see itemCode). Curves
+	// depend only on content (Lemma 7), so entries serve every (L,E,R)
+	// sub-problem and every MERLIN iteration: this is the OVERLAP
+	// optimization of §III.4.
+	ids    map[memoKey]int32
+	curves [][]*curve.Curve
+	// ivl holds one starDP call's interval ids, [a*t+b] for interval [a, b].
+	ivl []int32
 
 	// refs holds the reconstruction records of every stored solution.
 	refs curve.Refs[ref]
@@ -185,7 +186,8 @@ type Engine struct {
 	// starDP calls; the capped result is stored by storeCurves.
 	accs []*curve.Curve
 
-	// stats
+	// StarDPCalls counts *PTREE calls that ran the interval DP; MemoHits
+	// counts *PTREE intervals, whole calls included, served from the memo.
 	StarDPCalls int
 	MemoHits    int
 
@@ -199,10 +201,10 @@ type Engine struct {
 // source position appended if missing.
 //
 // Concurrency contract: an Engine is NOT safe for concurrent use. Construct
-// and Merlin mutate the engine's memo tables (memo, gammaMemo, starMemo),
-// its table of reconstruction records, its scratch curves and its stats
-// counters without synchronization, and BuildTree reads the record table
-// that Construct grows — the memos are the whole point of engine reuse
+// and Merlin mutate the engine's memo (ids, curves), its table of
+// reconstruction records, its scratch curves and its stats counters without
+// synchronization, and BuildTree reads the record table that Construct
+// grows — the memo is the whole point of engine reuse
 // (§III.4's OVERLAP optimization), and guarding them would serialize the DP
 // hot loops. Use one Engine per goroutine. The inputs (net, candidates,
 // library, technology) are only read, so any number of engines may share
@@ -212,9 +214,8 @@ type Engine struct {
 func NewEngine(n *net.Net, cands []geom.Point, lib *buflib.Library, tech rc.Technology, opts Options) *Engine {
 	en := &Engine{
 		Net: n, Lib: lib, Tech: tech, Opts: opts.withDefaults(),
-		memo:      map[string][]*curve.Curve{},
-		gammaMemo: map[string][]*curve.Curve{},
-		starMemo:  map[string][]*curve.Curve{},
+		ids:    map[memoKey]int32{},
+		curves: [][]*curve.Curve{nil},
 	}
 	en.Cands = geom.Dedup(cands)
 	en.srcIdx = -1
@@ -287,11 +288,10 @@ func (en *Engine) SourceIndex() int { return en.srcIdx }
 // item is one child of the sub-group being constructed: either a directly
 // attached sink or the (single) inner sub-group.
 type item struct {
-	group    []*curve.Curve // per-candidate curves of the inner group; nil for sinks
-	groupKey string         // content key of the group (gammaKey form)
-	sinkIdx  int            // net sink index (valid when group == nil)
-	pos      int            // order position (sinks only; diagnostic)
-	bbox     geom.Rect      // bounding box of the item's sinks (root window)
+	group   int32     // memo id of the inner group's Γ key; 0 for sinks
+	sinkIdx int       // net sink index (valid when group == 0)
+	pos     int       // order position (sinks only; diagnostic)
+	bbox    geom.Rect // bounding box of the item's sinks (root window)
 }
 
 // Construct runs BUBBLE_CONSTRUCT (Fig. 9) for the given sink order and
@@ -323,16 +323,17 @@ func (en *Engine) ConstructCtx(ctx context.Context, ord order.Order) (final []*c
 	}
 	k := len(en.Cands)
 
-	// Γ(L, E, R, ·); indexed [L-1][E][R]. Entries stay nil when the span
-	// does not fit.
-	gamma := make([][][][]*curve.Curve, n)
+	// The memo ids of Γ(L, E, R, ·), indexed [L-1][E][R]. Entries stay 0,
+	// the empty key, when the span does not fit; a Γ with no solution keeps
+	// its id without curves. Either way its curves read nil.
+	gamma := make([][][]int32, n)
 	for L := range gamma {
-		gamma[L] = make([][][]*curve.Curve, NumChi)
+		gamma[L] = make([][]int32, NumChi)
 		for e := range gamma[L] {
-			gamma[L][e] = make([][]*curve.Curve, n)
+			gamma[L][e] = make([]int32, n)
 		}
 	}
-	gam := func(l int, e Chi, r int) []*curve.Curve { return gamma[l-1][e][r] }
+	gam := func(l int, e Chi, r int) int32 { return gamma[l-1][e][r] }
 
 	// INITIALIZATION (lines 1–4): length-1 sub-groups for every structure,
 	// candidate and rightmost position: non-inferior paths from the
@@ -346,20 +347,18 @@ func (en *Engine) ConstructCtx(ctx context.Context, ord order.Order) (final []*c
 			if len(g) != 1 {
 				continue
 			}
-			sinkIdx := ord[g[0]]
-			key := gammaKey(e, []int{sinkIdx})
-			if cached, ok := en.gammaMemo[key]; ok {
-				gamma[0][e][r] = cached
+			key := en.gammaID(e, ord, g)
+			gamma[0][e][r] = key
+			if cached := en.curves[key]; cached != nil {
 				en.chargeSols(cached)
 				continue
 			}
 			cs := newCurves(k)
 			for p := 0; p < k; p++ {
-				cs[p].Sols = en.leafSols(p, sinkIdx)
+				cs[p].Sols = en.leafSols(p, ord[g[0]])
 				en.addBufferedVariants(cs[p], p)
 			}
-			gamma[0][e][r] = cs
-			en.gammaMemo[key] = cs
+			en.curves[key] = cs
 			en.chargeSols(cs)
 		}
 	}
@@ -388,13 +387,9 @@ func (en *Engine) ConstructCtx(ctx context.Context, ord order.Order) (final []*c
 					continue
 				}
 				G := SinkSet(R, span, E)
-				Gids := make([]int, len(G))
-				for i, q := range G {
-					Gids[i] = ord[q]
-				}
-				key := gammaKey(E, Gids)
-				if cached, ok := en.gammaMemo[key]; ok {
-					gamma[L-1][E][R] = cached
+				key := en.gammaID(E, ord, G)
+				gamma[L-1][E][R] = key
+				if cached := en.curves[key]; cached != nil {
 					en.chargeSols(cached)
 					continue
 				}
@@ -424,8 +419,8 @@ func (en *Engine) ConstructCtx(ctx context.Context, ord order.Order) (final []*c
 							if len(g) != l {
 								continue
 							}
-							inner := gam(l, e, r)
-							if inner == nil {
+							gid := gam(l, e, r)
+							if en.curves[gid] == nil {
 								continue
 							}
 							// Line 15: skip incompatible nestings (g ⊄ G).
@@ -439,11 +434,7 @@ func (en *Engine) ConstructCtx(ctx context.Context, ord order.Order) (final []*c
 							if !ok {
 								continue
 							}
-							gids := make([]int, len(g))
-							for i, q := range g {
-								gids[i] = ord[q]
-							}
-							items := en.buildItems(ord, G, g, r, ispan, e, inner, gammaKey(e, gids))
+							items := en.buildItems(ord, G, g, r, ispan, e, gid)
 							res := en.starDP(items)
 							for p := 0; p < k; p++ {
 								acc[p].Insert(res[p].Sols...)
@@ -463,15 +454,14 @@ func (en *Engine) ConstructCtx(ctx context.Context, ord order.Order) (final []*c
 				}
 				if any {
 					cs := storeCurves(acc)
-					gamma[L-1][E][R] = cs
-					en.gammaMemo[key] = cs
+					en.curves[key] = cs
 					en.chargeSols(cs)
 				}
 			}
 		}
 	}
 
-	final = gamma[n-1][Chi0][n-1]
+	final = en.curves[gamma[n-1][Chi0][n-1]]
 	if final == nil {
 		return nil, fmt.Errorf("core: no solution constructed (n=%d, α=%d)", n, en.Opts.Alpha)
 	}
@@ -479,18 +469,38 @@ func (en *Engine) ConstructCtx(ctx context.Context, ord order.Order) (final []*c
 	return final, nil
 }
 
-// gammaKey is the content identity of a Γ sub-problem: grouping structure
-// plus the exact realized sink sequence. Sub-problems with equal keys have
-// identical solution curves regardless of where in the order they sit or
-// which MERLIN iteration asks (Lemma 7 across the whole run).
-func gammaKey(e Chi, ids []int) string {
-	var b strings.Builder
-	b.WriteByte(byte('0' + int(e)))
-	for _, id := range ids {
-		b.WriteByte('|')
-		b.WriteString(strconv.Itoa(id))
+// gammaID interns the content identity of a Γ sub-problem: structure e's
+// code, then the net sinks at order positions pos. Sub-problems with equal
+// keys have identical solution curves regardless of where in the order they
+// sit or which MERLIN iteration asks (Lemma 7 across the whole run).
+func (en *Engine) gammaID(e Chi, ord order.Order, pos []int) int32 {
+	id := en.intern(0, -1-int32(e))
+	for _, q := range pos {
+		id = en.intern(id, int32(ord[q]))
 	}
-	return b.String()
+	return id
+}
+
+// intern returns the id of the key that extends key prefix by code, and
+// gives a key it has not seen the next id, with no curves yet.
+func (en *Engine) intern(prefix, code int32) int32 {
+	k := memoKey{prefix, code}
+	if id, ok := en.ids[k]; ok {
+		return id
+	}
+	id := int32(len(en.curves))
+	en.ids[k] = id
+	en.curves = append(en.curves, nil)
+	return id
+}
+
+// itemCode is an item's code in an interval key: a sink's net index, or the
+// net's sink count plus the memo id of the inner group's Γ key.
+func (en *Engine) itemCode(it *item) int32 {
+	if it.group != 0 {
+		return int32(len(en.Net.Sinks)) + it.group
+	}
+	return int32(it.sinkIdx)
 }
 
 // leafSols is the minimum-distance path from candidate p to a sink, as a
@@ -561,7 +571,7 @@ func (en *Engine) addBufferedVariants(c *curve.Curve, p int) {
 // a sink occupying the inner group's right hole is ordered immediately after
 // the group; one occupying the left hole immediately before it. Keys are in
 // half-position units to express "just before/after".
-func (en *Engine) buildItems(ord order.Order, G, g []int, r, ispan int, e Chi, inner []*curve.Curve, groupKey string) []item {
+func (en *Engine) buildItems(ord order.Order, G, g []int, r, ispan int, e Chi, group int32) []item {
 	ing := make(map[int]bool, len(g))
 	for _, q := range g {
 		ing[q] = true
@@ -575,7 +585,7 @@ func (en *Engine) buildItems(ord order.Order, G, g []int, r, ispan int, e Chi, i
 	for _, q := range g {
 		gpts = append(gpts, en.Net.Sinks[ord[q]].Pos)
 	}
-	items := []keyed{{key: float64(left), it: item{group: inner, groupKey: groupKey, bbox: geom.BoundingBox(gpts)}}}
+	items := []keyed{{key: float64(left), it: item{group: group, bbox: geom.BoundingBox(gpts)}}}
 	for _, q := range G {
 		if ing[q] {
 			continue
@@ -600,41 +610,42 @@ func (en *Engine) buildItems(ord order.Order, G, g []int, r, ispan int, e Chi, i
 
 // starDP is *PTREE (§3.2.3): the P-Tree interval DP over the ordered item
 // list, producing for every candidate p the non-inferior curve of buffered
-// routings rooted at p that drive all items. Runs of directly attached
-// sinks are memoized across sub-problems and MERLIN iterations.
+// routings rooted at p that drive all items. Every interval is memoized by
+// its items' codes, across sub-problems and MERLIN iterations. The final
+// interval [0, t−1] runs the buffer passes even with BufferAtSteiner off and
+// may drop unbuffered roots (ForceGroupBuffers); under either option its key
+// ends with finalCode, and otherwise it shares the non-final interval's id.
 func (en *Engine) starDP(items []item) []*curve.Curve {
-	callKey := starKey(items)
-	if cached, ok := en.starMemo[callKey]; ok {
+	t := len(items)
+	if cap(en.ivl) < t*t {
+		en.ivl = make([]int32, t*t)
+	}
+	id := en.ivl[:t*t]
+	for a := range items {
+		prev := int32(0)
+		for b := a; b < t; b++ {
+			prev = en.intern(prev, en.itemCode(&items[b]))
+			id[a*t+b] = prev
+		}
+	}
+	if !en.Opts.BufferAtSteiner || en.Opts.ForceGroupBuffers {
+		id[t-1] = en.intern(id[t-1], finalCode)
+	}
+	if cached := en.curves[id[t-1]]; cached != nil {
 		en.MemoHits++
 		return cached
 	}
 	en.StarDPCalls++
 	k := len(en.Cands)
-	t := len(items)
-	// tab[a*t+b][p]
-	tab := make([][]*curve.Curve, t*t)
-	sinkOnly := make([]bool, t*t)
 
 	for length := 1; length <= t; length++ {
 		for a := 0; a+length-1 < t; a++ {
 			b := a + length - 1
-			idx := a*t + b
-			pure := true
-			for i := a; i <= b; i++ {
-				if items[i].group != nil {
-					pure = false
-					break
-				}
+			if en.curves[id[a*t+b]] != nil {
+				en.MemoHits++
+				continue
 			}
-			sinkOnly[idx] = pure
 			final := length == t
-			if pure && !final {
-				if cached, ok := en.memo[runKey(items[a:b+1])]; ok {
-					en.MemoHits++
-					tab[idx] = cached
-					continue
-				}
-			}
 			mask := en.intervalMask(items[a : b+1])
 			allowed := func(p int) bool { return mask == nil || mask[p] }
 			// Every pass replaces a cell's solution list, never rewrites it
@@ -645,9 +656,9 @@ func (en *Engine) starDP(items []item) []*curve.Curve {
 				for p := 0; p < k; p++ {
 					switch {
 					case !allowed(p):
-					case it.group != nil:
-						if it.group[p] != nil {
-							cur[p].Sols = it.group[p].Sols
+					case it.group != 0:
+						if g := en.curves[it.group][p]; g != nil {
+							cur[p].Sols = g.Sols
 						}
 					default:
 						cur[p].Sols = en.leafSols(p, it.sinkIdx)
@@ -660,7 +671,7 @@ func (en *Engine) starDP(items []item) []*curve.Curve {
 					}
 					sc := en.startScratch(nil)
 					for u := a; u < b; u++ {
-						sc.Join(tab[a*t+u][p], tab[(u+1)*t+b][p], func(x, y *curve.Solution) int32 {
+						sc.Join(en.curves[id[a*t+u]][p], en.curves[id[(u+1)*t+b]][p], func(x, y *curve.Solution) int32 {
 							return en.refs.Add(ref{kind: refJoin, point: int32(p), a: x.Ref, b: y.Ref})
 						})
 					}
@@ -695,34 +706,10 @@ func (en *Engine) starDP(items []item) []*curve.Curve {
 					en.keepBufferedRoots(cur[p])
 				}
 			}
-			tab[idx] = cur
-			if pure && !final {
-				en.memo[runKey(items[a:b+1])] = cur
-			}
+			en.curves[id[a*t+b]] = cur
 		}
 	}
-	final := tab[0*t+t-1]
-	en.starMemo[callKey] = final
-	return final
-}
-
-// starKey is the content identity of a *PTREE invocation: the ordered item
-// list with the group named by its own content key.
-func starKey(items []item) string {
-	var b strings.Builder
-	for i, it := range items {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		if it.group != nil {
-			b.WriteByte('[')
-			b.WriteString(it.groupKey)
-			b.WriteByte(']')
-		} else {
-			b.WriteString(strconv.Itoa(it.sinkIdx))
-		}
-	}
-	return b.String()
+	return en.curves[id[t-1]]
 }
 
 // keepBufferedRoots filters a curve to solutions whose structure root (via
@@ -739,18 +726,6 @@ func (en *Engine) keepBufferedRoots(c *curve.Curve) {
 		}
 	}
 	c.Sols = out
-}
-
-// runKey builds the memo key for a run of sink items.
-func runKey(items []item) string {
-	var b strings.Builder
-	for i, it := range items {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(it.sinkIdx))
-	}
-	return b.String()
 }
 
 // transfer relaxes curves across candidate locations: a structure rooted at

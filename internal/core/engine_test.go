@@ -325,6 +325,66 @@ func TestGammaMemoReuse(t *testing.T) {
 	}
 }
 
+// TestWarmEngineMatchesFresh: the memo is keyed by content alone, so an
+// engine that has already built other orders must return, for every order,
+// exactly the final curves a fresh engine builds — triple for triple in
+// curve order. The orders chain TSP, three random neighbors and the identity,
+// so later constructions reuse intervals and sub-groups of earlier ones.
+// The option sets cover both pipelines of a final interval: with
+// BufferAtSteiner off or ForceGroupBuffers on, a final interval is built
+// differently from the non-final interval with the same items.
+func TestWarmEngineMatchesFresh(t *testing.T) {
+	for _, v := range []struct {
+		name string
+		set  func(*Options)
+	}{
+		{"default", func(*Options) {}},
+		{"no-steiner-buffers", func(o *Options) { o.BufferAtSteiner = false }},
+		{"force-group-buffers", func(o *Options) { o.ForceGroupBuffers = true }},
+		{"max-internal-2", func(o *Options) { o.MaxInternalChildren = 2 }},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			warmMatchesFresh(t, 5, 140, v.set)
+			warmMatchesFresh(t, 6, 160, v.set)
+		})
+	}
+}
+
+// warmMatchesFresh runs one seeded net's order chain through one warm
+// engine and compares each final curve with a fresh engine's.
+func warmMatchesFresh(t *testing.T, n int, seed int64, set func(*Options)) {
+	nt, cands, lib, tech := testSetup(n, seed, 8)
+	opts := DefaultOptions()
+	set(&opts)
+	rng := rand.New(rand.NewSource(seed))
+	orders := []order.Order{order.TSP(nt.Source, nt.SinkPoints())}
+	for i := 0; i < 3; i++ {
+		orders = append(orders, order.RandomNeighbor(orders[len(orders)-1], 0.5, rng))
+	}
+	orders = append(orders, order.Identity(nt.N()))
+	warm := NewEngine(nt, cands, lib, tech, opts)
+	for i, pi := range orders {
+		got, err := warm.Construct(pi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewEngine(nt, cands, lib, tech, opts).Construct(pi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := range want {
+			g, w := got[p].Sols, want[p].Sols
+			same := len(g) == len(w)
+			for j := 0; same && j < len(w); j++ {
+				same = g[j].Load == w[j].Load && g[j].Req == w[j].Req && g[j].Area == w[j].Area
+			}
+			if !same {
+				t.Fatalf("n=%d order %d %v, candidate %d: warm curve %v, fresh %v", n, i, pi, p, g, w)
+			}
+		}
+	}
+}
+
 // TestConstructRejectsBadOrders covers the error paths.
 func TestConstructRejectsBadOrders(t *testing.T) {
 	nt, cands, lib, tech := testSetup(4, 1, 6)

@@ -22,12 +22,11 @@ import (
 
 // innerGroup describes one already-solved sub-group used as a child.
 type innerGroup struct {
-	curves []*curve.Curve
-	key    string
-	g      []int // order positions covered
-	r      int   // rightmost span position
-	span   int
-	e      Chi
+	key  int32 // memo id of the group's Γ key
+	g    []int // order positions covered
+	r    int   // rightmost span position
+	span int
+	e    Chi
 }
 
 // buildItemsMulti generalizes buildItems to any number of inner groups with
@@ -54,7 +53,7 @@ func (en *Engine) buildItemsMulti(ord order.Order, G []int, groups []innerGroup)
 		}
 		items = append(items, keyed{
 			key: float64(left),
-			it:  item{group: gr.curves, groupKey: gr.key, bbox: geom.BoundingBox(gpts)},
+			it:  item{group: gr.key, bbox: geom.BoundingBox(gpts)},
 		})
 	}
 	for _, q := range G {
@@ -88,10 +87,10 @@ func (en *Engine) buildItemsMulti(ord order.Order, G []int, groups []innerGroup)
 }
 
 // enumeratePairs adds, for one (L, E, R) sub-problem, every construction
-// using TWO disjoint inner sub-groups. gam reads Γ; results are merged into
-// acc. Called only when Options.MaxInternalChildren >= 2.
+// using TWO disjoint inner sub-groups. gam reads Γ's memo ids; results are
+// merged into acc. Called only when Options.MaxInternalChildren >= 2.
 func (en *Engine) enumeratePairs(ord order.Order, G []int, inG map[int]bool, L, R, span int,
-	gam func(l int, e Chi, r int) []*curve.Curve, acc []*curve.Curve) {
+	gam func(l int, e Chi, r int) int32, acc []*curve.Curve) {
 	k := len(en.Cands)
 	type cand struct {
 		ig innerGroup
@@ -113,8 +112,8 @@ func (en *Engine) enumeratePairs(ord order.Order, G []int, inG map[int]bool, L, 
 				if len(g) != l {
 					continue
 				}
-				inner := gam(l, e, r)
-				if inner == nil {
+				gid := gam(l, e, r)
+				if en.curves[gid] == nil {
 					continue
 				}
 				ok := true
@@ -127,12 +126,8 @@ func (en *Engine) enumeratePairs(ord order.Order, G []int, inG map[int]bool, L, 
 				if !ok {
 					continue
 				}
-				gids := make([]int, len(g))
-				for i, q := range g {
-					gids[i] = ord[q]
-				}
 				cands = append(cands, cand{
-					ig: innerGroup{curves: inner, key: gammaKey(e, gids), g: g, r: r, span: ispan, e: e},
+					ig: innerGroup{key: gid, g: g, r: r, span: ispan, e: e},
 					l:  l,
 				})
 			}

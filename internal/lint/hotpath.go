@@ -53,6 +53,8 @@ var HotPaths = map[string]string{
 	"(*merlin/internal/core.Engine).transfer":            "candidate-transfer relaxation, O(k²·s) per hop",
 	"(*merlin/internal/core.Engine).startScratch":        "seeds the scratch curve of every join, buffer and wire pass",
 	"(*merlin/internal/core.Engine).storeScratch":        "caps, seals and stores the scratch curve after every pass",
+	"(*merlin/internal/core.Engine).intern":              "memo key interning, once per interval of every *PTREE call",
+	"(*merlin/internal/core.Engine).itemCode":            "item code of every interval's memo key",
 	"(*merlin/internal/curve.Refs[T]).Add":               "provisional record of every surviving kernel insert",
 	"(*merlin/internal/curve.Refs[T]).Keep":              "kept record of every Cap survivor and leaf",
 	"(*merlin/internal/curve.Refs[T]).At":                "record lookup of every reconstruction step",
