@@ -1,19 +1,20 @@
-# Tier-1 verify is: make build test lint race chaos fuzz invariants crash
-# cluster-chaos partition-chaos failover-chaos (build + full test suite,
-# static analysis — go vet then the project's own merlinlint rule suite — the
-# race detector over the concurrent packages, the fault-injection chaos storm,
-# short runs of the fuzz targets, the DP packages rebuilt and retested with
-# the merlin_invariants assertion layer, the SIGKILL crash-recovery drill over
-# the durable-jobs journal, the router kill/restart cluster drill, the
-# gossip/replication partition drill over a 5-node fleet, and the job-failover
-# drill where a SIGKILLed backend's acked jobs are claimed and finished by
-# ring successors with fencing asserted from the journals).
+# Tier-1 verify is: make build test perfbench lint race chaos fuzz invariants
+# crash cluster-chaos partition-chaos failover-chaos (build + full test suite,
+# the repository benchmark's smoke tests, static analysis — go vet then the
+# project's own merlinlint rule suite — the race detector over the concurrent
+# packages, the fault-injection chaos storm, short runs of the fuzz targets,
+# the DP packages rebuilt and retested with the merlin_invariants assertion
+# layer, the SIGKILL crash-recovery drill over the durable-jobs journal, the
+# router kill/restart cluster drill, the gossip/replication partition drill
+# over a 5-node fleet, and the job-failover drill where a SIGKILLed backend's
+# acked jobs are claimed and finished by ring successors with fencing
+# asserted from the journals).
 
 GO ?= go
 # How long each fuzz target runs under `make fuzz`; raise for deeper soaks.
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet lint invariants chaos fuzz crash cluster-chaos partition-chaos failover-chaos verify bench bench-tables
+.PHONY: all build test perfbench race vet lint invariants chaos fuzz crash cluster-chaos partition-chaos failover-chaos verify bench bench-tables
 
 all: build
 
@@ -22,6 +23,14 @@ build:
 
 test:
 	$(GO) test -vet=all ./...
+
+# The repository benchmark's own tests (perfbench/ is a separate module):
+# every workload in smoke mode, traced and untraced, and BENCHMARK.json
+# checked against perfbench's metric tables. An internal API change that
+# breaks the benchmark's build fails here, not in the benchmark run. The
+# target only reads perfbench/.
+perfbench:
+	$(GO) test -C perfbench ./...
 
 # Race-detect the concurrent surface: the merlind service (worker pool,
 # caches, brownout controller, graceful shutdown, 32-way concurrent e2e),
@@ -128,7 +137,7 @@ lint: vet
 invariants:
 	$(GO) test -tags merlin_invariants ./internal/core/... ./internal/curve/... ./internal/tree/... ./internal/degrade/... ./internal/journal/... ./internal/ptree/... ./internal/vangin/... ./internal/lttree/... ./internal/flows/...
 
-verify: build test lint race chaos fuzz invariants crash cluster-chaos partition-chaos failover-chaos
+verify: build test perfbench lint race chaos fuzz invariants crash cluster-chaos partition-chaos failover-chaos
 
 # The performance baseline: merlinbench runs the fixed benchmark set (core
 # construct, trace span price disabled/enabled, service batch with tracing
