@@ -25,7 +25,8 @@ type goldenCase struct {
 	N       int     `json:"n"`
 	Seed    int64   `json:"seed"`
 	Variant string  `json:"variant"`
-	Floor   float64 `json:"req_floor,omitempty"` // min-area only
+	Floor   float64 `json:"req_floor,omitempty"`   // min-area only
+	Budget  float64 `json:"area_budget,omitempty"` // max-req-budget only
 }
 
 // Variants. "default" runs all three flows; the others pin Flows I and II
@@ -33,12 +34,14 @@ type goldenCase struct {
 // options, which with "flows12" pins all three flows on one net as two
 // entries; the rest change Flow III options.
 const (
-	variantDefault  = "default"
-	variantFlows12  = "flows12"
-	variantFlow3    = "flow3"
-	variantForceBuf = "force-group-buffers"
-	variantMIC2     = "max-internal-children-2"
-	variantMinArea  = "min-area"
+	variantDefault   = "default"
+	variantFlows12   = "flows12"
+	variantFlow3     = "flow3"
+	variantForceBuf  = "force-group-buffers"
+	variantMIC2      = "max-internal-children-2"
+	variantMinArea   = "min-area"
+	variantBudget    = "max-req-budget"
+	variantNoSteiner = "no-steiner-buffers"
 )
 
 func goldenCases() []goldenCase {
@@ -47,6 +50,15 @@ func goldenCases() []goldenCase {
 		cs = append(cs, goldenCase{
 			Name: fmt.Sprintf("n%d-s%d-%s", n, seed, variant),
 			N:    n, Seed: seed, Variant: variant, Floor: floor,
+		})
+	}
+	// addBudget pins GoalMaxReq under an area budget: the largest frontier
+	// area strictly below the Flow III answer's area pinned for the same
+	// net's default entry, so the budget excludes the unbudgeted answer.
+	addBudget := func(n int, seed int64, budget float64) {
+		cs = append(cs, goldenCase{
+			Name: fmt.Sprintf("n%d-s%d-%s", n, seed, variantBudget),
+			N:    n, Seed: seed, Variant: variantBudget, Budget: budget,
 		})
 	}
 	for n := 3; n <= 8; n++ {
@@ -59,6 +71,8 @@ func goldenCases() []goldenCase {
 	}
 	add(16, 1160, variantFlows12, 0)
 	add(16, 1161, variantFlows12, 0)
+	add(24, 1240, variantFlows12, 0)
+	add(32, 1320, variantFlows12, 0)
 	add(16, 1160, variantFlow3, 0)
 	add(16, 1161, variantFlow3, 0)
 	for n := 4; n <= 6; n++ {
@@ -71,6 +85,11 @@ func goldenCases() []goldenCase {
 	add(5, 1050, variantMinArea, 2.5)
 	add(6, 1060, variantMinArea, 3.5)
 	add(4, 1041, variantMinArea, 99) // infeasible: Extract falls back to max req
+	addBudget(5, 1050, 9032.344656203233)
+	addBudget(6, 1060, 8195.997719185174)
+	addBudget(8, 1080, 9032.344656203233)
+	add(5, 1050, variantNoSteiner, 0)
+	add(6, 1060, variantNoSteiner, 0)
 	return cs
 }
 
@@ -136,6 +155,10 @@ func runGolden(t *testing.T, c goldenCase) goldenEntry {
 		p.Core.MaxInternalChildren = 2
 	case variantMinArea:
 		p.Core.Goal = core.Goal{Mode: core.GoalMinArea, ReqFloor: c.Floor}
+	case variantBudget:
+		p.Core.Goal = core.Goal{Mode: core.GoalMaxReq, AreaBudget: c.Budget}
+	case variantNoSteiner:
+		p.Core.BufferAtSteiner = false
 	}
 	r3, err := RunFlowIII(nt, p)
 	if err != nil {
