@@ -10,8 +10,8 @@ import (
 // This file (with invariants_off.go as its production mirror) is the curve
 // package's runtime assertion layer, enabled by `-tags merlin_invariants`
 // (`make invariants`). The assertions re-verify, at every mutation of a
-// frontier, the properties the O(s log s) Prune sweep and the fused hot-loop
-// inserts are supposed to maintain — the correctness core every
+// frontier, the properties the O(s log s) Prune sweep and the kernel's
+// hot-loop inserts are supposed to maintain — the correctness core every
 // Lillis-style buffer-insertion DP rests on. Violations panic immediately at
 // the corrupting operation instead of surfacing as a subtly wrong tree three
 // layers up. Production builds compile the no-op mirrors, which inline to

@@ -17,7 +17,10 @@ import (
 // derives the output handle from its inputs the way the brute force does, so
 // the kernel must leave the same solutions — triples and handles — and the
 // property covers dominance, first-wins on exact duplicates and the corner
-// skip at once.
+// skip at once. Brute force compares sets; each operator's curve must also
+// equal, element for element, the reference insert of insertref_test.go
+// applied to the target's solutions and then to the produced candidates in
+// operator order, which pins the order Cap reads.
 
 // kernelTech has wires and quantization coarse enough, next to the test
 // grids, that wires create and merge duplicates.
@@ -109,6 +112,7 @@ func TestJoinOp(t *testing.T) {
 		got := target.Clone()
 		got.Join(a, b, func(x, y *Solution) int32 { return joinHandle(x.Ref, y.Ref) })
 		checkSameSolutions(t, "Join", got, want)
+		checkSameOrder(t, "Join", got, refInserted(target, produced))
 	}
 	if skips < 100 {
 		t.Fatalf("corner skip fired in only %d trials", skips)
@@ -176,6 +180,7 @@ func TestWireOp(t *testing.T) {
 		got := target.Clone()
 		got.Wire(kernelTech, srcs, lens, skip, areaPerLambda, func(s *Solution) int32 { return viaHandle(s.Ref) })
 		checkSameSolutions(t, "Wire", got, want)
+		checkSameOrder(t, "Wire", got, refInserted(target, produced))
 	}
 	if skips < 100 {
 		t.Fatalf("corner skip fired in only %d sources", skips)
@@ -208,14 +213,14 @@ func TestBufferOp(t *testing.T) {
 			for _, s := range src.Sols {
 				produced = append(produced, Solution{
 					kernelTech.QuantizeLoad(g.Cin),
-					s.Req - g.DelayNominal(kernelTech, s.Load),
+					s.Req - g.DelayNominal(&kernelTech, s.Load),
 					s.Area + g.Area,
 					bufHandle(s.Ref, gi),
 				})
 			}
 			if len(src.Sols) > 0 {
 				lo := corner(src.Sols)
-				if target.dominated(kernelTech.QuantizeLoad(g.Cin), lo.Req-g.DelayNominal(kernelTech, lo.Load), lo.Area+g.Area) {
+				if target.dominated(kernelTech.QuantizeLoad(g.Cin), lo.Req-g.DelayNominal(&kernelTech, lo.Load), lo.Area+g.Area) {
 					skips++
 				}
 			}
@@ -224,6 +229,7 @@ func TestBufferOp(t *testing.T) {
 		got := target.Clone()
 		got.Buffer(kernelTech, src, gates, func(s *Solution, gi int) int32 { return bufHandle(s.Ref, gi) })
 		checkSameSolutions(t, "Buffer", got, want)
+		checkSameOrder(t, "Buffer", got, refInserted(target, produced))
 	}
 	if skips < 100 {
 		t.Fatalf("corner skip fired for only %d gates", skips)
@@ -318,7 +324,7 @@ func TestBufferOpChargesExactly(t *testing.T) {
 		if s.Area != c.Sols[i].Area+300 {
 			t.Fatalf("sol %d: area %g", i, s.Area)
 		}
-		if want := c.Sols[i].Req - g.DelayNominal(tech, c.Sols[i].Load); s.Req != want {
+		if want := c.Sols[i].Req - g.DelayNominal(&tech, c.Sols[i].Load); s.Req != want {
 			t.Fatalf("sol %d: req %g, want %g", i, s.Req, want)
 		}
 	}

@@ -42,7 +42,8 @@ var HotPaths = map[string]string{
 	"(*merlin/internal/curve.Curve).dominated":           "corner-skip dominance scan of every kernel op",
 	"merlin/internal/curve.corner":                       "optimistic corner of every kernel op input",
 	"(*merlin/internal/curve.Curve).Insert":              "kernel insert of prebuilt solutions (curve merges)",
-	"(*merlin/internal/curve.Curve).insert":              "fused dominance+insert under every kernel op",
+	"(*merlin/internal/curve.Curve).insert":              "kernel insert under every op: newest-first rejection scan, then eviction for admitted solutions",
+	"merlin/internal/curve.b2i":                          "branch-free comparison of every dominance test in insert",
 	"(*merlin/internal/curve.Curve).Join":                "kernel join, the O(s²) pair merge of every interval split",
 	"(*merlin/internal/curve.Curve).Wire":                "kernel wire transfer, O(k·s) per target",
 	"(*merlin/internal/curve.Curve).Buffer":              "kernel buffer sweep over every (solution, gate) pair",

@@ -144,7 +144,7 @@ func Build(n *net.Net, lib *buflib.Library, tech rc.Technology, opts Options) (*
 				for _, b := range lib.Buffers {
 					acc.Insert(curve.Solution{
 						Load: tech.QuantizeLoad(b.Cin),
-						Req:  req - b.DelayNominal(tech, load),
+						Req:  req - b.DelayNominal(&tech, load),
 						Area: tail.Area + b.Area,
 						Ref:  refs.Add(chainRef{buffer: b, i: i, direct: direct, child: child}),
 					})
@@ -236,9 +236,9 @@ func PlaceAndRoute(ch *Chain, lib *buflib.Library, tech rc.Technology, opts Opti
 		driver = lib.Driver
 	}
 	best := ch.Curve.Sols[0]
-	bestVal := best.Req - driver.DelayNominal(tech, best.Load)
+	bestVal := best.Req - driver.DelayNominal(&tech, best.Load)
 	for _, s := range ch.Curve.Sols[1:] {
-		if v := s.Req - driver.DelayNominal(tech, s.Load); v > bestVal ||
+		if v := s.Req - driver.DelayNominal(&tech, s.Load); v > bestVal ||
 			(v == bestVal && s.Area < best.Area) {
 			best, bestVal = s, v
 		}

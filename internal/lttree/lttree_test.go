@@ -102,13 +102,13 @@ func TestBruteForceTwoSinks(t *testing.T) {
 	var want curve.Curve
 	want.Add(curve.Solution{Load: 1.0, Req: 5})
 	for _, b := range lib.Buffers {
-		want.Add(curve.Solution{Load: 0.3 + b.Cin, Req: math.Min(5, 6-b.DelayNominal(tech, 0.7)), Area: b.Area})
-		want.Add(curve.Solution{Load: b.Cin, Req: math.Min(5, 6) - b.DelayNominal(tech, 1.0), Area: b.Area})
+		want.Add(curve.Solution{Load: 0.3 + b.Cin, Req: math.Min(5, 6-b.DelayNominal(&tech, 0.7)), Area: b.Area})
+		want.Add(curve.Solution{Load: b.Cin, Req: math.Min(5, 6) - b.DelayNominal(&tech, 1.0), Area: b.Area})
 		for _, b2 := range lib.Buffers {
-			req2 := 6 - b2.DelayNominal(tech, 0.7)
+			req2 := 6 - b2.DelayNominal(&tech, 0.7)
 			want.Add(curve.Solution{
 				Load: b.Cin,
-				Req:  math.Min(5, req2) - b.DelayNominal(tech, 0.3+b2.Cin),
+				Req:  math.Min(5, req2) - b.DelayNominal(&tech, 0.3+b2.Cin),
 				Area: b.Area + b2.Area,
 			})
 		}

@@ -151,7 +151,7 @@ func DefaultGenSpec(n int, seed int64) GenSpec {
 // instance in the regime the paper targets, where routing matters as much as
 // buffering.
 func BoxSideForTech(t rc.Technology, driver rc.Gate) int64 {
-	gate := driver.DelayNominal(t, 0.05)
+	gate := driver.DelayNominal(&t, 0.05)
 	// Elmore of a full-span wire with no load: r·l · c·l/2 = gate  ⇒
 	// l = sqrt(2·gate/(r·c)).
 	l := 1.0

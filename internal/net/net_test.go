@@ -136,7 +136,7 @@ func TestBoxSideForTech(t *testing.T) {
 		t.Fatal("box side must be positive")
 	}
 	wire := tech.WireElmore(side, 0.05)
-	gate := lib.Driver.DelayNominal(tech, 0.05)
+	gate := lib.Driver.DelayNominal(&tech, 0.05)
 	if wire < gate/10 || wire > gate*100 {
 		t.Fatalf("box sizing rule broken: wire=%g ns vs gate=%g ns", wire, gate)
 	}

@@ -270,7 +270,7 @@ func (s *Solver) ReqAtDriverInput(sol curve.Solution, drv rc.Gate) float64 {
 	if driver.Name == "" {
 		driver = drv
 	}
-	return sol.Req - driver.DelayNominal(s.Tech, sol.Load)
+	return sol.Req - driver.DelayNominal(&s.Tech, sol.Load)
 }
 
 // WirelengthOf returns the λ wirelength recorded in a solution's area

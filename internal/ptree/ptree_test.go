@@ -59,11 +59,12 @@ func TestDPMatchesTreeEvaluation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := tr.Evaluate(testTech(), nt.Driver)
+	tech := testTech()
+	ev := tr.Evaluate(tech, nt.Driver)
 	if math.Abs(ev.LoadAtSource-sol.Load) > 1e-9 {
 		t.Fatalf("load mismatch: DP %.6f vs tree %.6f", sol.Load, ev.LoadAtSource)
 	}
-	wantReq := sol.Req - nt.Driver.DelayNominal(testTech(), sol.Load)
+	wantReq := sol.Req - nt.Driver.DelayNominal(&tech, sol.Load)
 	if math.Abs(ev.ReqAtDriverInput-wantReq) > 1e-9 {
 		t.Fatalf("req mismatch: DP %.6f vs tree %.6f", wantReq, ev.ReqAtDriverInput)
 	}

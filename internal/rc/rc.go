@@ -121,15 +121,17 @@ type Gate struct {
 }
 
 // Delay returns the gate delay (ns) for the given output load (pF) and input
-// transition time (ns).
-func (g Gate) Delay(load, slewIn float64) float64 {
+// transition time (ns). Delay and DelayNominal take pointers, so the curve
+// kernel's buffer sweep, which times every (solution, gate) pair, reads the
+// cell and the technology in place instead of copying them per pair.
+func (g *Gate) Delay(load, slewIn float64) float64 {
 	return g.K0 + g.K1*load + g.K2*slewIn + g.K3*load*slewIn
 }
 
 // DelayNominal returns the gate delay with the technology's nominal input
 // slew folded in; this is the restriction used inside dynamic programming,
 // where per-solution slews would break optimal substructure.
-func (g Gate) DelayNominal(t Technology, load float64) float64 {
+func (g *Gate) DelayNominal(t *Technology, load float64) float64 {
 	return g.Delay(load, t.NominalSlew)
 }
 

@@ -91,7 +91,7 @@ func TestGateDelayModel(t *testing.T) {
 		t.Fatalf("Delay = %g, want %g", got, want)
 	}
 	tech := Technology{RPerLambda: 1, CPerLambda: 1, NominalSlew: 0.3}
-	if math.Abs(g.DelayNominal(tech, 0.2)-want) > 1e-12 {
+	if math.Abs(g.DelayNominal(&tech, 0.2)-want) > 1e-12 {
 		t.Fatal("DelayNominal must use the technology's nominal slew")
 	}
 	if math.Abs(g.SlewOut(0.2)-0.25) > 1e-12 {

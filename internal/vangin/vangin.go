@@ -87,9 +87,9 @@ func Insert(t *tree.Tree, lib *buflib.Library, tech rc.Technology, opts Options)
 		driver = lib.Driver
 	}
 	best := c.Sols[0]
-	bestVal := best.Req - driver.DelayNominal(tech, best.Load)
+	bestVal := best.Req - driver.DelayNominal(&tech, best.Load)
 	for _, s := range c.Sols[1:] {
-		if v := s.Req - driver.DelayNominal(tech, s.Load); v > bestVal ||
+		if v := s.Req - driver.DelayNominal(&tech, s.Load); v > bestVal ||
 			(v == bestVal && s.Area < best.Area) {
 			best, bestVal = s, v
 		}

@@ -149,20 +149,20 @@ func TestAgainstBruteForceSingleWire(t *testing.T) {
 	// No buffer.
 	noBuf := 10 - elm(40000, 0.2)
 	load0 := 0.2 + tech.WireC(40000)
-	if v := noBuf - drv.DelayNominal(tech, load0); v > bestReq {
+	if v := noBuf - drv.DelayNominal(&tech, load0); v > bestReq {
 		bestReq = v
 	}
 	// One buffer b at the midpoint.
 	for _, b := range lib.Buffers {
 		req := 10 - elm(20000, 0.2)
-		req -= b.DelayNominal(tech, 0.2+wc)
+		req -= b.DelayNominal(&tech, 0.2+wc)
 		req -= elm(20000, b.Cin)
 		load := b.Cin + wc
-		if v := req - drv.DelayNominal(tech, load); v > bestReq {
+		if v := req - drv.DelayNominal(&tech, load); v > bestReq {
 			bestReq = v
 		}
 	}
-	got := sol.Req - drv.DelayNominal(tech, sol.Load)
+	got := sol.Req - drv.DelayNominal(&tech, sol.Load)
 	if math.Abs(got-bestReq) > 1e-9 {
 		t.Fatalf("DP req %.6f, brute force %.6f", got, bestReq)
 	}
