@@ -156,6 +156,8 @@ func Anneal(n *net.Net, cands []geom.Point, lib *buflib.Library, tech rc.Technol
 		}
 		temp *= opts.Cooling
 	}
+	// As in MerlinCtx: the frontier is the caller's copy, not the memo's.
+	res.Frontier = res.Frontier.Clone()
 	res.Runtime = time.Since(start)
 	return res, nil
 }

@@ -31,7 +31,8 @@ type Result struct {
 	// FinalOrder is the realized sink order of the returned tree.
 	FinalOrder order.Order
 	// Frontier is the final non-inferior curve at the source (Fig. 8),
-	// useful for area/required-time trade-off exploration.
+	// useful for area/required-time trade-off exploration. It is the
+	// caller's copy: editing it leaves the engine's memo untouched.
 	Frontier *curve.Curve
 	// Runtime is the wall-clock time of the whole search.
 	Runtime time.Duration
@@ -150,6 +151,9 @@ func (en *Engine) MerlinCtx(ctx context.Context, initOrder order.Order) (out *Re
 			break
 		}
 	}
+	// The best loop's curve belongs to the engine's memo; hand out a copy
+	// so a caller that trims or edits it cannot corrupt later searches.
+	res.Frontier = res.Frontier.Clone()
 	res.Runtime = time.Since(start)
 	return res, nil
 }

@@ -1,6 +1,8 @@
 package flows
 
 import (
+	"context"
+	"slices"
 	"sync"
 	"testing"
 
@@ -51,6 +53,36 @@ func TestFlowsDeterministic(t *testing.T) {
 		if a.Eval.Delay != b.Eval.Delay || a.Eval.BufferArea != b.Eval.BufferArea {
 			t.Fatalf("%v: nondeterministic results: %+v vs %+v", f, a.Eval, b.Eval)
 		}
+	}
+}
+
+// TestFrontierIsCallersCopy: Result.Frontier must not alias the warm
+// engine's memo. After the first run's frontier is cut to its last solution
+// and that solution's required time lowered, a second run on the same engine
+// must return the first run's answer and frontier unchanged.
+func TestFrontierIsCallersCopy(t *testing.T) {
+	p := ProfileFor(6)
+	nt := net.Generate(net.DefaultGenSpec(6, 37), p.Tech, p.Lib.Driver)
+	en := NewEngineIII(nt, p)
+	r1, err := RunFlowIIIOn(context.Background(), en, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(r1.Frontier.Sols)
+	if len(want) < 2 {
+		t.Fatalf("frontier has %d solutions; the test needs at least 2 to cut", len(want))
+	}
+	r1.Frontier.Sols = r1.Frontier.Sols[len(want)-1:]
+	r1.Frontier.Sols[0].Req -= 100
+	r2, err := RunFlowIIIOn(context.Background(), en, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r2.Eval != r1.Eval {
+		t.Errorf("warm rerun after editing the frontier: %+v, first run %+v", r2.Eval, r1.Eval)
+	}
+	if !slices.Equal(r2.Frontier.Sols, want) {
+		t.Errorf("warm rerun frontier %v, first run %v", r2.Frontier.Sols, want)
 	}
 }
 
