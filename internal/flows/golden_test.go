@@ -78,7 +78,9 @@ func goldenCases() []goldenCase {
 	for n := 4; n <= 6; n++ {
 		add(n, int64(1000+10*n), variantForceBuf, 0)
 	}
-	for n := 3; n <= 5; n++ {
+	// From n = 7 on, ProfileFor's α lets a sub-problem's single-group range
+	// (l ≥ L−α+1) differ from its pair range (l ≤ L−2).
+	for _, n := range []int{3, 4, 5, 7, 8} {
 		add(n, int64(1000+10*n), variantMIC2, 0)
 	}
 	add(4, 1040, variantMinArea, 2.5)
