@@ -166,9 +166,10 @@ func comCandidates(nt *net.Net, maxK int) []geom.Point {
 	return append(cands, nt.Source)
 }
 
-// BenchmarkBubblingAblation is experiment E8: BUBBLE_CONSTRUCT with all four
-// grouping structures versus the χ0-only restriction (bubbling disabled),
-// from the same deliberately poor initial order.
+// BenchmarkBubblingAblation is experiment E8: one BUBBLE_CONSTRUCT pass
+// (MERLIN with MaxLoops 1) with all four grouping structures versus the
+// χ0-only restriction (bubbling disabled), from the same deliberately poor
+// initial order.
 func BenchmarkBubblingAblation(b *testing.B) {
 	prof := flows.ProfileFor(8)
 	nt := net.Generate(net.DefaultGenSpec(8, 88), prof.Tech, prof.Lib.Driver)
@@ -188,13 +189,14 @@ func BenchmarkBubblingAblation(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			opts := prof.Core
 			opts.Chis = cfg.chis
+			opts.MaxLoops = 1
 			var req float64
 			for i := 0; i < b.N; i++ {
-				_, sol, err := core.BubbleConstructOnce(nt, cands, prof.Lib, prof.Tech, opts, bad)
+				res, err := core.Merlin(nt, cands, prof.Lib, prof.Tech, opts, bad)
 				if err != nil {
 					b.Fatal(err)
 				}
-				req = sol.Req
+				req = res.Solution.Req
 			}
 			b.ReportMetric(req, "req-ns")
 		})
@@ -348,15 +350,6 @@ func BenchmarkCurveOps(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			c := &curve.Curve{}
 			c.Insert(sols...)
-		}
-	})
-	b.Run("AddPrune", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c := &curve.Curve{}
-			for _, s := range sols {
-				c.Add(s)
-			}
-			c.Prune()
 		}
 	})
 }

@@ -32,10 +32,11 @@ func main() {
 		nt := net.Generate(net.DefaultGenSpec(*sinks, int64(1000+i)), prof.Tech, prof.Lib.Driver)
 		cands := geom.ReducedHanan(nt.Terminals(), prof.MaxCands)
 
-		// One-shot BUBBLE_CONSTRUCT for the "loop 1" quality...
-		_, sol1, err := core.BubbleConstructOnce(nt, cands, prof.Lib, prof.Tech, prof.Core, nil)
-		if err == nil {
-			firstReq += sol1.Req
+		// One loop, a single BUBBLE_CONSTRUCT, for the "loop 1" quality...
+		once := prof.Core
+		once.MaxLoops = 1
+		if first, err := core.Merlin(nt, cands, prof.Lib, prof.Tech, once, nil); err == nil {
+			firstReq += first.Solution.Req
 		}
 
 		// ...and the full MERLIN search.

@@ -1,10 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"merlin/internal/buflib"
@@ -61,9 +61,11 @@ type Options struct {
 	// benches).
 	RootWindow float64
 	// MaxInternalChildren bounds how many internal nodes an internal node
-	// may have among its immediate children. 1 (the default) is Definition
-	// 2's Cα_Tree, whose internal nodes form a chain (Lemma 2); 2 enables
-	// the relaxed class §3.2.1 mentions, at a significant enumeration cost.
+	// may have among its immediate children: 0 or 1 (the default) is
+	// Definition 2's Cα_Tree, whose internal nodes form a chain (Lemma 2); 2
+	// enables the relaxed class §3.2.1 mentions, at a significant enumeration
+	// cost. Construction enumerates at most pairs of inner groups, so larger
+	// values are rejected.
 	MaxInternalChildren int
 	// ForceGroupBuffers drops unbuffered roots from every sub-group curve,
 	// so each internal node of the hierarchy really is a buffer; with
@@ -172,6 +174,8 @@ type Engine struct {
 	curves [][]*curve.Curve
 	// ivl holds one starDP call's interval ids, [a*t+b] for interval [a, b].
 	ivl []int32
+	// inner holds one (L, E, R) sub-problem's legal inner groups.
+	inner []innerGroup
 
 	// refs holds the reconstruction records of every stored solution.
 	refs curve.Refs[ref]
@@ -285,8 +289,21 @@ func (en *Engine) intervalMask(items []item) []bool {
 // SourceIndex returns the candidate index of the net source.
 func (en *Engine) SourceIndex() int { return en.srcIdx }
 
+// innerGroup is an already-solved sub-group Γ(l, e, r) nested in the
+// sub-group being constructed, where it can become a child.
+type innerGroup struct {
+	id    int32 // memo id of the group's Γ key
+	sinks []int // order positions covered, ascending (SinkSet)
+	r     int   // rightmost span position
+	span  int   // span length l + Stretch(e)
+	e     Chi
+}
+
+// left returns the group's leftmost span position.
+func (g *innerGroup) left() int { return g.r - g.span + 1 }
+
 // item is one child of the sub-group being constructed: either a directly
-// attached sink or the (single) inner sub-group.
+// attached sink or an inner sub-group.
 type item struct {
 	group   int32     // memo id of the inner group's Γ key; 0 for sinks
 	sinkIdx int       // net sink index (valid when group == 0)
@@ -324,6 +341,9 @@ func (en *Engine) ConstructCtx(ctx context.Context, ord order.Order) (final []*c
 	n := len(ord)
 	if n == 0 || n != en.Net.N() || !ord.Valid() {
 		return nil, fmt.Errorf("core: order must be a permutation of the %d sinks", en.Net.N())
+	}
+	if en.Opts.MaxInternalChildren > 2 {
+		return nil, fmt.Errorf("core: MaxInternalChildren is %d, but at most 2 internal children per node are enumerated", en.Opts.MaxInternalChildren)
 	}
 	k := len(en.Cands)
 
@@ -405,11 +425,21 @@ func (en *Engine) ConstructCtx(ctx context.Context, ord order.Order) (final []*c
 				for _, c := range acc {
 					c.Sols = c.Sols[:0]
 				}
-				lMin := 1
-				if L-en.Opts.Alpha+1 > lMin {
-					lMin = L - en.Opts.Alpha + 1
+				// A child group of l sinks leaves L−l direct sinks, so one
+				// group keeps the fanout within α from l ≥ L−α+1 on. With
+				// MaxInternalChildren = 2, two disjoint groups of at most L−2
+				// sinks each may also be children: the relaxed class §3.2.1
+				// sketches after Definition 2, whose hierarchy is a tree of
+				// buffers instead of Lemma 2's chain.
+				lMin := max(1, L-en.Opts.Alpha+1)
+				lo := lMin
+				if en.Opts.MaxInternalChildren >= 2 {
+					lo = 1
 				}
-				for l := lMin; l <= L-1; l++ {
+				// The solved groups Γ(l, e, r) inside G's span, in (l, χ, r)
+				// order; line 15 skips incompatible nestings (g ⊄ G).
+				inner := en.inner[:0]
+				for l := lo; l <= L-1; l++ {
 					for _, e := range en.Opts.Chis {
 						ispan := l + Stretch(e)
 						if ispan < minSpan(e) {
@@ -424,30 +454,33 @@ func (en *Engine) ConstructCtx(ctx context.Context, ord order.Order) (final []*c
 								continue
 							}
 							gid := gam(l, e, r)
-							if en.curves[gid] == nil {
+							if en.curves[gid] == nil || slices.ContainsFunc(g, func(q int) bool { return !inG[q] }) {
 								continue
 							}
-							// Line 15: skip incompatible nestings (g ⊄ G).
-							ok := true
-							for _, q := range g {
-								if !inG[q] {
-									ok = false
-									break
-								}
-							}
-							if !ok {
-								continue
-							}
-							items := en.buildItems(ord, G, g, r, ispan, e, gid)
-							res := en.starDP(items)
-							for p := 0; p < k; p++ {
-								acc[p].Insert(res[p].Sols...)
-							}
+							inner = append(inner, innerGroup{id: gid, sinks: g, r: r, span: ispan, e: e})
 						}
 					}
 				}
-				if en.Opts.MaxInternalChildren >= 2 && L >= 3 {
-					en.enumeratePairs(ord, G, inG, L, R, span, gam, acc)
+				en.inner = inner
+				for i := range inner {
+					if len(inner[i].sinks) >= lMin {
+						en.joinInto(acc, en.buildItems(ord, G, inner[i]))
+					}
+				}
+				if en.Opts.MaxInternalChildren >= 2 {
+					for i := range inner {
+						for j := i + 1; j < len(inner) && len(inner[j].sinks) <= L-2; j++ {
+							a, b := &inner[i], &inner[j]
+							// Disjoint spans keep the holes, and so the
+							// bubble-out targets, unambiguous; the direct
+							// sinks and both groups must fit in α.
+							t := L - len(a.sinks) - len(b.sinks) + 2
+							if (a.r >= b.left() && b.r >= a.left()) || t < 2 || t > en.Opts.Alpha {
+								continue
+							}
+							en.joinInto(acc, en.buildItems(ord, G, *a, *b))
+						}
+					}
 				}
 				any := false
 				for p := 0; p < k; p++ {
@@ -570,41 +603,55 @@ func (en *Engine) addBufferedVariants(c *curve.Curve, p int) {
 	en.storeScratch(c)
 }
 
-// buildItems assembles the ordered child list of the sub-group being built:
-// the inner group plus the directly attached sinks G−g. Bubble-out (Fig. 5):
-// a sink occupying the inner group's right hole is ordered immediately after
-// the group; one occupying the left hole immediately before it. Keys are in
-// half-position units to express "just before/after".
-func (en *Engine) buildItems(ord order.Order, G, g []int, r, ispan int, e Chi, group int32) []item {
-	ing := make(map[int]bool, len(g))
-	for _, q := range g {
-		ing[q] = true
+// joinInto runs *PTREE over items and inserts its per-candidate curves into
+// acc.
+func (en *Engine) joinInto(acc []*curve.Curve, items []item) {
+	res := en.starDP(items)
+	for p, c := range acc {
+		c.Insert(res[p].Sols...)
 	}
-	left := r - ispan + 1
+}
+
+// buildItems assembles the ordered child list of the sub-group G being
+// built: its inner groups, whose spans are pairwise disjoint, plus the
+// directly attached sinks, G minus the groups' sinks. Bubble-out (Fig. 5): a
+// sink occupying a group's right hole is ordered immediately after that
+// group; one occupying its left hole immediately before it. Keys are in
+// half-position units to express "just before/after". Two sinks bubbled out
+// of adjacent groups into the gap between them tie, and the stable sort keeps
+// them in G's order.
+func (en *Engine) buildItems(ord order.Order, G []int, groups ...innerGroup) []item {
 	type keyed struct {
 		key float64
 		it  item
 	}
-	gpts := make([]geom.Point, 0, len(g))
-	for _, q := range g {
-		gpts = append(gpts, en.Net.Sinks[ord[q]].Pos)
-	}
-	items := []keyed{{key: float64(left), it: item{group: group, bbox: geom.BoundingBox(gpts)}}}
-	for _, q := range G {
-		if ing[q] {
-			continue
+	items := make([]keyed, 0, len(G))
+	for i := range groups {
+		gr := &groups[i]
+		gpts := make([]geom.Point, len(gr.sinks))
+		for j, q := range gr.sinks {
+			gpts[j] = en.Net.Sinks[ord[q]].Pos
 		}
+		items = append(items, keyed{key: float64(gr.left()), it: item{group: gr.id, bbox: geom.BoundingBox(gpts)}})
+	}
+sinks:
+	for _, q := range G {
 		key := float64(q)
-		switch {
-		case e.HasRightBubble() && q == r-1:
-			key = float64(r) + 0.5
-		case e.HasLeftBubble() && q == left+1:
-			key = float64(left) - 0.5
+		for i := range groups {
+			gr := &groups[i]
+			switch {
+			case slices.Contains(gr.sinks, q):
+				continue sinks
+			case gr.e.HasRightBubble() && q == gr.r-1:
+				key = float64(gr.r) + 0.5
+			case gr.e.HasLeftBubble() && q == gr.left()+1:
+				key = float64(gr.left()) - 0.5
+			}
 		}
 		pt := en.Net.Sinks[ord[q]].Pos
 		items = append(items, keyed{key: key, it: item{sinkIdx: ord[q], pos: q, bbox: geom.Rect{Min: pt, Max: pt}}})
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i].key < items[j].key })
+	slices.SortStableFunc(items, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
 	out := make([]item, len(items))
 	for i, kv := range items {
 		out[i] = kv.it
@@ -695,7 +742,6 @@ func (en *Engine) starDP(items []item) []*curve.Curve {
 						continue
 					}
 					en.addBufferedVariants(cur[p], p)
-					cur[p].Cap(en.Opts.MaxSols)
 				}
 			}
 			if final || en.Opts.BufferAtSteiner {

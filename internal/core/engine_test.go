@@ -295,14 +295,19 @@ func TestMerlinLoopMonotone(t *testing.T) {
 	if res.Loops > opts.MaxLoops {
 		t.Fatalf("ran %d loops with MaxLoops=%d", res.Loops, opts.MaxLoops)
 	}
-	// One-shot construct with the same initial order must not beat MERLIN.
-	one, sol, err := BubbleConstructOnce(nt, cands, lib, tech, opts, nil)
+	// One BUBBLE_CONSTRUCT pass from the same initial order is MERLIN's
+	// first loop, so it must not beat MERLIN.
+	once := opts
+	once.MaxLoops = 1
+	first, err := Merlin(nt, cands, lib, tech, once, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = one
-	if res.Solution.Req < sol.Req-1e-9 && res.ReqAtDriverInput < sol.Req {
-		t.Fatalf("MERLIN (req %.6f) lost to its own first loop (req %.6f)", res.Solution.Req, sol.Req)
+	if first.Loops != 1 {
+		t.Fatalf("MaxLoops=1 ran %d loops", first.Loops)
+	}
+	if res.ReqAtDriverInput < first.ReqAtDriverInput {
+		t.Fatalf("MERLIN (req %.6f) lost to its own first loop (req %.6f)", res.ReqAtDriverInput, first.ReqAtDriverInput)
 	}
 }
 

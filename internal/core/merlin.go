@@ -176,26 +176,3 @@ func (en *Engine) costOf(sol curve.Solution, reqAt float64) float64 {
 		return -reqAt
 	}
 }
-
-// BubbleConstructOnce is a convenience wrapper: one inner-engine invocation
-// (no outer search) returning the tree for the goal. It exists so flows and
-// tests can measure the engine in isolation.
-func BubbleConstructOnce(n *net.Net, cands []geom.Point, lib *buflib.Library, tech rc.Technology, opts Options, ord order.Order) (*tree.Tree, curve.Solution, error) {
-	en := NewEngine(n, cands, lib, tech, opts)
-	if ord == nil {
-		ord = order.TSP(n.Source, n.SinkPoints())
-	}
-	final, err := en.Construct(ord)
-	if err != nil {
-		return nil, curve.Solution{}, err
-	}
-	sol, _, err := en.Extract(final, opts.Goal)
-	if err != nil {
-		return nil, curve.Solution{}, err
-	}
-	t, err := en.BuildTree(sol)
-	if err != nil {
-		return nil, curve.Solution{}, err
-	}
-	return t, sol, nil
-}

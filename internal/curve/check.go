@@ -9,7 +9,7 @@ import (
 // (Definition 6): every coordinate is a real number (no NaN; load and area
 // additionally finite and non-negative), no stored solution dominates another
 // (equal triples count as mutual dominance, so duplicates are violations
-// too), and — when requireSorted is set, as after Prune — the solutions are
+// too), and — when requireSorted is set, as after Sort — the solutions are
 // in non-decreasing (load, area) lexicographic order. It returns an error
 // describing the first violation, or nil.
 //

@@ -10,11 +10,10 @@
 //
 //	load(σ1) ≤ load(σ2) ∧ reqTime(σ2) ≤ reqTime(σ1) ∧ area(σ1) ≤ area(σ2).
 //
-// A Curve stores only the non-inferior frontier. The kernel — Insert, Join,
-// Wire and Buffer — grows a frontier incrementally and keeps it
-// non-inferior after every solution; Prune sorts a curve (and removes
-// inferior solutions from one built with Add) with an O(s log s) sweep; Cap
-// thins it.
+// A Curve stores only the non-inferior frontier. Every curve is built by the
+// kernel — Insert, Join, Wire and Buffer — which grows a frontier
+// incrementally and keeps it non-inferior after every solution; Sort orders
+// a curve and Cap thins it.
 //
 // Kernel rules, shared by every operator:
 //
@@ -41,10 +40,10 @@
 package curve
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"merlin/internal/rc"
 )
@@ -87,9 +86,6 @@ func (c *Curve) Len() int { return len(c.Sols) }
 // Empty reports whether the curve holds no solutions.
 func (c *Curve) Empty() bool { return len(c.Sols) == 0 }
 
-// Add appends a solution without pruning. Callers batch Add and then Prune.
-func (c *Curve) Add(s Solution) { c.Sols = append(c.Sols, s) }
-
 // Clone returns a copy of the curve with its own solution list.
 func (c *Curve) Clone() *Curve {
 	out := &Curve{Sols: make([]Solution, len(c.Sols))}
@@ -97,89 +93,26 @@ func (c *Curve) Clone() *Curve {
 	return out
 }
 
-// Prune removes every inferior solution (Definition 6), leaving the curve
-// sorted by increasing load, then increasing area. Exact duplicates collapse
-// to a single representative. Lemma 9: pruning never loses a non-inferior
-// solution — guaranteed here by construction and checked by property tests.
-// A curve built by the kernel holds no inferior solution, so on it Prune
-// only sorts.
-func (c *Curve) Prune() {
-	if len(c.Sols) <= 1 {
-		return
-	}
-	sols := c.Sols
-	// Sort so any potential dominator precedes what it dominates:
-	// load asc, then area asc, then req desc.
-	slices.SortFunc(sols, func(a, b Solution) int {
-		switch {
-		case a.Load != b.Load:
-			if a.Load < b.Load {
-				return -1
-			}
-			return 1
-		case a.Area != b.Area:
-			if a.Area < b.Area {
-				return -1
-			}
-			return 1
-		case a.Req != b.Req:
-			if a.Req > b.Req {
-				return -1
-			}
-			return 1
+// Sort orders the curve by increasing load, then increasing area, then
+// decreasing required time: the order Flows I and II cap in. The kernel
+// keeps every curve non-inferior, so no two solutions compare equal and the
+// order is unique.
+func (c *Curve) Sort() {
+	slices.SortFunc(c.Sols, func(a, b Solution) int {
+		if a.Load != b.Load {
+			return cmp.Compare(a.Load, b.Load)
 		}
-		return 0
+		if a.Area != b.Area {
+			return cmp.Compare(a.Area, b.Area)
+		}
+		return cmp.Compare(b.Req, a.Req)
 	})
-	// stair is the 2-D Pareto staircase (minimize area, maximize req) over
-	// the survivors seen so far; along it, req strictly increases with area.
-	// Since survivors were emitted in non-decreasing load order, a new
-	// solution s is dominated iff some stair entry has area ≤ s.Area and
-	// req ≥ s.Req — and the best candidate is the rightmost entry with
-	// area ≤ s.Area, which carries the largest req among the eligible.
-	type step struct{ area, req float64 }
-	stair := make([]step, 0, len(sols))
-	dominatedBy := func(s Solution) bool {
-		i := sort.Search(len(stair), func(k int) bool { return stair[k].area > s.Area })
-		if i == 0 {
-			return false
-		}
-		return stair[i-1].req >= s.Req
-	}
-	insert := func(s Solution) {
-		// Maintain staircase: drop entries dominated by s in (area, req).
-		i := sort.Search(len(stair), func(i int) bool { return stair[i].area >= s.Area })
-		// Entries at i.. with req <= s.Req are dominated by s.
-		j := i
-		for j < len(stair) && stair[j].req <= s.Req {
-			j++
-		}
-		// Splice s into [i, j) in place: the staircase peaks at len(sols),
-		// so after the make above this never reallocates.
-		if j == i {
-			stair = append(stair, step{})
-			copy(stair[i+1:], stair[i:])
-		} else {
-			stair = append(stair[:i+1], stair[j:]...)
-		}
-		stair[i] = step{s.Area, s.Req}
-	}
-	out := sols[:0]
-	for _, s := range sols {
-		if dominatedBy(s) {
-			continue
-		}
-		out = append(out, s)
-		insert(s)
-	}
-	c.Sols = out
-	assertFrontier(c, "Prune")
+	assertFrontier(c, "Sort")
 }
 
-// The staircase reasoning above is subtle enough that Prune is additionally
-// cross-checked against PruneNaive by property tests in this package.
-
-// PruneNaive is the O(s²) reference implementation of Prune, used by tests
-// as an oracle. Exact-duplicate triples collapse to one representative.
+// PruneNaive is the O(s²) reference frontier tests check the kernel
+// against: it removes every inferior solution (Definition 6), keeping the
+// first of equal triples, then sorts the survivors.
 func (c *Curve) PruneNaive() {
 	sols := c.Sols
 	out := make([]Solution, 0, len(sols))
@@ -207,18 +140,8 @@ func (c *Curve) PruneNaive() {
 			out = append(out, s)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Load != b.Load {
-			return a.Load < b.Load
-		}
-		if a.Area != b.Area {
-			return a.Area < b.Area
-		}
-		return a.Req > b.Req
-	})
 	c.Sols = out
-	assertFrontier(c, "PruneNaive")
+	c.Sort()
 }
 
 // dominated reports whether any stored solution dominates (load, req, area);
@@ -255,8 +178,9 @@ func corner(sols []Solution) Solution {
 
 // Insert adds sols, in order, to a non-inferior curve and keeps it
 // non-inferior (see insert). It returns how many of sols were admitted; a
-// later one may evict an earlier one. The result has the solutions batch
-// Add+Prune would keep, as property tests check.
+// later one may evict an earlier one. The result holds the solutions
+// PruneNaive keeps of the curve's solutions followed by sols, as property
+// tests check.
 func (c *Curve) Insert(sols ...Solution) int {
 	n := 0
 	for i := range sols {
@@ -420,8 +344,8 @@ func (c *Curve) Buffer(t rc.Technology, src *Curve, gates []rc.Gate, ref func(s 
 // the best-required-time and best-area extremes and fills the budget with
 // solutions evenly spaced between them; max == 1 keeps the
 // best-required-time solution alone. Which solutions survive therefore
-// depends on the curve's order on entry: Flows I and II Prune (sort by load,
-// then area) before every Cap, while Flow III caps curves in insertion
+// depends on the curve's order on entry: Flows I and II Sort (by load, then
+// area) before every Cap, while Flow III caps curves in insertion
 // order. Capping trades optimality for speed exactly like coarser load
 // quantization; max <= 0 means no cap. Cap works in place: it reorders and
 // truncates c.Sols without allocating.

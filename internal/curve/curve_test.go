@@ -27,11 +27,12 @@ func TestDominates(t *testing.T) {
 	}
 }
 
-// randomCurve builds a curve with deliberately many mutual dominations.
+// randomCurve builds a solution list with deliberately many mutual
+// dominations.
 func randomCurve(rng *rand.Rand, n int) *Curve {
 	c := &Curve{}
 	for i := 0; i < n; i++ {
-		c.Add(sol(
+		c.Sols = append(c.Sols, sol(
 			float64(rng.Intn(8))/10,
 			float64(rng.Intn(8)),
 			float64(rng.Intn(8)*100),
@@ -53,24 +54,9 @@ func sameFrontier(a, b *Curve) bool {
 	return true
 }
 
-// TestPruneMatchesNaive cross-checks the staircase sweep against the O(s²)
-// oracle — this is the Lemma 9 guarantee (pruning loses nothing).
-func TestPruneMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 2000; trial++ {
-		c := randomCurve(rng, 1+rng.Intn(30))
-		fast := c.Clone()
-		slow := c.Clone()
-		fast.Prune()
-		slow.PruneNaive()
-		if !sameFrontier(fast, slow) {
-			t.Fatalf("trial %d: fast %v != naive %v (input %v)", trial, fast.Sols, slow.Sols, c.Sols)
-		}
-	}
-}
-
 // TestInsertMatchesBatch: incremental Insert must yield the same frontier as
-// batch Add+Prune.
+// the O(s²) reference PruneNaive over the same solutions — the Lemma 9
+// guarantee (pruning loses nothing).
 func TestInsertMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 2000; trial++ {
@@ -79,16 +65,16 @@ func TestInsertMatchesBatch(t *testing.T) {
 		inc := &Curve{}
 		for i := 0; i < n; i++ {
 			s := sol(float64(rng.Intn(6))/10, float64(rng.Intn(6)), float64(rng.Intn(6)*100))
-			batch.Add(s)
+			batch.Sols = append(batch.Sols, s)
 			inc.Insert(s)
 		}
-		batch.Prune()
+		batch.PruneNaive()
 		// Same frontier as sets (order may differ).
 		if len(batch.Sols) != len(inc.Sols) {
 			t.Fatalf("trial %d: incremental %d sols vs batch %d", trial, len(inc.Sols), len(batch.Sols))
 		}
 		inc2 := inc.Clone()
-		inc2.Prune()
+		inc2.Sort()
 		if !sameFrontier(inc2, batch) {
 			t.Fatalf("trial %d: frontiers differ: %v vs %v", trial, inc2.Sols, batch.Sols)
 		}
@@ -121,23 +107,25 @@ func TestInsertRejectsDominated(t *testing.T) {
 }
 
 func TestPruneKeepsNonInferior(t *testing.T) {
-	c := &Curve{}
 	// Three mutually non-inferior points along the trade-off.
-	c.Add(sol(0.1, 5, 1000))
-	c.Add(sol(0.2, 7, 2000))
-	c.Add(sol(0.3, 9, 3000))
-	c.Prune()
-	if c.Len() != 3 {
-		t.Fatalf("non-inferior solutions were pruned: %v", c.Sols)
+	sols := []Solution{sol(0.1, 5, 1000), sol(0.2, 7, 2000), sol(0.3, 9, 3000)}
+	c := &Curve{}
+	if n := c.Insert(sols...); n != 3 || c.Len() != 3 {
+		t.Fatalf("Insert admitted %d and kept %v, want all three", n, c.Sols)
+	}
+	ref := &Curve{Sols: sols}
+	ref.PruneNaive()
+	if ref.Len() != 3 {
+		t.Fatalf("PruneNaive dropped non-inferior solutions: %v", ref.Sols)
 	}
 }
 
 func TestCap(t *testing.T) {
 	c := &Curve{}
 	for i := 0; i < 20; i++ {
-		c.Add(sol(float64(i)/10, float64(i), float64(2000-i*100)))
+		c.Insert(sol(float64(i)/10, float64(i), float64(2000-i*100)))
 	}
-	c.Prune()
+	c.Sort()
 	best, _ := c.BestReq()
 	c.Cap(5)
 	if c.Len() > 5 {
@@ -166,38 +154,20 @@ func TestSelectors(t *testing.T) {
 	if _, ok := c.BestReq(); ok {
 		t.Fatal("BestReq on empty must report !ok")
 	}
-	c.Add(sol(0.1, 5, 3000))
-	c.Add(sol(0.2, 9, 9000))
-	c.Add(sol(0.3, 9, 2000))
-	c.Add(sol(0.1, 9, 2000))
+	c.Sols = []Solution{sol(0.1, 5, 3000), sol(0.2, 9, 9000), sol(0.3, 9, 2000), sol(0.1, 9, 2000)}
 	best, ok := c.BestReq()
 	if !ok || best != sol(0.1, 9, 2000) {
 		t.Fatalf("BestReq = %v, want the max req with the smaller area, then load", best)
 	}
 }
 
-// TestPruneIdempotent via testing/quick: pruning twice equals pruning once.
-func TestPruneIdempotent(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		c := randomCurve(rng, 1+rng.Intn(20))
-		c.Prune()
-		once := c.Clone()
-		c.Prune()
-		return sameFrontier(once, c)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestFrontierMutualNonDomination: after Prune, no solution dominates
-// another (except identical copies, which are collapsed).
+// TestFrontierMutualNonDomination: in the reference frontier no solution
+// dominates another (identical copies are collapsed).
 func TestFrontierMutualNonDomination(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		c := randomCurve(rng, 1+rng.Intn(25))
-		c.Prune()
+		c.PruneNaive()
 		for i, a := range c.Sols {
 			for j, b := range c.Sols {
 				if i != j && a.Dominates(b) {
@@ -213,8 +183,7 @@ func TestFrontierMutualNonDomination(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	c := &Curve{}
-	c.Add(sol(1, 2, 3))
+	c := &Curve{Sols: []Solution{sol(1, 2, 3)}}
 	d := c.Clone()
 	d.Sols[0].Req = 99
 	if c.Sols[0].Req != 2 {

@@ -10,8 +10,8 @@ import (
 // This file (with invariants_off.go as its production mirror) is the curve
 // package's runtime assertion layer, enabled by `-tags merlin_invariants`
 // (`make invariants`). The assertions re-verify, at every mutation of a
-// frontier, the properties the O(s log s) Prune sweep and the kernel's
-// hot-loop inserts are supposed to maintain — the correctness core every
+// frontier, the properties the kernel's hot-loop inserts are supposed to
+// maintain and Sort and Cap must preserve — the correctness core every
 // Lillis-style buffer-insertion DP rests on. Violations panic immediately at
 // the corrupting operation instead of surfacing as a subtly wrong tree three
 // layers up. Production builds compile the no-op mirrors, which inline to
@@ -23,7 +23,8 @@ import (
 const InvariantsEnabled = true
 
 // assertFrontier panics unless c is a sorted non-inferior frontier; called
-// after the batch prunes, which guarantee sortedness.
+// after Sort, so a caller that sorts a curve the kernel did not build fails
+// here.
 func assertFrontier(c *Curve, op string) {
 	if err := c.CheckFrontier(true); err != nil {
 		panic(fmt.Sprintf("merlin_invariants: after %s: %v", op, err))
@@ -45,7 +46,7 @@ func assertNonInferior(c *Curve, op string) {
 // points cannot break that — so checking the new point suffices; the full
 // O(s²) frontier check would turn the DP's O(s) inserts into O(s²) and the
 // tagged test run would not finish. Whole-frontier re-verification happens at
-// the batch boundaries (Prune, Cap, assertFinalCurves in internal/core).
+// the batch boundaries (Sort, Cap, assertFinalCurves in internal/core).
 func assertInserted(c *Curve, op string) {
 	n := len(c.Sols)
 	if n == 0 {

@@ -8,8 +8,8 @@ import (
 
 // corruptedFrontier returns a curve violating Definition 6: the second
 // solution is inferior to the first (same load, worse req, worse area). No
-// pruned-curve operation can produce this state — it models a regression in
-// the pruning/insert logic.
+// kernel operation can produce this state — it models a regression in the
+// insert logic, or a caller that sorts a curve the kernel did not build.
 func corruptedFrontier() *Curve {
 	return &Curve{Sols: []Solution{
 		{Load: 1, Req: 10, Area: 5},
@@ -20,35 +20,43 @@ func corruptedFrontier() *Curve {
 // TestCorruptedFrontierDetection is the invariant layer's regression proof,
 // run in BOTH build modes (`go test` and `go test -tags merlin_invariants`):
 // the insert assertion, handed a curve whose last (just-inserted) solution
-// is inferior to a kept one — the state a buggy insert would leave — must
-// panic under the tag and pass silently without it, demonstrating both that
-// the assertions really detect Definition 6 violations and that the
-// production no-op mirrors cost nothing.
+// is inferior to a kept one — the state a buggy insert would leave — and
+// Sort, handed the same inferior curve, must panic under the tag and pass
+// silently without it, demonstrating both that the assertions really detect
+// Definition 6 violations and that the production no-op mirrors cost
+// nothing.
 func TestCorruptedFrontierDetection(t *testing.T) {
-	corrupted := corruptedFrontier()
+	for _, op := range []struct {
+		name string
+		run  func(*Curve)
+	}{
+		{"insert", func(c *Curve) { assertInserted(c, "insert") }},
+		{"Sort", (*Curve).Sort},
+	} {
+		corrupted := corruptedFrontier()
+		panicked := func() (p any) {
+			defer func() { p = recover() }()
+			op.run(corrupted)
+			return nil
+		}()
 
-	panicked := func() (p any) {
-		defer func() { p = recover() }()
-		assertInserted(corrupted, "insert")
-		return nil
-	}()
-
-	if InvariantsEnabled {
-		if panicked == nil {
-			t.Fatalf("merlin_invariants build: an inserted inferior point did not panic")
-		}
-		msg := fmt.Sprint(panicked)
-		if !strings.Contains(msg, "inferior") {
-			t.Errorf("panic message does not name the dominance violation: %s", msg)
-		}
-	} else {
-		if panicked != nil {
-			t.Fatalf("production build: invariant assertion fired without the tag: %v", panicked)
-		}
-		// The assertion stayed silent; the (test-only) full checker can
-		// still prove the frontier is broken.
-		if err := corrupted.CheckFrontier(false); err == nil {
-			t.Fatal("production build: frontier not actually corrupted — test scenario is wrong")
+		if InvariantsEnabled {
+			if panicked == nil {
+				t.Fatalf("merlin_invariants build: %s on an inferior curve did not panic", op.name)
+			}
+			msg := fmt.Sprint(panicked)
+			if !strings.Contains(msg, "inferior") {
+				t.Errorf("%s: panic message does not name the dominance violation: %s", op.name, msg)
+			}
+		} else {
+			if panicked != nil {
+				t.Fatalf("production build: %s: invariant assertion fired without the tag: %v", op.name, panicked)
+			}
+			// The assertion stayed silent; the (test-only) full checker can
+			// still prove the frontier is broken.
+			if err := corrupted.CheckFrontier(false); err == nil {
+				t.Fatalf("production build: %s: frontier not actually corrupted — test scenario is wrong", op.name)
+			}
 		}
 	}
 }

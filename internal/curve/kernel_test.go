@@ -295,8 +295,7 @@ func TestWireOpMonotone(t *testing.T) {
 		if a > b {
 			a, b = b, a
 		}
-		c := &Curve{}
-		c.Add(sol(float64(loadCenti)/100+0.001, 5, 0))
+		c := &Curve{Sols: []Solution{sol(float64(loadCenti)/100+0.001, 5, 0)}}
 		short, long := wire(c, a), wire(c, b)
 		return long.Load >= short.Load && long.Req <= short.Req+1e-12
 	}
@@ -309,9 +308,7 @@ func TestWireOpMonotone(t *testing.T) {
 func TestBufferOpChargesExactly(t *testing.T) {
 	tech := rc.Default035()
 	g := rc.Gate{Name: "B", K0: 0.1, K1: 2, K2: 0.1, Cin: 0.02, Area: 300}
-	c := &Curve{}
-	c.Add(sol(0.4, 7, 100))
-	c.Add(sol(0.8, 9, 500))
+	c := &Curve{Sols: []Solution{sol(0.4, 7, 100), sol(0.8, 9, 500)}}
 	out := &Curve{}
 	out.Buffer(tech, c, []rc.Gate{g}, func(*Solution, int) int32 { return 0 })
 	if out.Len() != 2 {

@@ -44,7 +44,7 @@ func TestRefsSeal(t *testing.T) {
 	c := &Curve{Sols: []Solution{{Load: 0.05, Req: 0.5, Area: 0, Ref: 0}}}
 	a, b := &Curve{}, &Curve{Sols: []Solution{{Load: 0.1, Req: 10, Area: 0, Ref: 200}}}
 	for i := range 5 {
-		a.Add(Solution{Load: 0.1 * float64(i+1), Req: float64(i + 1), Area: 0, Ref: int32(100 + i)})
+		a.Sols = append(a.Sols, Solution{Load: 0.1 * float64(i+1), Req: float64(i + 1), Area: 0, Ref: int32(100 + i)})
 	}
 	src := &Curve{Sols: []Solution{{Load: 0.01, Req: 20, Area: 0, Ref: 300}}}
 	base := &Curve{Sols: []Solution{{Load: 0.3, Req: 30, Area: 0, Ref: 400}}}

@@ -42,6 +42,16 @@ func TestSweep(t *testing.T) {
 	}
 }
 
+// TestSweepRejectsThreeInternalChildren: construction enumerates at most
+// pairs of inner groups, so MaxInternalChildren = 3 is an error rather than a
+// silent 2.
+func TestSweepRejectsThreeInternalChildren(t *testing.T) {
+	_, err := RunSweep(SweepSpec{Knob: "internal", Values: []int{3}, Sinks: 5, Seed: 1})
+	if err == nil || !strings.Contains(err.Error(), "MaxInternalChildren") {
+		t.Fatalf("internal=3: got error %v, want the MaxInternalChildren range error", err)
+	}
+}
+
 // TestSweepMaxSolsOne: a curve cap of one keeps each curve's
 // best-required-time solution, and the sweep still solves the net.
 func TestSweepMaxSolsOne(t *testing.T) {

@@ -33,7 +33,7 @@ type SweepSpec struct {
 // RunSweep executes an ablation over one engine knob on one net, holding
 // everything else at the net-size profile. The "chis" knob interprets 0 as
 // bubbling off (χ0 only) and 1 as all four structures; "internal" sets
-// MaxInternalChildren (1 = strict chain, 2 = relaxed Cα).
+// MaxInternalChildren (1 = strict chain, 2 = relaxed Cα; larger values fail).
 func RunSweep(spec SweepSpec) ([]SweepPoint, error) {
 	prof := flows.ProfileFor(spec.Sinks)
 	nt := net.Generate(net.DefaultGenSpec(spec.Sinks, spec.Seed), prof.Tech, prof.Lib.Driver)

@@ -38,7 +38,7 @@ var hotpathAllocRule = &Rule{
 // go/types reports (types.Func.FullName). The value records why the
 // function is allocation-sensitive.
 var HotPaths = map[string]string{
-	"(*merlin/internal/curve.Curve).Prune":               "frontier prune: runs once per DP merge over every solution",
+	"(*merlin/internal/curve.Curve).Sort":                "frontier sort: runs before every Flow I/II Cap",
 	"(*merlin/internal/curve.Curve).dominated":           "corner-skip dominance scan of every kernel op",
 	"merlin/internal/curve.corner":                       "optimistic corner of every kernel op input",
 	"(*merlin/internal/curve.Curve).Insert":              "kernel insert of prebuilt solutions (curve merges)",

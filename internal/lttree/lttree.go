@@ -151,7 +151,7 @@ func Build(n *net.Net, lib *buflib.Library, tech rc.Technology, opts Options) (*
 				}
 			}
 		}
-		acc.Prune()
+		acc.Sort()
 		acc.Cap(opts.MaxSols)
 		refs.Seal(acc)
 		dp[i] = acc
@@ -199,7 +199,7 @@ func Build(n *net.Net, lib *buflib.Library, tech rc.Technology, opts Options) (*
 			})
 		}
 	}
-	final.Prune()
+	final.Sort()
 	final.Cap(opts.MaxSols)
 	refs.Seal(final)
 	if final.Empty() {

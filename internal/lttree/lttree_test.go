@@ -99,21 +99,21 @@ func TestBruteForceTwoSinks(t *testing.T) {
 	//     outside its space by construction.
 	//  D: driver -> b->{s0, s1}         per buffer b
 	//  E: driver -> b1->{s0, b2->{s1}}  per buffer pair
-	var want curve.Curve
-	want.Add(curve.Solution{Load: 1.0, Req: 5})
+	want := curve.Curve{Sols: []curve.Solution{{Load: 1.0, Req: 5}}}
 	for _, b := range lib.Buffers {
-		want.Add(curve.Solution{Load: 0.3 + b.Cin, Req: math.Min(5, 6-b.DelayNominal(&tech, 0.7)), Area: b.Area})
-		want.Add(curve.Solution{Load: b.Cin, Req: math.Min(5, 6) - b.DelayNominal(&tech, 1.0), Area: b.Area})
+		want.Sols = append(want.Sols,
+			curve.Solution{Load: 0.3 + b.Cin, Req: math.Min(5, 6-b.DelayNominal(&tech, 0.7)), Area: b.Area},
+			curve.Solution{Load: b.Cin, Req: math.Min(5, 6) - b.DelayNominal(&tech, 1.0), Area: b.Area})
 		for _, b2 := range lib.Buffers {
 			req2 := 6 - b2.DelayNominal(&tech, 0.7)
-			want.Add(curve.Solution{
+			want.Sols = append(want.Sols, curve.Solution{
 				Load: b.Cin,
 				Req:  math.Min(5, req2) - b.DelayNominal(&tech, 0.3+b2.Cin),
 				Area: b.Area + b2.Area,
 			})
 		}
 	}
-	want.Prune()
+	want.PruneNaive()
 	if ch.Curve.Len() != want.Len() {
 		t.Fatalf("frontier size %d, want %d\n got: %v\nwant: %v", ch.Curve.Len(), want.Len(), ch.Curve.Sols, want.Sols)
 	}

@@ -124,7 +124,7 @@ func (s *Solver) leafCurve(p, sinkIdx int) *curve.Curve {
 	sk := s.Net.Sinks[sinkIdx]
 	wl := geom.Dist(s.Cands[p], sk.Pos)
 	c := &curve.Curve{}
-	c.Add(curve.Solution{
+	c.Insert(curve.Solution{
 		Load: s.Tech.QuantizeLoad(sk.Load + s.Tech.WireC(wl)),
 		Req:  sk.Req - s.Tech.WireElmore(wl, sk.Load),
 		Area: s.Opts.WireCostWeight * float64(wl),
@@ -163,7 +163,7 @@ func (s *Solver) Curves(ord order.Order) []*curve.Curve {
 						return s.refs.Add(ref{kind: refJoin, point: int32(p), a: x.Ref, b: y.Ref})
 					})
 				}
-				acc.Prune()
+				acc.Sort()
 				acc.Cap(s.Opts.MaxSols)
 				s.refs.Seal(acc)
 				tab[p][i*n+j] = acc
@@ -182,7 +182,7 @@ func (s *Solver) Curves(ord order.Order) []*curve.Curve {
 // interval across all candidate pairs, Opts.TransferHops times.
 //
 // Unlike core's Jacobi transfer, each sweep is Gauss–Seidel: the sources
-// are the live table curves, which Prune and Cap rewrite as each target is
+// are the live table curves, which Sort and Cap rewrite as each target is
 // finished, so target p already sees the transfers the sweep made into
 // targets 0..p−1. Flow I and II answers rest on this order.
 func (s *Solver) transfer(tab [][]*curve.Curve, i, j, n int) {
@@ -198,7 +198,7 @@ func (s *Solver) transfer(tab [][]*curve.Curve, i, j, n int) {
 			acc.Wire(s.Tech, live, s.dist[p], p, s.Opts.WireCostWeight, func(old *curve.Solution) int32 {
 				return s.refs.Add(ref{kind: refVia, point: int32(p), a: old.Ref})
 			})
-			acc.Prune()
+			acc.Sort()
 			acc.Cap(s.Opts.MaxSols)
 			s.refs.Seal(acc)
 		}

@@ -112,7 +112,7 @@ func (ins *inserter) bottomUp(n *tree.Node) *curve.Curve {
 	case tree.KindSink:
 		base = &curve.Curve{}
 		s := ins.t.Net.Sinks[n.SinkIdx]
-		base.Add(curve.Solution{
+		base.Insert(curve.Solution{
 			Load: tech.QuantizeLoad(s.Load),
 			Req:  s.Req,
 			Ref:  ins.refs.Keep(ref{kind: refSink, pos: n.Pos, sinkIdx: n.SinkIdx}),
@@ -121,7 +121,7 @@ func (ins *inserter) bottomUp(n *tree.Node) *curve.Curve {
 	default:
 		// Join children through their wires.
 		base = &curve.Curve{}
-		base.Add(curve.Solution{Req: inf(), Ref: ins.refs.Keep(ref{kind: refBranch, pos: n.Pos})})
+		base.Insert(curve.Solution{Req: inf(), Ref: ins.refs.Keep(ref{kind: refBranch, pos: n.Pos})})
 		for _, ch := range n.Children {
 			cc := ins.wireWithInsertion(ins.bottomUp(ch), n.Pos, ch.Pos)
 			joined := &curve.Curve{}
@@ -129,7 +129,7 @@ func (ins *inserter) bottomUp(n *tree.Node) *curve.Curve {
 				return ins.refs.Add(ref{kind: refJoin, pos: n.Pos, a: x.Ref, b: y.Ref})
 			})
 			base = joined
-			base.Prune()
+			base.Sort()
 			base.Cap(opts.MaxSols)
 			ins.refs.Seal(base)
 		}
@@ -140,7 +140,7 @@ func (ins *inserter) bottomUp(n *tree.Node) *curve.Curve {
 		buffered.Buffer(tech, base, []rc.Gate{n.Buffer}, func(old *curve.Solution, _ int) int32 {
 			return ins.refs.Add(ref{kind: refBuf, pos: n.Pos, gate: &n.Buffer, a: old.Ref})
 		})
-		buffered.Prune()
+		buffered.Sort()
 		ins.refs.Seal(buffered)
 		return buffered
 	}
@@ -158,7 +158,7 @@ func (ins *inserter) withBufferOption(c *curve.Curve, pos geom.Point) *curve.Cur
 	acc.Buffer(ins.tech, c, ins.lib.Buffers, func(old *curve.Solution, gi int) int32 {
 		return ins.refs.Add(ref{kind: refBuf, pos: pos, gate: &ins.lib.Buffers[gi], a: old.Ref})
 	})
-	acc.Prune()
+	acc.Sort()
 	acc.Cap(ins.opts.MaxSols)
 	ins.refs.Seal(acc)
 	return acc
@@ -194,7 +194,7 @@ func (ins *inserter) wireWithInsertion(c *curve.Curve, parentPos, childPos geom.
 			return ins.refs.Add(ref{kind: refVia, pos: pos, a: old.Ref})
 		})
 		cur = wired
-		cur.Prune()
+		cur.Sort()
 		if s < segs-1 { // interior point: buffer option, which reads cur's records
 			ins.refs.Seal(cur)
 			cur = ins.withBufferOption(cur, pos)
