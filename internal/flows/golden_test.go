@@ -42,6 +42,7 @@ const (
 	variantMinArea   = "min-area"
 	variantBudget    = "max-req-budget"
 	variantNoSteiner = "no-steiner-buffers"
+	variantHops2     = "transfer-hops-2"
 )
 
 func goldenCases() []goldenCase {
@@ -92,6 +93,10 @@ func goldenCases() []goldenCase {
 	addBudget(8, 1080, 9032.344656203233)
 	add(5, 1050, variantNoSteiner, 0)
 	add(6, 1060, variantNoSteiner, 0)
+	// ProfileFor runs one transfer hop, so only here does a buffer pass
+	// follow the last of several hops rather than the only one.
+	add(5, 1050, variantHops2, 0)
+	add(6, 1060, variantHops2, 0)
 	return cs
 }
 
@@ -161,6 +166,8 @@ func runGolden(t *testing.T, c goldenCase) goldenEntry {
 		p.Core.Goal = core.Goal{Mode: core.GoalMaxReq, AreaBudget: c.Budget}
 	case variantNoSteiner:
 		p.Core.BufferAtSteiner = false
+	case variantHops2:
+		p.Core.TransferHops = 2
 	}
 	r3, err := RunFlowIII(nt, p)
 	if err != nil {
