@@ -330,6 +330,40 @@ func TestGammaMemoReuse(t *testing.T) {
 	}
 }
 
+// TestCoincidentGammaKeys: grouping structures that coincide, as the paper
+// notes, share one memo id: all of them at L = 1, and χ1 and χ2 at L = 2.
+// Structures that differ keep their own ids even over the same sinks, which
+// another order can place under another structure.
+func TestCoincidentGammaKeys(t *testing.T) {
+	nt, cands, lib, tech := testSetup(6, 6, 8)
+	en := NewEngine(nt, cands, lib, tech, exactOpts())
+	key := func(ord order.Order, l int, e Chi, r int) int32 {
+		return en.gammaID(e, ord, SinkSet(r, l+Stretch(e), e))
+	}
+	id := order.Identity(nt.N())
+	// χ1 holds sink q at r = q, χ2 at r = q+1 (a span of two with a hole).
+	for q := 1; q < nt.N()-1; q++ {
+		if a, b, c := key(id, 1, Chi0, q), key(id, 1, Chi1, q), key(id, 1, Chi2, q+1); a != b || a != c {
+			t.Errorf("sink %d: one-sink ids χ0 %d, χ1 %d, χ2 %d, want one", q, a, b, c)
+		}
+	}
+	for r := 2; r < nt.N(); r++ {
+		if a, b := key(id, 2, Chi1, r), key(id, 2, Chi2, r); a != b {
+			t.Errorf("(2, χ1, %d) has id %d and (2, χ2, %d) %d, want one", r, a, r, b)
+		}
+	}
+	// Sinks {0, 1, 3}: χ1 at L = 3 under the identity (hole at position 2),
+	// χ2 with its hole at position 1 under a swap of sinks 1 and 2.
+	if a, b := key(id, 3, Chi1, 3), key(order.Order{0, 2, 1, 3, 4, 5}, 3, Chi2, 3); a == b {
+		t.Errorf("χ1 and χ2 at L = 3 over sinks {0, 1, 3} share id %d", a)
+	}
+	// Sinks {2, 3}: χ0 at L = 2 under the identity, χ1 with sink 5 in its
+	// hole.
+	if a, b := key(id, 2, Chi0, 3), key(order.Order{0, 1, 2, 5, 3, 4}, 2, Chi1, 4); a == b {
+		t.Errorf("χ0 and χ1 at L = 2 over sinks {2, 3} share id %d", a)
+	}
+}
+
 // TestWarmEngineMatchesFresh: the memo is keyed by content alone, so an
 // engine that has already built other orders must return, for every order,
 // exactly the final curves a fresh engine builds — triple for triple in

@@ -38,28 +38,29 @@ var hotpathAllocRule = &Rule{
 // go/types reports (types.Func.FullName). The value records why the
 // function is allocation-sensitive.
 var HotPaths = map[string]string{
-	"(*merlin/internal/curve.Curve).Sort":                "frontier sort: runs before every Flow I/II Cap",
-	"(*merlin/internal/curve.Curve).dominated":           "corner-skip dominance scan of every kernel op",
-	"merlin/internal/curve.corner":                       "optimistic corner of every kernel op input",
-	"(*merlin/internal/curve.Curve).Insert":              "kernel insert of prebuilt solutions (curve merges)",
-	"(*merlin/internal/curve.Curve).insert":              "kernel insert under every op: newest-first rejection scan, then eviction for admitted solutions",
-	"merlin/internal/curve.b2i":                          "branch-free comparison of every dominance test in insert",
-	"(*merlin/internal/curve.Curve).Join":                "kernel join, the O(s²) pair merge of every interval split",
-	"(*merlin/internal/curve.Curve).Wire":                "kernel wire transfer, O(k·s) per target",
-	"(*merlin/internal/curve.Curve).Buffer":              "kernel buffer sweep over every (solution, gate) pair",
-	"(merlin/internal/curve.Solution).Dominates":         "three-way dominance predicate, called O(s²)",
-	"merlin/internal/curve.better":                       "selector tie-break comparator",
-	"(*merlin/internal/core.Engine).starDP":              "*PTREE interval DP, the O(k·t²) core loop",
-	"(*merlin/internal/core.Engine).addBufferedVariants": "buffer pass at one candidate",
-	"(*merlin/internal/core.Engine).transfer":            "candidate-transfer relaxation, O(k²·s) per hop",
-	"(*merlin/internal/core.Engine).startScratch":        "seeds the scratch curve of every join, buffer and wire pass",
-	"(*merlin/internal/core.Engine).storeScratch":        "caps, seals and stores the scratch curve after every pass",
-	"(*merlin/internal/core.Engine).intern":              "memo key interning, once per interval of every *PTREE call",
-	"(*merlin/internal/core.Engine).itemCode":            "item code of every interval's memo key",
-	"(*merlin/internal/curve.Refs[T]).Add":               "provisional record of every surviving kernel insert",
-	"(*merlin/internal/curve.Refs[T]).Keep":              "kept record of every Cap survivor and leaf",
-	"(*merlin/internal/curve.Refs[T]).At":                "record lookup of every reconstruction step",
-	"(*merlin/internal/curve.Refs[T]).Seal":              "moves a curve's surviving records after every Cap",
+	"(*merlin/internal/curve.Curve).Sort":          "frontier sort: runs before every Flow I/II Cap",
+	"(*merlin/internal/curve.Curve).dominated":     "corner-skip dominance scan of every kernel op",
+	"merlin/internal/curve.corner":                 "optimistic corner of every kernel op input",
+	"(*merlin/internal/curve.Curve).Insert":        "kernel insert of prebuilt solutions (curve merges)",
+	"(*merlin/internal/curve.Curve).insert":        "kernel insert under every op: newest-first rejection scan, then eviction for admitted solutions",
+	"merlin/internal/curve.b2i":                    "branch-free comparison of every dominance test in insert",
+	"(*merlin/internal/curve.Curve).Join":          "kernel join, the O(s²) pair merge of every interval split",
+	"(*merlin/internal/curve.Curve).Wire":          "kernel wire transfer, O(k·s) per target",
+	"(*merlin/internal/curve.Curve).Buffer":        "kernel buffer sweep over every (solution, gate) pair",
+	"(merlin/internal/curve.Solution).Dominates":   "three-way dominance predicate, called O(s²)",
+	"merlin/internal/curve.better":                 "selector tie-break comparator",
+	"(*merlin/internal/core.Engine).starDP":        "*PTREE interval DP, the O(k·t²) core loop",
+	"(*merlin/internal/core.Engine).bufferScratch": "caps and seals the scratch curve, then runs the buffer pass at one candidate",
+	"(*merlin/internal/core.Engine).intervalMask":  "root window of every interval, written into the engine's one mask",
+	"(*merlin/internal/core.Engine).transfer":      "candidate-transfer relaxation, O(k²·s) per hop",
+	"(*merlin/internal/core.Engine).startScratch":  "seeds the scratch curve of every cell pipeline and transfer target",
+	"(*merlin/internal/core.Engine).storeScratch":  "caps, seals and stores the scratch curve at the end of every pipeline",
+	"(*merlin/internal/core.Engine).intern":        "memo key interning, once per interval of every *PTREE call",
+	"(*merlin/internal/core.Engine).itemCode":      "item code of every interval's memo key",
+	"(*merlin/internal/curve.Refs[T]).Add":         "provisional record of every surviving kernel insert",
+	"(*merlin/internal/curve.Refs[T]).Keep":        "kept record of every Cap survivor and leaf",
+	"(*merlin/internal/curve.Refs[T]).At":          "record lookup of every reconstruction step",
+	"(*merlin/internal/curve.Refs[T]).Seal":        "moves a curve's surviving records after every Cap",
 }
 
 func checkHotPathAllocs(p *Package) []Diagnostic {

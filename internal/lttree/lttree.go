@@ -142,12 +142,13 @@ func Build(n *net.Net, lib *buflib.Library, tech rc.Technology, opts Options) (*
 				}
 				req := math.Min(baseReq, tail.Req)
 				for _, b := range lib.Buffers {
-					acc.Insert(curve.Solution{
+					if acc.Insert(curve.Solution{
 						Load: tech.QuantizeLoad(b.Cin),
 						Req:  req - b.DelayNominal(&tech, load),
 						Area: tail.Area + b.Area,
-						Ref:  refs.Add(chainRef{buffer: b, i: i, direct: direct, child: child}),
-					})
+					}) == 1 {
+						acc.Sols[len(acc.Sols)-1].Ref = refs.Add(chainRef{buffer: b, i: i, direct: direct, child: child})
+					}
 				}
 			}
 		}
@@ -191,12 +192,13 @@ func Build(n *net.Net, lib *buflib.Library, tech rc.Technology, opts Options) (*
 			} else {
 				child = chainEnd
 			}
-			final.Insert(curve.Solution{
+			if final.Insert(curve.Solution{
 				Load: tech.QuantizeLoad(baseLoad + tailLoad),
 				Req:  math.Min(baseReq, tail.Req),
 				Area: tail.Area,
-				Ref:  refs.Add(chainRef{i: 0, direct: direct, child: child}),
-			})
+			}) == 1 {
+				final.Sols[len(final.Sols)-1].Ref = refs.Add(chainRef{i: 0, direct: direct, child: child})
+			}
 		}
 	}
 	final.Sort()

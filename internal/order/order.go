@@ -72,17 +72,6 @@ func (o Order) Positions() []int {
 	return pos
 }
 
-// Swap returns a copy of o with positions p and p+1 exchanged
-// (Definition 5's "swapping element p"). It panics if p is out of range.
-func (o Order) Swap(p int) Order {
-	if p < 0 || p+1 >= len(o) {
-		panic(fmt.Sprintf("order: swap position %d out of range for n=%d", p, len(o)))
-	}
-	c := o.Clone()
-	c[p], c[p+1] = c[p+1], c[p]
-	return c
-}
-
 // String renders the order in the paper's tuple form.
 func (o Order) String() string {
 	s := "("

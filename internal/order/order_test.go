@@ -44,23 +44,6 @@ func TestPositionsInverse(t *testing.T) {
 	}
 }
 
-func TestSwap(t *testing.T) {
-	o := Order{0, 1, 2, 3}
-	s := o.Swap(1)
-	if !s.Equal(Order{0, 2, 1, 3}) {
-		t.Fatalf("Swap(1) = %v", s)
-	}
-	if !o.Equal(Order{0, 1, 2, 3}) {
-		t.Fatal("Swap must not mutate the receiver")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range swap must panic")
-		}
-	}()
-	o.Swap(3)
-}
-
 // TestTheorem1 is experiment E3: exhaustive neighborhood enumeration equals
 // the Fibonacci count. Note the paper's closed form prints exponent n+2 —
 // enumeration shows the correct exponent is n+1 (see order.NeighborhoodSize
