@@ -139,16 +139,21 @@ invariants:
 
 verify: build test perfbench lint race chaos fuzz invariants crash cluster-chaos partition-chaos failover-chaos
 
-# The performance baseline: merlinbench runs the fixed benchmark set (core
-# construct, trace span price disabled/enabled, service batch with tracing
-# off/on, the fixed mixed load profile's p50/p90/p99, and the router-hop
-# overhead of proxying through merlinrouter vs hitting merlind direct) and writes
-# BENCH_$(BENCH_N).json. The file also records lint_wall_ms — the wall time of
-# a full merlinlint pass — so the lint budget's headroom is tracked alongside
-# the runtime numbers. Committed baselines make later "faster" claims a file
-# diff; BENCH_N is the PR number the baseline belongs to.
-BENCH_N ?= 10
+# The performance baseline: merlinbench writes BENCH_$(BENCH_N).json, where
+# BENCH_N is the PR number the baseline belongs to. It records the
+# environment (Go version, OS, CPUs); core.construct's exact allocs/op; the
+# repository benchmark (perfbench/run.sh) on dp-cold, flows-baseline and
+# serve-fleet over seeds 1-10, untraced then traced, as the median and
+# quartiles of every metric perfbench prints; the timer-bound fleet sections
+# (gossip convergence, replica warm-up, orphan takeover, checkpoint resume);
+# and lint_wall_ms, the wall time of a full merlinlint pass, so the lint
+# budget's headroom is tracked alongside the runtime numbers. It takes six to
+# seven minutes on a 2-vCPU box. Committed baselines record the trajectory
+# and its spread; a speed claim still rests on interleaved perfbench pairs.
 bench:
+	@if [ -z "$(BENCH_N)" ]; then \
+		echo "usage: make bench BENCH_N=<PR number>  (writes BENCH_<PR number>.json)" >&2; exit 2; \
+	fi
 	$(GO) run ./cmd/merlinbench -out BENCH_$(BENCH_N).json
 	@cat BENCH_$(BENCH_N).json
 

@@ -90,11 +90,8 @@ func runChildBackend() {
 // acknowledged slow jobs (a worker delay fault keeps them in flight), lets
 // the manifests replicate, SIGKILLs the victim and times the survivor
 // claiming and finishing every orphan.
-func runTakeoverLatency(quick bool) (takeoverBenchResult, error) {
-	jobs := 6
-	if quick {
-		jobs = 3
-	}
+func runTakeoverLatency() (takeoverBenchResult, error) {
+	const jobs = 6
 	var addrs, urls, dirs []string
 	for i := 0; i < 2; i++ {
 		ln, err := stdnet.Listen("tcp", "127.0.0.1:0")
@@ -295,12 +292,11 @@ func runTakeoverLatency(quick bool) (takeoverBenchResult, error) {
 // rung — and times crash recovery (NewDurable boot to terminal state) over
 // each. The gap is what one checkpoint record saves a successor: the full
 // and nobubble DP tiers it does not have to re-burn.
-func runCheckpointResume(quick bool) (ckptResumeResult, error) {
-	samples := 3
-	if quick {
-		samples = 1
-	}
-	const sinks = 6
+func runCheckpointResume() (ckptResumeResult, error) {
+	const (
+		samples = 3
+		sinks   = 6
+	)
 	bootToTerminal := func(i int, withCkpt bool) (float64, error) {
 		req := &service.RouteRequest{Net: benchNet(sinks, int64(6000+i)), MaxLoops: 1, AllowDegraded: true}
 		reqJSON, err := json.Marshal(req)

@@ -1,29 +1,27 @@
-// Command merlinbench establishes the repository's performance trajectory:
-// it runs a fixed set of benchmarks programmatically (testing.Benchmark, so
-// the numbers are the same ones `go test -bench` would print) plus a fixed
-// service load profile, and emits one machine-readable JSON document —
-// `make bench` writes it to BENCH_<n>.json, where <n> is the PR number, so
-// later "faster" claims diff two committed files instead of two memories.
+// Command merlinbench establishes the repository's performance trajectory
+// and emits it as one machine-readable JSON document — `make bench` writes it
+// to BENCH_<n>.json, where <n> is the PR number, so later "faster" claims
+// diff two committed files instead of two memories.
 //
 // Usage:
 //
-//	merlinbench [-out BENCH_6.json] [-quick]
+//	merlinbench [-out BENCH_<n>.json]
 //
-// What it measures:
+// Run it from inside the repository: it finds the module root to run the
+// repository benchmark and the lint pass over. What it records:
 //
 //   - core.construct — one full MERLIN construct loop on the reference net
-//     (ns/op, allocs/op): the DP's cost floor.
-//   - trace.span_disabled / trace.span_enabled — the tracing subsystem's
-//     per-span price with no collector (the zero-cost-when-disabled claim:
-//     one context lookup, zero allocations) and with one.
-//   - service.batch.trace=off / =on — BenchmarkServiceBatch's configuration
-//     (16 uncached nets through a 4-worker pool, nets/s) with tracing
-//     disabled and enabled; trace_overhead_pct in the output is the
-//     enabled-over-disabled regression, which the acceptance bar holds
-//     under 2%.
-//   - load_profile — a fixed mixed load (cached + uncached routes at fixed
-//     concurrency) through a live server, reporting exact client-observed
-//     p50/p90/p99/max latency from the sorted samples.
+//     (testing.Benchmark: ns/op, allocs/op). Its allocs/op is exact from run
+//     to run, so it is the DP's allocation count a change diffs.
+//   - perfbench — the repository benchmark (bash perfbench/run.sh) on each
+//     of its three workloads, dp-cold, flows-baseline and serve-fleet, over
+//     the fixed seeds 1–10 for 30 s each, untraced and then traced: the
+//     nearest-rank median and quartiles, with the unit, of every end-to-end
+//     metric (untraced runs) and per-layer metric (traced runs) perfbench
+//     prints. perfbench checks every answer; a run that reports a wrong
+//     answer fails the whole document. Tracing's price is the per-layer
+//     trace.overhead_pct on each workload (BENCH_25.json: dp-cold −1.4%,
+//     quartiles −2.2 to +2.7; serve-fleet +3.9%, quartiles −6.3 to +10.5).
 //   - gossip — a 4-node star-seeded gossip mesh over real HTTP: how long the
 //     views take to converge on full mutual health, and how long the
 //     survivors take to declare a silently killed node dead (the
@@ -42,23 +40,21 @@
 //     type-check plus every rule), so the `make lint` 30s budget's headroom
 //     is tracked next to the runtime numbers.
 //
-// -quick shrinks iteration counts for smoke use; committed baselines use
-// the defaults.
+// Every timing here moves from run to run with the machine; the perfbench
+// block gives each one's spread over the seeds. A speed claim still rests on
+// interleaved perfbench pairs of parent and change.
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"runtime"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
@@ -69,46 +65,15 @@ import (
 	"merlin/internal/journal"
 	"merlin/internal/lint"
 	"merlin/internal/net"
-	"merlin/internal/qos"
-	"merlin/internal/router"
 	"merlin/internal/service"
-	"merlin/internal/trace"
 )
 
 // benchResult is the wire form of one testing.BenchmarkResult.
 type benchResult struct {
-	Iterations  int     `json:"iterations"`
-	NsPerOp     int64   `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	NetsPerSec  float64 `json:"nets_per_s,omitempty"`
-}
-
-// loadResult describes the fixed load profile and what it observed.
-type loadResult struct {
-	Requests    int     `json:"requests"`
-	Concurrency int     `json:"concurrency"`
-	Workers     int     `json:"workers"`
-	Sinks       int     `json:"sinks"`
-	UniqueNets  int     `json:"unique_nets"`
-	NoCacheMod  int     `json:"no_cache_every"`
-	P50MS       float64 `json:"p50_ms"`
-	P90MS       float64 `json:"p90_ms"`
-	P99MS       float64 `json:"p99_ms"`
-	MaxMS       float64 `json:"max_ms"`
-}
-
-// routerHopResult compares the same cache-warm request served directly by a
-// backend against the same backend behind merlinrouter: the deltas are the
-// front tier's per-request price (hashing, QoS admission, proxying).
-type routerHopResult struct {
-	Requests      int     `json:"requests"`
-	DirectP50MS   float64 `json:"direct_p50_ms"`
-	DirectP99MS   float64 `json:"direct_p99_ms"`
-	ProxiedP50MS  float64 `json:"proxied_p50_ms"`
-	ProxiedP99MS  float64 `json:"proxied_p99_ms"`
-	OverheadP50MS float64 `json:"overhead_p50_ms"`
-	OverheadP99MS float64 `json:"overhead_p99_ms"`
+	Iterations  int   `json:"iterations"`
+	NsPerOp     int64 `json:"ns_per_op"`
+	AllocsPerOp int64 `json:"allocs_per_op"`
+	BytesPerOp  int64 `json:"bytes_per_op"`
 }
 
 // gossipBenchResult times the anti-entropy layer over real HTTP: a
@@ -131,20 +96,18 @@ type replicaBenchResult struct {
 }
 
 type output struct {
-	Schema           string                 `json:"schema"`
-	GoVersion        string                 `json:"go_version"`
-	GOOS             string                 `json:"goos"`
-	GOARCH           string                 `json:"goarch"`
-	CPUs             int                    `json:"cpus"`
-	Benchmarks       map[string]benchResult `json:"benchmarks"`
-	TraceOverheadPct float64                `json:"trace_overhead_pct"`
-	LoadProfile      loadResult             `json:"load_profile"`
-	RouterHop        routerHopResult        `json:"router_hop"`
-	Gossip           gossipBenchResult      `json:"gossip"`
-	ReplicaWarm      replicaBenchResult     `json:"replica_warm"`
-	Takeover         takeoverBenchResult    `json:"takeover"`
-	CkptResume       ckptResumeResult       `json:"checkpoint_resume"`
-	LintWallMS       int64                  `json:"lint_wall_ms"`
+	Schema      string                 `json:"schema"`
+	GoVersion   string                 `json:"go_version"`
+	GOOS        string                 `json:"goos"`
+	GOARCH      string                 `json:"goarch"`
+	CPUs        int                    `json:"cpus"`
+	Benchmarks  map[string]benchResult `json:"benchmarks"`
+	Perfbench   perfbenchSummary       `json:"perfbench"`
+	Gossip      gossipBenchResult      `json:"gossip"`
+	ReplicaWarm replicaBenchResult     `json:"replica_warm"`
+	Takeover    takeoverBenchResult    `json:"takeover"`
+	CkptResume  ckptResumeResult       `json:"checkpoint_resume"`
+	LintWallMS  int64                  `json:"lint_wall_ms"`
 }
 
 func main() {
@@ -153,9 +116,8 @@ func main() {
 		return
 	}
 	out := flag.String("out", "", "write JSON here (empty = stdout)")
-	quick := flag.Bool("quick", false, "shrink iteration counts for a fast smoke run")
 	flag.Parse()
-	if err := run(*out, *quick); err != nil {
+	if err := run(*out); err != nil {
 		fmt.Fprintln(os.Stderr, "merlinbench:", err)
 		os.Exit(1)
 	}
@@ -175,9 +137,13 @@ func benchNet(sinks int, seed int64) *net.Net {
 	return net.Generate(net.DefaultGenSpec(sinks, seed), prof.Tech, prof.Lib.Driver)
 }
 
-func run(outPath string, quick bool) error {
+func run(outPath string) error {
+	root, err := lint.FindModuleRoot(".")
+	if err != nil {
+		return err
+	}
 	doc := output{
-		Schema:     "merlin-bench/1",
+		Schema:     "merlin-bench/2",
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
@@ -200,148 +166,25 @@ func run(outPath string, quick bool) error {
 		}
 	}))
 
-	// trace span price, disabled and enabled (same loop bodies as the
-	// package's own BenchmarkStartSpan* benchmarks).
-	doc.Benchmarks["trace.span_disabled"] = wire(testing.Benchmark(func(b *testing.B) {
-		ctx := context.Background()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_, sp := trace.StartSpan(ctx, "x")
-			sp.End()
-		}
-	}))
-	doc.Benchmarks["trace.span_enabled"] = wire(testing.Benchmark(func(b *testing.B) {
-		c := trace.NewCollector(4, 0, 1)
-		ctx, tr, root := c.Start(context.Background(), "bench")
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_, sp := trace.StartSpan(ctx, "x")
-			sp.End()
-			if i%200 == 199 { // stay under the per-trace span cap
-				b.StopTimer()
-				c.Finish(tr, root)
-				ctx, tr, root = c.Start(context.Background(), "bench")
-				b.StartTimer()
-			}
-		}
-		b.StopTimer()
-		c.Finish(tr, root)
-	}))
-
-	// service batch in BenchmarkServiceBatch's configuration, tracing off
-	// then on: the delta is the serving-path cost of the whole subsystem.
-	numNets := 16
-	if quick {
-		numNets = 4
-	}
-	nets := make([]*net.Net, numNets)
-	for i := range nets {
-		nets[i] = benchNet(6, int64(1000+i))
-	}
-	batchOnce := func(traceRing int) (benchResult, error) {
-		var fatal error
-		r := testing.Benchmark(func(b *testing.B) {
-			s := service.New(service.Config{
-				Workers:    4,
-				QueueDepth: numNets,
-				CacheSize:  -1, // measure compute, not cache
-				TraceRing:  traceRing,
-			})
-			defer s.Shutdown(context.Background())
-			breq := &service.BatchRequest{Nets: nets}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, item := range s.Batch(context.Background(), breq) {
-					if item.Error != "" {
-						fatal = fmt.Errorf("net %d: %s", item.Index, item.Error)
-						b.Fatal(fatal)
-					}
-				}
-			}
-		})
-		w := wire(r)
-		w.NetsPerSec = float64(numNets) * float64(r.N) / r.T.Seconds()
-		return w, fatal
-	}
-	// Best-of-3, interleaved: the batch op is seconds long, so
-	// testing.Benchmark often settles at N=1 and a single run carries
-	// scheduler noise well above the 2% regression bar this file exists to
-	// police. The minimum is the run least disturbed by the machine. The
-	// off/on rounds alternate (after one discarded warm-up) because each op
-	// allocates gigabytes: running all off-rounds first would hand the
-	// on-rounds a pre-grown heap and fewer GC cycles, biasing the comparison
-	// toward whichever side runs last.
-	rounds := 3
-	if quick {
-		rounds = 1
-	}
-	if _, err := batchOnce(-1); err != nil { // warm-up: grow the heap, discard
+	if doc.Gossip, err = runGossipConvergence(); err != nil {
 		return err
 	}
-	var off, on benchResult
-	for i := 0; i < rounds; i++ {
-		w, err := batchOnce(-1)
-		if err != nil {
-			return err
-		}
-		if i == 0 || w.NsPerOp < off.NsPerOp {
-			off = w
-		}
-		w, err = batchOnce(0) // 0 = default ring: tracing enabled
-		if err != nil {
-			return err
-		}
-		if i == 0 || w.NsPerOp < on.NsPerOp {
-			on = w
-		}
-	}
-	doc.Benchmarks["service.batch.trace=off"] = off
-	doc.Benchmarks["service.batch.trace=on"] = on
-	doc.TraceOverheadPct = 100 * (float64(on.NsPerOp) - float64(off.NsPerOp)) / float64(off.NsPerOp)
-
-	load, err := runLoadProfile(quick)
-	if err != nil {
+	if doc.ReplicaWarm, err = runReplicaWarm(); err != nil {
 		return err
 	}
-	doc.LoadProfile = load
-
-	hop, err := runRouterHop(quick)
-	if err != nil {
+	if doc.Takeover, err = runTakeoverLatency(); err != nil {
 		return err
 	}
-	doc.RouterHop = hop
-
-	gsp, err := runGossipConvergence()
-	if err != nil {
+	if doc.CkptResume, err = runCheckpointResume(); err != nil {
 		return err
 	}
-	doc.Gossip = gsp
-
-	rw, err := runReplicaWarm(quick)
-	if err != nil {
+	if doc.LintWallMS, err = runLintPass(root); err != nil {
 		return err
 	}
-	doc.ReplicaWarm = rw
-
-	tko, err := runTakeoverLatency(quick)
-	if err != nil {
+	// Last, because it is the long one: the sections above fail in seconds.
+	if doc.Perfbench, err = runPerfbench(root); err != nil {
 		return err
 	}
-	doc.Takeover = tko
-
-	cr, err := runCheckpointResume(quick)
-	if err != nil {
-		return err
-	}
-	doc.CkptResume = cr
-
-	lintMS, err := runLintPass()
-	if err != nil {
-		return err
-	}
-	doc.LintWallMS = lintMS
 
 	b, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -355,14 +198,10 @@ func run(outPath string, quick bool) error {
 	return os.WriteFile(outPath, b, 0o644)
 }
 
-// runLintPass times one full merlinlint run over the repository this binary
-// was built from — the same whole-module type-check and rule suite `make
-// lint` pays — and insists the tree is clean while it's at it.
-func runLintPass() (int64, error) {
-	root, err := lint.FindModuleRoot(".")
-	if err != nil {
-		return 0, err
-	}
+// runLintPass times one full merlinlint run over the module at root — the
+// same whole-module type-check and rule suite `make lint` pays — and insists
+// the tree is clean while it's at it.
+func runLintPass(root string) (int64, error) {
 	start := time.Now()
 	diags, err := lint.LintRepo(root)
 	if err != nil {
@@ -478,11 +317,8 @@ func runGossipConvergence() (gossipBenchResult, error) {
 // and (b) recomputed from scratch through the pool. Both sides report p50
 // over the sample count; the gap is why a backend asks the ring before it
 // re-runs the DP.
-func runReplicaWarm(quick bool) (replicaBenchResult, error) {
-	samples := 24
-	if quick {
-		samples = 6
-	}
+func runReplicaWarm() (replicaBenchResult, error) {
+	const samples = 24
 	dir, err := os.MkdirTemp("", "merlinbench-replica")
 	if err != nil {
 		return replicaBenchResult{}, err
@@ -558,173 +394,5 @@ func runReplicaWarm(quick bool) (replicaBenchResult, error) {
 		Samples:        samples,
 		PeerWarmP50MS:  warm[len(warm)/2],
 		RecomputeP50MS: recomp[len(recomp)/2],
-	}, nil
-}
-
-// runRouterHop measures the router's per-request overhead: one backend
-// served over real HTTP, the same cache-warm /v1/route request issued
-// directly and through an in-process merlinrouter in front of it.
-// Cache-warm on purpose — against a ~µs cached answer the hop price is the
-// signal, not noise under seconds of compute.
-func runRouterHop(quick bool) (routerHopResult, error) {
-	requests := 400
-	if quick {
-		requests = 50
-	}
-	s := service.New(service.Config{Workers: 2})
-	defer s.Shutdown(context.Background())
-	backend := httptest.NewServer(s.Handler())
-	defer backend.Close()
-
-	rt, err := router.New(router.Config{
-		Backends:      []string{backend.URL},
-		ProbeInterval: -1,                                      // a single warm backend needs no prober in a benchmark
-		TraceRing:     -1,                                      // measure the proxy path, not trace retention
-		QoS:           qos.Config{Rate: -1, MaxConcurrent: -1}, // hop price, not admission
-	})
-	if err != nil {
-		return routerHopResult{}, err
-	}
-	defer rt.Close()
-	front := httptest.NewServer(rt.Handler())
-	defer front.Close()
-
-	body, err := json.Marshal(&service.RouteRequest{Net: benchNet(6, 3000), MaxLoops: 1})
-	if err != nil {
-		return routerHopResult{}, err
-	}
-	hc := &http.Client{Timeout: time.Minute}
-	post := func(base string) (float64, error) {
-		start := time.Now()
-		resp, err := hc.Post(base+"/v1/route", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return 0, err
-		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return 0, fmt.Errorf("status %d from %s", resp.StatusCode, base)
-		}
-		return float64(time.Since(start).Microseconds()) / 1000, nil
-	}
-	measure := func(base string) (p50, p99 float64, err error) {
-		// Warm: first request computes and fills the cache, a few more settle
-		// connections.
-		for i := 0; i < 5; i++ {
-			if _, err := post(base); err != nil {
-				return 0, 0, err
-			}
-		}
-		samples := make([]float64, requests)
-		for i := range samples {
-			if samples[i], err = post(base); err != nil {
-				return 0, 0, err
-			}
-		}
-		sort.Float64s(samples)
-		return samples[len(samples)/2], samples[len(samples)*99/100], nil
-	}
-
-	// Interleave would be fairer still, but direct-then-proxied keeps each
-	// connection pool warm for its whole run; both see identical conditions.
-	d50, d99, err := measure(backend.URL)
-	if err != nil {
-		return routerHopResult{}, err
-	}
-	p50, p99, err := measure(front.URL)
-	if err != nil {
-		return routerHopResult{}, err
-	}
-	return routerHopResult{
-		Requests:      requests,
-		DirectP50MS:   d50,
-		DirectP99MS:   d99,
-		ProxiedP50MS:  p50,
-		ProxiedP99MS:  p99,
-		OverheadP50MS: p50 - d50,
-		OverheadP99MS: p99 - d99,
-	}, nil
-}
-
-// runLoadProfile pushes the fixed mixed load through a live server and
-// reports exact client-observed quantiles: 8 distinct 6-sink nets, 8-way
-// concurrency, every 8th request bypassing the cache so full jobs keep
-// flowing, the rest hitting warm results — the mix /v1/stats histograms see
-// in steady state.
-func runLoadProfile(quick bool) (loadResult, error) {
-	const (
-		workers     = 4
-		sinks       = 6
-		uniqueNets  = 8
-		concurrency = 8
-		noCacheMod  = 8
-	)
-	requests := 200
-	if quick {
-		requests = 32
-	}
-	s := service.New(service.Config{Workers: workers, QueueDepth: requests})
-	defer s.Shutdown(context.Background())
-
-	nets := make([]*net.Net, uniqueNets)
-	for i := range nets {
-		nets[i] = benchNet(sinks, int64(2000+i))
-	}
-	// Warm the cache so the profile measures the steady-state mix, not the
-	// cold start.
-	for _, n := range nets {
-		if _, err := s.Route(context.Background(), &service.RouteRequest{Net: n, MaxLoops: 1}); err != nil {
-			return loadResult{}, err
-		}
-	}
-
-	samples := make([]float64, requests)
-	errs := make([]error, requests)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, concurrency)
-	for i := 0; i < requests; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[i] = fmt.Errorf("load worker panic: %v", r)
-				}
-			}()
-			req := &service.RouteRequest{Net: nets[i%uniqueNets], MaxLoops: 1, NoCache: i%noCacheMod == 0}
-			start := time.Now()
-			_, err := s.Route(context.Background(), req)
-			samples[i] = float64(time.Since(start).Microseconds()) / 1000
-			errs[i] = err
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return loadResult{}, err
-		}
-	}
-
-	sort.Float64s(samples)
-	q := func(p float64) float64 {
-		i := int(p * float64(len(samples)))
-		if i >= len(samples) {
-			i = len(samples) - 1
-		}
-		return samples[i]
-	}
-	return loadResult{
-		Requests:    requests,
-		Concurrency: concurrency,
-		Workers:     workers,
-		Sinks:       sinks,
-		UniqueNets:  uniqueNets,
-		NoCacheMod:  noCacheMod,
-		P50MS:       q(0.50),
-		P90MS:       q(0.90),
-		P99MS:       q(0.99),
-		MaxMS:       samples[len(samples)-1],
 	}, nil
 }

@@ -24,6 +24,9 @@
 // (core.ErrBudgetSolutions), or panics (contained per tier). The result is
 // annotated with the tier served, every tier attempted, and the tier's
 // expected quality relative to full.
+//
+// Hysteresis is the brownout rule that picks the rung merlind admits
+// degradable work at; merlinrouter's fleet brownout uses it too.
 package degrade
 
 import (

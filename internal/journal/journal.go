@@ -35,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -611,26 +610,4 @@ func (j *Journal) Close() error {
 		<-j.flushDone
 	}
 	return err
-}
-
-// ReadSegments returns the raw bytes of every live segment, oldest first —
-// a debugging and test aid (the crash-recovery test uses it to count
-// terminal records without a second journal instance).
-func (j *Journal) ReadSegments() ([][]byte, error) {
-	j.mu.Lock()
-	segs := append([]uint64(nil), j.segs...)
-	dir := j.dir
-	j.mu.Unlock()
-	var out [][]byte
-	for _, seq := range segs {
-		data, err := os.ReadFile(filepath.Join(dir, segName(seq)))
-		if err != nil {
-			if errors.Is(err, io.EOF) || os.IsNotExist(err) {
-				continue
-			}
-			return nil, err
-		}
-		out = append(out, data)
-	}
-	return out, nil
 }

@@ -212,9 +212,6 @@ type Controller struct {
 // call this from their fleet controller; it is cheap and lock-free.
 func (c *Controller) SetFleetLevel(level int32) { c.fleetLevel.Store(level) }
 
-// FleetLevel reports the currently published level.
-func (c *Controller) FleetLevel() int32 { return c.fleetLevel.Load() }
-
 // overdraftAllowed reports whether the tenant's class keeps its overdraft
 // courtesy at the current fleet level.
 func (c *Controller) overdraftAllowed(cl Class) bool {

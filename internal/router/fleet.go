@@ -3,9 +3,9 @@ package router
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"merlin/internal/degrade"
 	"merlin/internal/gossip"
 )
 
@@ -20,18 +20,15 @@ import (
 // own digests will carry the resulting pressure within a tick or two, and
 // counting ghosts would pin the level high after the storm ends.
 //
-// Like the per-node brownout (internal/service/brownout.go) this raises
-// immediately and lowers only after a cooldown of calm samples: flapping
-// admission policy is worse than a conservative one.
+// The level follows degrade.Hysteresis, the per-node brownout's rule
+// (internal/service/brownout.go): it rises immediately and lowers only after
+// a cooldown of calm samples.
 type fleetBrownout struct {
 	highWater float64
 	lowWater  float64
-	cooldown  int
-
-	level atomic.Int32
+	level     *degrade.Hysteresis
 
 	mu       sync.Mutex
-	calm     int
 	pressure float64 // last sample, for stats
 	counted  int     // backends in the last sample
 	raised   uint64
@@ -54,7 +51,7 @@ func newFleetBrownout(cfg Config) *fleetBrownout {
 	return &fleetBrownout{
 		highWater: cfg.FleetHighWater,
 		lowWater:  cfg.FleetLowWater,
-		cooldown:  cfg.FleetCooldown,
+		level:     degrade.NewHysteresis(cfg.FleetCooldown),
 	}
 }
 
@@ -100,39 +97,26 @@ func (rt *Router) fleetSample(interval time.Duration) {
 	}
 
 	f := rt.fleet
-	f.mu.Lock()
-	f.pressure, f.counted = pressure, n
-	level := f.level.Load()
-	want := level
+	var want int32
 	switch {
 	case pressure >= f.highWater+fleetStep:
 		want = fleetMaxLevel
 	case pressure >= f.highWater:
-		if want < 1 {
-			want = 1
-		}
+		want = 1
 	}
-	if want > level {
-		// Raise immediately — waiting out a cooldown while the fleet
-		// saturates is how queues overflow.
-		f.level.Store(want)
-		f.calm = 0
-		f.raised += uint64(want - level)
+	f.mu.Lock()
+	f.pressure, f.counted = pressure, n
+	switch from, to := f.level.Step(want, pressure < f.lowWater); {
+	case to > from:
+		f.raised += uint64(to - from)
 		rt.inc("fleet.raised")
-	} else if level > 0 && pressure < f.lowWater {
-		f.calm++
-		if f.calm >= f.cooldown {
-			f.level.Store(level - 1)
-			f.calm = 0
-			f.lowered++
-			rt.inc("fleet.lowered")
-		}
-	} else {
-		f.calm = 0
+	case to < from:
+		f.lowered++
+		rt.inc("fleet.lowered")
 	}
 	f.mu.Unlock()
 
-	rt.adm.SetFleetLevel(f.level.Load())
+	rt.adm.SetFleetLevel(f.level.Level())
 }
 
 // fleetLevel is the current fleet brownout level (0 when disabled).
@@ -140,7 +124,7 @@ func (rt *Router) fleetLevel() int32 {
 	if rt.fleet == nil {
 		return 0
 	}
-	return rt.fleet.level.Load()
+	return rt.fleet.level.Level()
 }
 
 // FleetStats is the fleet-brownout section of /v1/stats.
@@ -158,7 +142,7 @@ func (f *fleetBrownout) stats() FleetStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return FleetStats{
-		Level:     f.level.Load(),
+		Level:     f.level.Level(),
 		Pressure:  f.pressure,
 		Backends:  f.counted,
 		HighWater: f.highWater,

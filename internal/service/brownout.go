@@ -1,38 +1,32 @@
 package service
 
 import (
-	"sync/atomic"
 	"time"
 
 	"merlin/internal/degrade"
 )
 
-// brownout is the adaptive overload controller: a sampling loop that shifts
-// incoming degradable work down the degradation ladder before the bounded
-// queue saturates, so 429 + Retry-After becomes the last resort instead of
-// the first. It never touches requests that do not allow degradation —
-// those keep the PR 2 contract (full quality or a structured rejection).
+// brownoutTier is the ladder rung degradable requests are admitted at right
+// now.
+func (s *Server) brownoutTier() degrade.Tier { return degrade.Tier(s.brown.Level()) }
+
+// brownoutLoop runs the adaptive overload controller: a sampling loop that
+// shifts incoming degradable work down the degradation ladder before the
+// bounded queue saturates, so 429 + Retry-After becomes the last resort
+// instead of the first. It never touches requests that do not allow
+// degradation — those keep full quality or a structured rejection.
 //
 // The control signal is deliberately simple: queue utilization (depth over
 // capacity) plus an estimate of how long the current backlog takes to drain
 // at the serving tier's observed latency (EWMA). Either crossing its
 // threshold raises the brownout level one rung immediately; recovery
-// requires BrownoutCooldown consecutive calm samples per rung, so a bursty
-// arrival process cannot flap the tier sample to sample.
-type brownout struct {
-	cfg   Config
-	level atomic.Int32 // current admission tier for degradable requests
-	calm  int          // consecutive calm samples (loop-local; only the sampler touches it)
-}
-
-func newBrownout(cfg Config) *brownout { return &brownout{cfg: cfg} }
-
-// tier is the ladder rung degradable requests are admitted at right now.
-func (b *brownout) tier() degrade.Tier { return degrade.Tier(b.level.Load()) }
-
-// brownoutLoop samples until Shutdown closes stopBrown. It runs under
-// goGuard (started in New), so a panic here is contained like any other
-// service goroutine's.
+// requires BrownoutCooldown consecutive calm samples per rung
+// (degrade.Hysteresis), so a bursty arrival process cannot flap the tier
+// sample to sample.
+//
+// The loop samples until Shutdown closes stopBrown. It runs under goGuard
+// (started in New), so a panic here is contained like any other service
+// goroutine's.
 func (s *Server) brownoutLoop() {
 	tick := time.NewTicker(s.cfg.BrownoutInterval)
 	defer tick.Stop()
@@ -50,30 +44,20 @@ func (s *Server) brownoutLoop() {
 // inlined in the loop) so tests can drive the controller deterministically
 // without waiting out wall-clock intervals.
 func (s *Server) brownoutSample() {
-	b := s.brown
 	util := float64(len(s.jobs)) / float64(s.cfg.QueueDepth)
-	cur := b.tier()
-	drain := s.drainEstimate(cur)
-	switch {
-	case util >= s.cfg.BrownoutHighWater || drain > s.cfg.BrownoutMaxDrain:
-		b.calm = 0
-		if cur < degrade.TierVanGin {
-			b.level.Store(int32(cur) + 1)
-			s.met.inc("brownout.raised")
-		}
-	case util <= s.cfg.BrownoutLowWater:
-		if cur == degrade.TierFull {
-			return
-		}
-		b.calm++
-		if b.calm >= s.cfg.BrownoutCooldown {
-			b.calm = 0
-			b.level.Store(int32(cur) - 1)
-			s.met.inc("brownout.lowered")
-		}
-	default:
-		// Between the watermarks: hold the level, reset the calm streak.
-		b.calm = 0
+	cur := s.brownoutTier()
+	hot := util >= s.cfg.BrownoutHighWater || s.drainEstimate(cur) > s.cfg.BrownoutMaxDrain
+	want := cur
+	if hot && cur < degrade.TierVanGin {
+		want = cur + 1
+	}
+	// At vangin a hot sample raises nothing, but it is not calm either, so
+	// it still resets the count.
+	switch from, to := s.brown.Step(int32(want), !hot && util <= s.cfg.BrownoutLowWater); {
+	case to > from:
+		s.met.inc("brownout.raised")
+	case to < from:
+		s.met.inc("brownout.lowered")
 	}
 }
 

@@ -267,7 +267,7 @@ type Server struct {
 	workers   sync.WaitGroup
 	closeJobs sync.Once
 
-	brown     *brownout
+	brown     *degrade.Hysteresis
 	stopBrown chan struct{}
 	stopOnce  sync.Once
 
@@ -391,7 +391,7 @@ func newServer(cfg Config) *Server {
 		jobTerms:   make(map[string]uint64),
 		myClaims:   make(map[string]uint64),
 	}
-	s.brown = newBrownout(cfg)
+	s.brown = degrade.NewHysteresis(cfg.BrownoutCooldown)
 	s.stopBrown = make(chan struct{})
 	if cfg.GossipSelf != "" {
 		gn, err := gossip.New(gossip.Config{
@@ -464,7 +464,7 @@ func (s *Server) publishGossip() {
 	if s.store != nil {
 		hw = s.store.WriteCount()
 	}
-	s.gossip.SetLocal(ready, reason, util, uint32(s.brown.tier()), hw)
+	s.gossip.SetLocal(ready, reason, util, uint32(s.brownoutTier()), hw)
 	s.publishLease()
 }
 
@@ -854,7 +854,7 @@ func (s *Server) runJob(j *job, engines *lruCache) {
 		// checkpoint-resumed job (async failover) starts no higher than its
 		// last checkpointed rung; the ladder clamps either start to the
 		// request's floor, so resumption never lies about degradability.
-		startTier := s.brown.tier()
+		startTier := s.brownoutTier()
 		if rt, ok := resumeRungFrom(j.ctx); ok && rt > startTier {
 			startTier = rt
 		}
@@ -1050,7 +1050,7 @@ func (s *Server) Stats() Stats {
 		c := s.traces.Stats()
 		tcs = &c
 	}
-	bt := s.brown.tier()
+	bt := s.brownoutTier()
 	ready, notReady := s.Ready()
 	return Stats{
 		UptimeSeconds:  time.Since(s.start).Seconds(),
