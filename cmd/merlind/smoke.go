@@ -28,9 +28,10 @@ func trimEach(ss []string) []string {
 }
 
 // runSmoke drives a quick end-to-end check through pkg/client: healthz +
-// readyz, a route, a repeat route that must hit the result cache, a
-// collected batch, a deliberately over-budget request that must classify as
-// budget_exceeded, and a stats read. With an empty target it stands up an
+// readyz, a route, a repeat route that must hit the result cache, three
+// more nets through the durable job API (submit, then poll to done), a
+// deliberately over-budget request that must classify as budget_exceeded,
+// and a stats read. With an empty target it stands up an
 // in-process server on a loopback port and smokes that, so `merlind -smoke`
 // is a self-contained health check of the build. target may be a
 // comma-separated list of base URLs (a ring of merlinds, or routers): the
@@ -93,20 +94,14 @@ func runSmoke(target string, timeout time.Duration) error {
 			again.ReqAtDriverInputNS, first.ReqAtDriverInputNS)
 	}
 
-	var nets []*net.Net
 	for seed := int64(2); seed <= 4; seed++ {
-		nets = append(nets, net.Generate(net.DefaultGenSpec(6, seed), prof.Tech, prof.Lib.Driver))
-	}
-	batch, err := cl.Batch(ctx, &service.BatchRequest{Nets: nets})
-	if err != nil {
-		return fmt.Errorf("batch: %w", err)
-	}
-	if len(batch.Results) != len(nets) {
-		return fmt.Errorf("batch: %d results for %d nets", len(batch.Results), len(nets))
-	}
-	for i, item := range batch.Results {
-		if item.Error != "" {
-			return fmt.Errorf("batch item %d: %s", i, item.Error)
+		nt := net.Generate(net.DefaultGenSpec(6, seed), prof.Tech, prof.Lib.Driver)
+		res, err := cl.RouteAsync(ctx, &service.RouteRequest{Net: nt})
+		if err != nil {
+			return fmt.Errorf("job (seed %d): %w", seed, err)
+		}
+		if res == nil || res.Tree == nil {
+			return fmt.Errorf("job (seed %d): finished with no tree", seed)
 		}
 	}
 

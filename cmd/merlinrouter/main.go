@@ -1,8 +1,11 @@
 // Command merlinrouter is merlin's fleet front tier: it consistent-hashes
 // canonical net fingerprints onto a replicated ring of merlind backends and
-// proxies /v1/route, /v1/batch and /v1/jobs with health-checked failover,
-// per-backend circuit breakers, optional hedged reads, and per-tenant QoS.
-// See the "Running a cluster" section of README.md.
+// proxies /v1/route and /v1/jobs with health-checked failover, per-backend
+// circuit breakers, optional hedged reads, and per-tenant QoS. The answer
+// to every route and job submit names the router's trace of it in the
+// X-Merlin-Router-Trace header (unless -trace-ring is negative), fetchable
+// from the router's GET /v1/trace/{id}. See the "Running a cluster" section
+// of README.md.
 //
 // Usage:
 //

@@ -446,19 +446,6 @@ func (j *Journal) AppendCtx(ctx context.Context, payload []byte) error {
 	return nil
 }
 
-// Sync forces buffered appends to stable storage, regardless of policy.
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return ErrClosed
-	}
-	if j.active == nil {
-		return nil
-	}
-	return j.syncLocked()
-}
-
 func (j *Journal) syncLocked() error {
 	if err := faultinject.Fire(faultinject.SiteJournalFsync); err != nil {
 		return fmt.Errorf("journal: fsync: %w", err)

@@ -263,16 +263,6 @@ func (s *Solver) buildNode(h int32) *tree.Node {
 	return n
 }
 
-// ReqAtDriverInput converts a root solution into the driver-input required
-// time using the net's driver model (or fallback drv).
-func (s *Solver) ReqAtDriverInput(sol curve.Solution, drv rc.Gate) float64 {
-	driver := s.Net.Driver
-	if driver.Name == "" {
-		driver = drv
-	}
-	return sol.Req - driver.DelayNominal(&s.Tech, sol.Load)
-}
-
 // WirelengthOf returns the λ wirelength recorded in a solution's area
 // dimension (undoing WireCostWeight).
 func (s *Solver) WirelengthOf(sol curve.Solution) float64 {

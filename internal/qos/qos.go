@@ -30,7 +30,6 @@ package qos
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -69,9 +68,6 @@ func (d Decision) String() string {
 	}
 	return fmt.Sprintf("decision(%d)", int(d))
 }
-
-// Admitted reports whether the decision lets the request through.
-func (d Decision) Admitted() bool { return d == Admit || d == AdmitDegraded }
 
 // Class scales a tenant's budgets relative to the configured base.
 type Class struct {
@@ -419,16 +415,4 @@ func ParseTenantClasses(spec string) (map[string]string, error) {
 		out[name] = strings.ToLower(class)
 	}
 	return out, nil
-}
-
-// Tenants lists the configured tenant names in sorted order (for logs).
-func (c *Controller) Tenants() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	names := make([]string, 0, len(c.tenants))
-	for n := range c.tenants {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

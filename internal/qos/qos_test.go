@@ -270,7 +270,7 @@ func TestControllerConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				d, rel, _ := c.Admit(fmt.Sprintf("t%d", (g+i)%12), i%2 == 0)
-				if d.Admitted() {
+				if d == Admit || d == AdmitDegraded {
 					rel()
 				}
 			}
@@ -278,7 +278,6 @@ func TestControllerConcurrentAccess(t *testing.T) {
 	}
 	wg.Wait()
 	c.Stats()
-	c.Tenants()
 }
 
 func TestDecisionString(t *testing.T) {
@@ -290,8 +289,5 @@ func TestDecisionString(t *testing.T) {
 		if d.String() != want {
 			t.Fatalf("%d.String() = %q, want %q", int(d), d.String(), want)
 		}
-	}
-	if !Admit.Admitted() || !AdmitDegraded.Admitted() || DenyRate.Admitted() {
-		t.Fatal("Admitted() wrong")
 	}
 }

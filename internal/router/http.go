@@ -26,23 +26,27 @@ const maxBodyBytes = 8 << 20
 // from" in tests and debugging.
 const BackendHeader = "X-Merlin-Backend"
 
+// TraceHeader names the response header carrying the router's own trace id
+// for a proxied route or job submit, fetchable from the router's
+// GET /v1/trace/{id}. Absent when router tracing is disabled. The backend's
+// trace id, when it traces, is the response body's trace_id.
+const TraceHeader = "X-Merlin-Router-Trace"
+
 // Handler returns the router's HTTP API — the same surface merlind serves,
 // proxied onto the ring, plus the router's own introspection:
 //
 //	POST /v1/route     proxy to the net's home replica (retries, hedging)
-//	POST /v1/batch     proxy (collected or streamed NDJSON)
 //	POST /v1/jobs      proxy; the acknowledging backend is remembered so
 //	                   polls go straight home
 //	GET  /v1/jobs/{id} proxy to the job's owner, scattering on a miss
 //	GET  /v1/trace/{id} one retained router trace (router.pick/forward/
-//	                   retry/qos.admit spans)
+//	                   retry/qos.admit spans), named by TraceHeader
 //	GET  /v1/healthz   router liveness (always 200 while serving)
 //	GET  /v1/readyz    503 when no backend is ready
 //	GET  /v1/stats     ring, breaker, QoS and counter snapshot
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/route", rt.handleRoute)
-	mux.HandleFunc("POST /v1/batch", rt.handleBatch)
 	mux.HandleFunc("POST /v1/jobs", rt.handleJobSubmit)
 	mux.HandleFunc("GET /v1/jobs/{id}", rt.handleJobGet)
 	mux.HandleFunc("GET /v1/trace/{id}", rt.handleTraceGet)
@@ -94,12 +98,6 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
 // Router-tier error taxonomy, extending the service's wire shape
 // (service.ErrorBody — clients parse one format fleet-wide):
 //
@@ -127,9 +125,9 @@ func writeError(w http.ResponseWriter, status int, code, msg string, retryAfterS
 // admit runs QoS admission for one request. On deny it writes the 429 and
 // returns admitted=false. On degraded admission the returned body carries
 // allow_degraded so the backend's ladder may serve a cheaper tier.
-func (rt *Router) admit(w http.ResponseWriter, r *http.Request, ctx context.Context, path string, body []byte) (newBody []byte, release func(), admitted bool) {
+func (rt *Router) admit(w http.ResponseWriter, r *http.Request, ctx context.Context, body []byte) (newBody []byte, release func(), admitted bool) {
 	tenant := r.Header.Get(service.TenantHeader)
-	degradable, reqRoute, reqBatch := degradability(path, body)
+	degradable, req := degradability(body)
 	_, sp := trace.StartSpan(ctx, "qos.admit")
 	sp.SetAttr("tenant", tenant)
 	d, release, retryAfter := rt.adm.Admit(tenant, degradable)
@@ -145,14 +143,14 @@ func (rt *Router) admit(w http.ResponseWriter, r *http.Request, ctx context.Cont
 			// response stays truthful: the backend annotates the tier it
 			// actually served.
 			rt.inc("fleet.degraded")
-			body = stampDegraded(body, reqRoute, reqBatch)
+			body = stampDegraded(body, req)
 		}
 		return body, release, true
 	case qos.AdmitDegraded:
 		rt.inc("qos.degraded")
 		// Re-marshal with the degradation ladder enabled: the tenant is over
 		// its primary rate, so it gets a cheaper tier instead of a 429.
-		return stampDegraded(body, reqRoute, reqBatch), release, true
+		return stampDegraded(body, req), release, true
 	case qos.DenyConcurrency:
 		rt.inc("qos.denied_concurrency")
 		writeError(w, http.StatusTooManyRequests, "tenant_concurrency",
@@ -171,15 +169,10 @@ func (rt *Router) admit(w http.ResponseWriter, r *http.Request, ctx context.Cont
 // stampDegraded re-marshals the parsed request with allow_degraded set.
 // On any marshal surprise the original body forwards unchanged — losing
 // the degradation hint is safe, corrupting the request is not.
-func stampDegraded(body []byte, reqRoute *service.RouteRequest, reqBatch *service.BatchRequest) []byte {
-	if reqRoute != nil {
-		reqRoute.AllowDegraded = true
-		if nb, err := json.Marshal(reqRoute); err == nil {
-			return nb
-		}
-	} else if reqBatch != nil {
-		reqBatch.AllowDegraded = true
-		if nb, err := json.Marshal(reqBatch); err == nil {
+func stampDegraded(body []byte, req *service.RouteRequest) []byte {
+	if req != nil {
+		req.AllowDegraded = true
+		if nb, err := json.Marshal(req); err == nil {
 			return nb
 		}
 	}
@@ -193,25 +186,15 @@ func tenantLabel(t string) string {
 	return t
 }
 
-// degradability parses the body far enough to know whether the request can
-// be served degraded (Flow III only — the ladder is a Flow III feature) and
-// returns the parsed request for allow_degraded re-marshaling.
-func degradability(path string, body []byte) (bool, *service.RouteRequest, *service.BatchRequest) {
-	switch path {
-	case "/v1/route", "/v1/jobs":
-		var req service.RouteRequest
-		if err := json.Unmarshal(body, &req); err != nil || req.Net == nil {
-			return false, nil, nil
-		}
-		return flowDegradable(req.Flow), &req, nil
-	case "/v1/batch":
-		var req service.BatchRequest
-		if err := json.Unmarshal(body, &req); err != nil || len(req.Nets) == 0 {
-			return false, nil, nil
-		}
-		return flowDegradable(req.Flow), nil, &req
+// degradability parses a route or job body far enough to know whether the
+// request can be served degraded (Flow III only — the ladder is a Flow III
+// feature) and returns the parsed request for allow_degraded re-marshaling.
+func degradability(body []byte) (bool, *service.RouteRequest) {
+	var req service.RouteRequest
+	if err := json.Unmarshal(body, &req); err != nil || req.Net == nil {
+		return false, nil
 	}
-	return false, nil, nil
+	return flowDegradable(req.Flow), &req
 }
 
 // flowDegradable mirrors service.parseFlow's Flow III spellings.
@@ -229,17 +212,17 @@ func (rt *Router) handleRoute(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ctx, tr, root := rt.traces.Start(r.Context(), "proxy.route")
+	ctx, tr, root := rt.startTrace(w, r, "proxy.route")
 	defer func() { rt.traces.Finish(tr, root) }()
 	r = r.WithContext(ctx)
 
-	body, release, admitted := rt.admit(w, r, ctx, "/v1/route", body)
+	body, release, admitted := rt.admit(w, r, ctx, body)
 	if !admitted {
 		return
 	}
 	defer release()
 
-	key, fp := shardKey("/v1/route", body)
+	key, fp := shardKey(body)
 	_, psp := trace.StartSpan(ctx, "router.pick")
 	cands := rt.candidates(key)
 	psp.SetAttr("home", cands[0].id)
@@ -263,70 +246,23 @@ func (rt *Router) handleRoute(w http.ResponseWriter, r *http.Request) {
 	relayBuffered(w, br)
 }
 
-func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	rt.inc("requests.batch")
-	body, ok := rt.readBody(w, r)
-	if !ok {
-		return
-	}
-	ctx, tr, root := rt.traces.Start(r.Context(), "proxy.batch")
-	defer func() { rt.traces.Finish(tr, root) }()
-	r = r.WithContext(ctx)
-
-	body, release, admitted := rt.admit(w, r, ctx, "/v1/batch", body)
-	if !admitted {
-		return
-	}
-	defer release()
-
-	key, _ := shardKey("/v1/batch", body)
-	_, psp := trace.StartSpan(ctx, "router.pick")
-	cands := rt.candidates(key)
-	psp.SetAttr("home", cands[0].id)
-	psp.End()
-
-	// Streamed batches relay live: failover happens only before the first
-	// byte reaches the client — once NDJSON items flow, a failure is the
-	// client's to observe (re-requesting would replay consumed results).
-	var breq service.BatchRequest
-	if jerr := json.Unmarshal(body, &breq); jerr == nil && breq.Stream {
-		resp, b, err := rt.forwardStream(ctx, "/v1/batch", r.Header, body, cands, rt.cfg.MaxAttempts)
-		if err != nil {
-			rt.writeForwardError(w, root, err)
-			return
-		}
-		defer resp.Body.Close()
-		copyRelayHeaders(w, resp.Header)
-		w.Header().Set(BackendHeader, b.id)
-		w.WriteHeader(resp.StatusCode)
-		flushCopy(w, resp.Body)
-		return
-	}
-	br, err := rt.forward(ctx, http.MethodPost, "/v1/batch", r.Header, body, cands, rt.cfg.MaxAttempts)
-	if err != nil {
-		rt.writeForwardError(w, root, err)
-		return
-	}
-	relayBuffered(w, br)
-}
-
 func (rt *Router) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	rt.inc("requests.jobs.submit")
 	body, ok := rt.readBody(w, r)
 	if !ok {
 		return
 	}
-	ctx, tr, root := rt.traces.Start(r.Context(), "proxy.jobs")
+	ctx, tr, root := rt.startTrace(w, r, "proxy.jobs")
 	defer func() { rt.traces.Finish(tr, root) }()
 	r = r.WithContext(ctx)
 
-	body, release, admitted := rt.admit(w, r, ctx, "/v1/jobs", body)
+	body, release, admitted := rt.admit(w, r, ctx, body)
 	if !admitted {
 		return
 	}
 	defer release()
 
-	key, _ := shardKey("/v1/jobs", body)
+	key, _ := shardKey(body)
 	_, psp := trace.StartSpan(ctx, "router.pick")
 	cands := rt.candidates(key)
 	psp.SetAttr("home", cands[0].id)
@@ -450,6 +386,16 @@ func (rt *Router) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		"no backend is ready to answer this poll; retry", 1)
 }
 
+// startTrace opens a proxied request's router trace and names it in the
+// TraceHeader of whatever response follows, a 429 from admission included.
+func (rt *Router) startTrace(w http.ResponseWriter, r *http.Request, name string) (context.Context, *trace.Trace, *trace.Span) {
+	ctx, tr, root := rt.traces.Start(r.Context(), name)
+	if id := tr.ID(); id != "" {
+		w.Header().Set(TraceHeader, id)
+	}
+	return ctx, tr, root
+}
+
 func (rt *Router) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 	rt.inc("requests.trace")
 	if rt.traces == nil {
@@ -527,27 +473,6 @@ func copyRelayHeaders(w http.ResponseWriter, from http.Header) {
 	for _, h := range relayHeaders {
 		if v := from.Get(h); v != "" {
 			w.Header().Set(h, v)
-		}
-	}
-}
-
-// flushCopy streams src to the client, flushing per chunk so NDJSON items
-// arrive as the backend emits them.
-func flushCopy(w http.ResponseWriter, src io.Reader) {
-	flusher, _ := w.(http.Flusher)
-	buf := make([]byte, 32<<10)
-	for {
-		n, err := src.Read(buf)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		if err != nil {
-			return
 		}
 	}
 }

@@ -88,9 +88,6 @@ func NewRing(backends []string, replicas int) (*Ring, error) {
 	return &Ring{r: r}, nil
 }
 
-// Pick returns the distinct-backend preference order for a hashed key.
-func (r *Ring) Pick(key uint64) []string { return r.r.pick(key) }
-
 // PickString places a string key (e.g. a result-store key): sha256-hashed
 // to a ring position the same way shardKey hashes canon bytes, then walked
 // clockwise. Element 0 is the key's home, the rest its replica order.
@@ -98,9 +95,6 @@ func (r *Ring) PickString(key string) []string {
 	sum := sha256.Sum256([]byte(key))
 	return r.r.pick(binary.BigEndian.Uint64(sum[:8]))
 }
-
-// Backends lists the ring's distinct backends in construction order.
-func (r *Ring) Backends() []string { return append([]string(nil), r.r.backends...) }
 
 // pick returns every distinct backend in ring order starting at the key's
 // position: element 0 is the key's home, element 1 the first failover

@@ -1,7 +1,7 @@
 // Package router is merlin's fleet front tier: it consistent-hashes
 // canonical net fingerprints (internal/net/canon.go) onto a replicated ring
-// of merlind backends and forwards /v1/route, /v1/batch and /v1/jobs with
-// robustness at every hop:
+// of merlind backends and forwards /v1/route and /v1/jobs with robustness at
+// every hop:
 //
 //   - Active health probing: a prober GETs every backend's /v1/readyz on an
 //     interval. 503 marks the backend drained (no new work, no ejection
@@ -13,8 +13,9 @@
 //     trial decides between closing and re-opening longer.
 //   - Bounded failover: a connection error or 5xx moves the same request to
 //     the next ring replica, up to MaxAttempts total tries. 4xx are never
-//     retried (they are verdicts about the request), and nothing is retried
-//     once response bytes have streamed to the client.
+//     retried (they are verdicts about the request). Backend responses are
+//     buffered whole before any byte reaches the client, so a backend that
+//     dies mid-body fails over too.
 //   - Hedged reads: optionally, a /v1/route whose fingerprint was seen
 //     recently (cache-likely on its home backend) launches a second attempt
 //     at the next replica after HedgeDelay; first answer wins, the loser is
@@ -46,7 +47,6 @@ import (
 
 	"merlin/internal/faultinject"
 	"merlin/internal/gossip"
-	"merlin/internal/net"
 	"merlin/internal/qos"
 	"merlin/internal/service"
 	"merlin/internal/trace"
@@ -466,42 +466,19 @@ func (b *backend) probeTicket(now time.Time) bool {
 
 // ---- fingerprinting ----
 
-// shardKey fingerprints a request body for ring placement: the canonical
-// encoding of the net(s) when the body parses as a route/batch request
+// shardKey fingerprints a route or job body for ring placement: the
+// canonical encoding of the net when the body parses as a RouteRequest
 // (order-independent — MERLIN's semi-order-independence makes the canon
 // bytes a stable shard key), else a hash of the raw bytes (the backend will
 // reject the request; where it lands doesn't matter).
-func shardKey(path string, body []byte) (key uint64, fp string) {
-	var canon []byte
-	switch path {
-	case "/v1/route", "/v1/jobs":
-		var req service.RouteRequest
-		if err := json.Unmarshal(body, &req); err == nil && req.Net != nil {
-			canon = req.Net.AppendCanonical(nil)
-		}
-	case "/v1/batch":
-		var req service.BatchRequest
-		if err := json.Unmarshal(body, &req); err == nil && len(req.Nets) > 0 {
-			for _, n := range req.Nets {
-				if n == nil {
-					canon = nil
-					break
-				}
-				canon = n.AppendCanonical(canon)
-			}
-		}
-	}
-	if canon == nil {
-		canon = body
+func shardKey(body []byte) (key uint64, fp string) {
+	canon := body
+	var req service.RouteRequest
+	if err := json.Unmarshal(body, &req); err == nil && req.Net != nil {
+		canon = req.Net.AppendCanonical(nil)
 	}
 	sum := sha256.Sum256(canon)
 	return binary.BigEndian.Uint64(sum[:8]), fmt.Sprintf("%x", sum[:16])
-}
-
-// netKey exposes the single-net shard fingerprint for tests and tools.
-func netKey(n *net.Net) uint64 {
-	sum := sha256.Sum256(n.AppendCanonical(nil))
-	return binary.BigEndian.Uint64(sum[:8])
 }
 
 // ---- recent-fingerprint set (hedge candidates) and job owners ----

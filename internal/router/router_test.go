@@ -15,6 +15,7 @@ import (
 	"merlin/internal/net"
 	"merlin/internal/qos"
 	"merlin/internal/service"
+	"merlin/internal/trace"
 )
 
 // stubBackend is a scriptable merlind stand-in: the router only needs HTTP
@@ -121,7 +122,7 @@ func bodyHomedAt(t *testing.T, rt *Router, home string, flow string) []byte {
 	t.Helper()
 	for seed := int64(1); seed < 10000; seed++ {
 		body := routeBody(t, seed, flow)
-		key, _ := shardKey("/v1/route", body)
+		key, _ := shardKey(body)
 		if rt.ring.pick(key)[0] == home {
 			return body
 		}
@@ -600,5 +601,53 @@ func TestStatsShape(t *testing.T) {
 	}
 	if st.Counters["requests.route"] == 0 {
 		t.Error("stats missing request counter")
+	}
+}
+
+// TestRouteTraceReachable: a proxied route names its router trace in the
+// TraceHeader, and GET /v1/trace/{id} returns that trace with the pick and
+// forward spans of the hop that served it. With router tracing disabled the
+// header is absent.
+func TestRouteTraceReachable(t *testing.T) {
+	a, b := newStubBackend(t), newStubBackend(t)
+	rt := newTestRouter(t, Config{Backends: []string{a.URL, b.URL}})
+	h := rt.Handler()
+
+	rec := postRoute(t, h, routeBody(t, 3, ""), nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	served := rec.Header().Get(BackendHeader)
+	id := rec.Header().Get(TraceHeader)
+	if id == "" {
+		t.Fatalf("no %s header on a traced route", TraceHeader)
+	}
+
+	get := httptest.NewRecorder()
+	h.ServeHTTP(get, httptest.NewRequest(http.MethodGet, "/v1/trace/"+id, nil))
+	if get.Code != http.StatusOK {
+		t.Fatalf("GET /v1/trace/%s: status %d: %s", id, get.Code, get.Body)
+	}
+	var tr trace.TraceJSON
+	if err := json.Unmarshal(get.Body.Bytes(), &tr); err != nil {
+		t.Fatal(err)
+	}
+	if tr.TraceID != id || tr.Name != "proxy.route" {
+		t.Fatalf("got trace %q named %q, want %q named proxy.route", tr.TraceID, tr.Name, id)
+	}
+	spans := map[string]trace.SpanJSON{}
+	for _, sp := range tr.Spans {
+		spans[sp.Name] = sp
+	}
+	if pick, ok := spans["router.pick"]; !ok || pick.Attrs["home"] != served {
+		t.Errorf("router.pick span %+v, want home %s", pick, served)
+	}
+	if fwd, ok := spans["router.forward"]; !ok || fwd.Attrs["backend"] != served || fwd.Attrs["status"] != "200" {
+		t.Errorf("router.forward span %+v, want backend %s status 200", fwd, served)
+	}
+
+	off := newTestRouter(t, Config{Backends: []string{a.URL}, TraceRing: -1})
+	if rec := postRoute(t, off.Handler(), routeBody(t, 3, ""), nil); rec.Header().Get(TraceHeader) != "" {
+		t.Errorf("untraced router sent %s %q", TraceHeader, rec.Header().Get(TraceHeader))
 	}
 }

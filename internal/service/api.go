@@ -137,52 +137,6 @@ type FrontierPoint struct {
 	Area   float64 `json:"area_lambda2"`
 }
 
-// BatchRequest is the body of POST /v1/batch: many nets sharing one set of
-// knob overrides. With Stream, results are written as NDJSON BatchItems in
-// completion order; otherwise they are collected into a BatchResponse in
-// input order.
-type BatchRequest struct {
-	Nets       []*net.Net `json:"nets"`
-	Flow       string     `json:"flow,omitempty"`
-	Alpha      int        `json:"alpha,omitempty"`
-	MaxCands   int        `json:"max_cands,omitempty"`
-	AreaBudget float64    `json:"area_budget,omitempty"`
-	ReqFloor   float64    `json:"req_floor,omitempty"`
-	MaxLoops   int        `json:"max_loops,omitempty"`
-	// TimeoutMS is the per-net compute budget, not the whole batch's.
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	NoCache   bool  `json:"no_cache,omitempty"`
-	Stream    bool  `json:"stream,omitempty"`
-	// Budget applies per net, like TimeoutMS.
-	Budget *Budget `json:"budget,omitempty"`
-	// AllowDegraded and MinTier apply per net, like TimeoutMS; degraded
-	// items carry their tier in the (possibly streamed) BatchItem result.
-	AllowDegraded bool   `json:"allow_degraded,omitempty"`
-	MinTier       string `json:"min_tier,omitempty"`
-}
-
-// BatchItem is one per-net outcome; exactly one of Result and Error is set.
-type BatchItem struct {
-	Index  int            `json:"index"`
-	Result *RouteResponse `json:"result,omitempty"`
-	Error  string         `json:"error,omitempty"`
-}
-
-// BatchResponse is the collected (non-streamed) batch reply, in input order.
-type BatchResponse struct {
-	Results []BatchItem `json:"results"`
-}
-
-// routeRequest builds the per-net RouteRequest a batch item expands to.
-func (b *BatchRequest) routeRequest(n *net.Net) *RouteRequest {
-	return &RouteRequest{
-		Net: n, Flow: b.Flow, Alpha: b.Alpha, MaxCands: b.MaxCands,
-		AreaBudget: b.AreaBudget, ReqFloor: b.ReqFloor, MaxLoops: b.MaxLoops,
-		TimeoutMS: b.TimeoutMS, NoCache: b.NoCache, Budget: b.Budget,
-		AllowDegraded: b.AllowDegraded, MinTier: b.MinTier,
-	}
-}
-
 // parseFlow maps the wire name to a flow ID.
 func parseFlow(name string) (flows.ID, error) {
 	switch name {

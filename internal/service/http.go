@@ -18,14 +18,13 @@ import (
 )
 
 // maxBodyBytes bounds request bodies; a 64-sink net with knobs is ~10 KB, so
-// 8 MiB leaves three orders of magnitude for large batches. Oversized bodies
-// get 413, not a generic 400.
+// 8 MiB leaves nearly three orders of magnitude for large nets. Oversized
+// bodies get 413, not a generic 400.
 const maxBodyBytes = 8 << 20
 
 // Handler returns the service's HTTP API:
 //
 //	POST /v1/route     one net → tree + timing + frontier
-//	POST /v1/batch     many nets → collected (input order) or streamed NDJSON
 //	POST /v1/jobs      submit an async job; 202 with a job ID (200 when an
 //	                   Idempotency-Key deduplicates to an existing job)
 //	GET  /v1/jobs/{id} poll a job; terminal states carry the result inline
@@ -52,7 +51,6 @@ const maxBodyBytes = 8 << 20
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/route", s.handleRoute)
-	mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
 	mux.HandleFunc("GET /v1/trace/stream", s.handleTraceStream)
@@ -128,7 +126,7 @@ func tenantWare(next http.Handler) http.Handler {
 
 // statusWriter remembers whether a response has started, so the recover
 // middleware knows if a structured 500 can still be written. It forwards
-// Flush for the NDJSON streaming path.
+// Flush for the NDJSON trace stream.
 type statusWriter struct {
 	http.ResponseWriter
 	wrote bool
@@ -194,35 +192,6 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	s.met.inc("requests.batch")
-	var req BatchRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	if len(req.Nets) == 0 {
-		s.writeError(w, fmt.Errorf("%w: empty nets", ErrBadRequest))
-		return
-	}
-	req.Budget = foldDeadline(r, req.Budget) // applies per net, like TimeoutMS
-	if req.Stream {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		flusher, _ := w.(http.Flusher)
-		enc := json.NewEncoder(w)
-		for item := range s.BatchStream(r.Context(), &req) {
-			if err := enc.Encode(item); err != nil {
-				return // client gone; BatchStream drains via ctx
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		return
-	}
-	writeJSON(w, http.StatusOK, BatchResponse{Results: s.Batch(r.Context(), &req)})
 }
 
 // handleJobSubmit accepts one async routing job. The request body is a

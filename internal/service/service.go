@@ -252,7 +252,7 @@ type job struct {
 
 // Server is the routing service: a bounded job queue feeding a fixed worker
 // pool, fronted by a result cache. Create with New, serve via Handler or the
-// in-process Route/Batch, stop with Shutdown.
+// in-process Route, stop with Shutdown.
 type Server struct {
 	cfg    Config
 	jobs   chan *job
@@ -597,61 +597,6 @@ func (s *Server) cacheLookup(key string, fl flows.ID, floor degrade.Tier) (*Rout
 		}
 	}
 	return nil, false
-}
-
-// Batch runs every net of the request through the pool concurrently and
-// returns per-net outcomes in input order.
-func (s *Server) Batch(ctx context.Context, breq *BatchRequest) []BatchItem {
-	items := make([]BatchItem, len(breq.Nets))
-	var wg sync.WaitGroup
-	for i, n := range breq.Nets {
-		i, rr := i, breq.routeRequest(n)
-		wg.Add(1)
-		s.goGuard("batch", func() {
-			defer wg.Done()
-			items[i] = s.routeItem(ctx, i, rr)
-		})
-	}
-	wg.Wait()
-	return items
-}
-
-// BatchStream is Batch in completion order: items are sent on the returned
-// channel as each net finishes, and the channel closes when all are done.
-func (s *Server) BatchStream(ctx context.Context, breq *BatchRequest) <-chan BatchItem {
-	out := make(chan BatchItem)
-	var wg sync.WaitGroup
-	for i, n := range breq.Nets {
-		i, rr := i, breq.routeRequest(n)
-		wg.Add(1)
-		s.goGuard("batch", func() {
-			defer wg.Done()
-			out <- s.routeItem(ctx, i, rr)
-		})
-	}
-	s.goGuard("batch.close", func() {
-		wg.Wait()
-		close(out)
-	})
-	return out
-}
-
-// routeItem is panic-safe: a panic while routing one batch item becomes that
-// item's error, not a zero-valued item (the goGuard above it would keep the
-// process alive but could not attribute the failure to the right index).
-func (s *Server) routeItem(ctx context.Context, i int, rr *RouteRequest) (item BatchItem) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.met.inc("panics")
-			log.Printf("service: contained batch-item panic: %v\n%s", r, debug.Stack())
-			item = BatchItem{Index: i, Error: fmt.Errorf("%w: contained batch panic: %v", ErrInternal, r).Error()}
-		}
-	}()
-	resp, err := s.Route(ctx, rr)
-	if err != nil {
-		return BatchItem{Index: i, Error: err.Error()}
-	}
-	return BatchItem{Index: i, Result: resp}
 }
 
 // goGuard spawns fn on its own goroutine behind the shared panic guard: an

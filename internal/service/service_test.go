@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -163,88 +162,29 @@ func TestRouteGoalVariants(t *testing.T) {
 	}
 }
 
-// TestBatchCollected routes several nets in one POST and checks each against
-// a direct run.
-func TestBatchCollected(t *testing.T) {
-	s := New(Config{Workers: 4})
-	defer s.Shutdown(context.Background())
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	nets := make([]*net.Net, 4)
-	for i := range nets {
-		nets[i] = testNet(t, 5, int64(100+i))
-	}
-	resp := postJSON(t, ts.URL+"/v1/batch", &BatchRequest{Nets: nets})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	got := decode[BatchResponse](t, resp)
-	if len(got.Results) != len(nets) {
-		t.Fatalf("got %d results, want %d", len(got.Results), len(nets))
-	}
-	for i, item := range got.Results {
-		if item.Error != "" {
-			t.Fatalf("net %d failed: %s", i, item.Error)
-		}
-		if item.Index != i {
-			t.Errorf("result %d carries index %d", i, item.Index)
-		}
-		direct, err := flows.Run(flows.FlowIII, nets[i], flows.ProfileFor(nets[i].N()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(item.Result.ReqAtDriverInputNS-direct.Eval.ReqAtDriverInput) > 1e-9 {
-			t.Errorf("net %d: service %.9f, direct %.9f", i, item.Result.ReqAtDriverInputNS, direct.Eval.ReqAtDriverInput)
-		}
-	}
-}
-
-// TestBatchStreamed checks the NDJSON streaming mode delivers every item.
-func TestBatchStreamed(t *testing.T) {
-	s := New(Config{Workers: 2})
-	defer s.Shutdown(context.Background())
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	nets := make([]*net.Net, 3)
-	for i := range nets {
-		nets[i] = testNet(t, 5, int64(200+i))
-	}
-	resp := postJSON(t, ts.URL+"/v1/batch", &BatchRequest{Nets: nets, Stream: true})
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Errorf("content type %q", ct)
-	}
-	seen := make(map[int]bool)
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var item BatchItem
-		if err := json.Unmarshal(sc.Bytes(), &item); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
-		}
-		if item.Error != "" {
-			t.Fatalf("net %d failed: %s", item.Index, item.Error)
-		}
-		seen[item.Index] = true
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != len(nets) {
-		t.Fatalf("streamed %d distinct items, want %d", len(seen), len(nets))
-	}
-}
-
-// TestConcurrentRoutes issues 32 concurrent requests through the pool; run
-// under -race this is the acceptance check that the queue, workers, cache
-// and metrics are data-race free.
+// TestConcurrentRoutes issues 32 concurrent requests through the pool and
+// checks every answer against a direct run of its net; run under -race this
+// is the acceptance check that the queue, workers, cache and metrics are
+// data-race free.
 func TestConcurrentRoutes(t *testing.T) {
 	s := New(Config{Workers: 4, QueueDepth: 64})
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+
+	// 8 distinct nets ×4: exercises both compute and cache-hit paths
+	// concurrently.
+	const distinct = 8
+	nets := make([]*net.Net, distinct)
+	want := make([]float64, distinct)
+	for i := range nets {
+		nets[i] = testNet(t, 5, int64(i))
+		direct, err := flows.Run(flows.FlowIII, nets[i], flows.ProfileFor(nets[i].N()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = direct.Eval.ReqAtDriverInput
+	}
 
 	const n = 32
 	errs := make(chan error, n)
@@ -253,10 +193,7 @@ func TestConcurrentRoutes(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// 8 distinct nets ×4: exercises both compute and cache-hit paths
-			// concurrently.
-			nt := testNet(t, 5, int64(i%8))
-			buf, _ := json.Marshal(&RouteRequest{Net: nt})
+			buf, _ := json.Marshal(&RouteRequest{Net: nets[i%distinct]})
 			resp, err := http.Post(ts.URL+"/v1/route", "application/json", bytes.NewReader(buf))
 			if err != nil {
 				errs <- err
@@ -274,6 +211,9 @@ func TestConcurrentRoutes(t *testing.T) {
 			}
 			if rr.Tree == nil {
 				errs <- fmt.Errorf("request %d: no tree", i)
+			}
+			if w := want[i%distinct]; math.Abs(rr.ReqAtDriverInputNS-w) > 1e-9 {
+				errs <- fmt.Errorf("request %d (net %d): service %.9f, direct %.9f", i, i%distinct, rr.ReqAtDriverInputNS, w)
 			}
 		}(i)
 	}

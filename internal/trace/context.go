@@ -21,19 +21,6 @@ func ContextWith(ctx context.Context, tr *Trace, cur *Span) context.Context {
 	return context.WithValue(ctx, ctxKey{}, &ctxVal{tr: tr, cur: cur})
 }
 
-// FromContext returns the trace carried by ctx, or nil.
-func FromContext(ctx context.Context) *Trace {
-	if v, ok := ctx.Value(ctxKey{}).(*ctxVal); ok {
-		return v.tr
-	}
-	return nil
-}
-
-// IDFromContext returns the trace id carried by ctx, or "".
-func IDFromContext(ctx context.Context) string {
-	return FromContext(ctx).ID()
-}
-
 // StartSpan opens a named span under the context's current span and returns
 // a derived context in which the new span is current. When ctx carries no
 // trace — tracing disabled, or an untraced entry point — it returns ctx

@@ -122,14 +122,6 @@ func (s *Span) End() {
 	s.tr.mu.Unlock()
 }
 
-// Name returns the span's name ("" on nil), for tests and dashboards.
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
 // SpanJSON is the OTLP-shaped wire form of one span.
 type SpanJSON struct {
 	TraceID       string            `json:"trace_id"`

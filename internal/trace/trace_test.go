@@ -19,12 +19,6 @@ func TestStartSpanDisabledIsNoop(t *testing.T) {
 	// All span methods must be nil-safe.
 	sp.SetAttr("k", "v")
 	sp.End()
-	if got := sp.Name(); got != "" {
-		t.Fatalf("nil span Name = %q", got)
-	}
-	if FromContext(ctx) != nil || IDFromContext(ctx) != "" {
-		t.Fatalf("empty context reported a trace")
-	}
 	var tr *Trace
 	if tr.ID() != "" || tr.Snapshot() != nil {
 		t.Fatalf("nil trace not inert")

@@ -1,6 +1,9 @@
 // Package client is a retrying Go client for the merlind HTTP API
-// (internal/service): POST /v1/route and /v1/batch plus the healthz/stats
-// probes, with context-aware exponential backoff and full jitter.
+// (internal/service): POST /v1/route, the durable /v1/jobs API (jobs.go),
+// trace fetches (trace.go) and the healthz/readyz/stats probes, with
+// context-aware exponential backoff and full jitter. Many nets are many
+// concurrent Route calls: through merlinrouter each lands on its own net's
+// home backend.
 //
 // Retry policy. Routing requests are pure functions of their body — the
 // server caches them by a canonical fingerprint — so replaying one is always
@@ -13,11 +16,7 @@
 // budget (resubmit with a bigger one), while "budget_exceeded_wall" means
 // it was too slow — resubmitting with AllowDegraded lets the server's
 // degradation ladder serve a cheaper tier instead of failing again (the
-// response's Tier/Degraded fields report what ran). Streaming batches are
-// the one exception to replay safety: once
-// NDJSON items have been consumed the request is no longer safely
-// replayable by the client (the caller has seen results), so mid-stream
-// failures are never retried — see BatchStream.
+// response's Tier/Degraded fields report what ran).
 //
 // The probes Healthz, Readyz and Stats never retry: they exist to observe
 // the server's current state, and a retried probe answers a different
@@ -33,7 +32,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -193,52 +191,6 @@ func (c *Client) Route(ctx context.Context, req *service.RouteRequest) (*service
 		return nil, err
 	}
 	return &out, nil
-}
-
-// Batch routes many nets in one collected (non-streamed) call, retrying per
-// the package policy. req.Stream is forced off; use BatchStream for NDJSON.
-func (c *Client) Batch(ctx context.Context, req *service.BatchRequest) (*service.BatchResponse, error) {
-	r := *req
-	r.Stream = false
-	var out service.BatchResponse
-	if err := c.postRetry(ctx, "/v1/batch", &r, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// BatchStream routes many nets with streamed NDJSON results, calling fn for
-// each item as it arrives. Obtaining the stream (connecting, 429/503
-// rejections) is retried like any request, but once the first item has been
-// consumed the request is no longer replayable from the client's side —
-// fn has observed results — so a mid-stream failure returns an error and is
-// never retried. fn returning an error stops the stream and returns that
-// error.
-func (c *Client) BatchStream(ctx context.Context, req *service.BatchRequest, fn func(service.BatchItem) error) error {
-	r := *req
-	r.Stream = true
-	body, err := json.Marshal(&r)
-	if err != nil {
-		return fmt.Errorf("client: encode request: %w", err)
-	}
-	resp, err := c.doRetry(ctx, "/v1/batch", body, nil)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var item service.BatchItem
-		if err := dec.Decode(&item); err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return fmt.Errorf("client: stream broken mid-batch (not retried): %w", err)
-		}
-		if err := fn(item); err != nil {
-			return err
-		}
-	}
 }
 
 // Healthz probes /v1/healthz once (no retries): pure liveness — nil whenever

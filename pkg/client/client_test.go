@@ -161,61 +161,6 @@ func TestContextCancelsBackoff(t *testing.T) {
 	}
 }
 
-func TestBatchStreamNoMidStreamRetry(t *testing.T) {
-	var calls atomic.Int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		json.NewEncoder(w).Encode(service.BatchItem{Index: 0})
-		w.(http.Flusher).Flush()
-		// Sever the connection mid-stream: the client must surface an error
-		// without re-POSTing the batch.
-		conn, _, _ := w.(http.Hijacker).Hijack()
-		conn.Close()
-	}))
-	defer ts.Close()
-
-	var got []service.BatchItem
-	err := fastClient(ts.URL, 4).BatchStream(context.Background(), &service.BatchRequest{},
-		func(item service.BatchItem) error {
-			got = append(got, item)
-			return nil
-		})
-	if err == nil {
-		t.Fatal("want mid-stream error")
-	}
-	if len(got) != 1 {
-		t.Fatalf("delivered %d items before the break, want 1", len(got))
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("mid-stream failure was retried: server saw %d calls", calls.Load())
-	}
-}
-
-func TestBatchStreamRetriesBeforeFirstByte(t *testing.T) {
-	var calls atomic.Int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			errJSON(w, http.StatusTooManyRequests, "queue_full")
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		json.NewEncoder(w).Encode(service.BatchItem{Index: 0})
-	}))
-	defer ts.Close()
-
-	var n int
-	err := fastClient(ts.URL, 4).BatchStream(context.Background(), &service.BatchRequest{},
-		func(service.BatchItem) error { n++; return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 || calls.Load() != 2 {
-		t.Fatalf("items %d calls %d, want 1 item after one pre-stream retry", n, calls.Load())
-	}
-}
-
 func TestHealthzDoesNotRetry(t *testing.T) {
 	var calls atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
