@@ -55,7 +55,7 @@ race:
 # the race detector with healthz probed throughout. The -run prefix matches
 # both. See internal/service/chaos_test.go.
 chaos:
-	$(GO) test -race -run TestChaos ./internal/service/
+	$(GO) test -race -count=1 -run TestChaos ./internal/service/
 
 # Short fuzz runs over the byte-ingestion surfaces: arbitrary JSON through
 # net.Read/Validate, the canonical fingerprint's determinism/totality, and
@@ -73,7 +73,7 @@ fuzz:
 # exactly once, and quarantine (never serve) the corrupt result. Run under
 # the race detector; see internal/service/crash_test.go.
 crash:
-	$(GO) test -race -run 'TestCrashRecovery$$' ./internal/service/
+	$(GO) test -race -count=1 -run 'TestCrashRecovery$$' ./internal/service/
 
 # The cluster kill/restart drill: a router fronting three re-exec'd durable
 # backends takes sustained multi-tenant load while one backend is SIGKILLed
@@ -83,7 +83,7 @@ crash:
 # and every acknowledged job must reach done. Run under the race detector;
 # see internal/router/cluster_chaos_test.go.
 cluster-chaos:
-	$(GO) test -race -run 'TestClusterChaos$$' ./internal/router/
+	$(GO) test -race -count=1 -run 'TestClusterChaos$$' ./internal/router/
 
 # The gossip/replication partition drill: two routers and three gossiping,
 # replicating durable backends under multi-tenant load while one backend is
@@ -94,7 +94,7 @@ cluster-chaos:
 # must complete — jobs owned by the partitioned backend served from replicas.
 # Run under the race detector; see internal/router/partition_chaos_test.go.
 partition-chaos:
-	$(GO) test -race -run 'TestPartitionChaos$$' ./internal/router/
+	$(GO) test -race -count=1 -run 'TestPartitionChaos$$' ./internal/router/
 
 # The job-failover drill: three re-exec'd durable backends behind a router;
 # one backend is SIGKILLed (never restarted) while holding acknowledged jobs.
@@ -106,16 +106,16 @@ partition-chaos:
 # poll must keep serving the claimant's result. Run under the race detector;
 # see internal/router/failover_chaos_test.go.
 failover-chaos:
-	$(GO) test -race -run 'TestFailoverChaos$$|TestFencingSplitBrain$$' ./internal/router/
+	$(GO) test -race -count=1 -run 'TestFailoverChaos$$|TestFencingSplitBrain$$' ./internal/router/
 
 vet:
 	$(GO) vet ./...
 
 # Project-invariant static analysis: go vet first (cheap, catches the
-# universal mistakes), then merlinlint's thirteen repo-specific rules — the
-# eight syntactic ones (ctxonly, goguard, faultsite, errtaxonomy, journalonly,
+# universal mistakes), then merlinlint's twelve repo-specific rules — the
+# seven syntactic ones (ctxonly, faultsite, errtaxonomy, journalonly,
 # ladderonly, nopanic, tracespan) plus the typed cross-package ones
-# (goguard-transitive, lockcheck, spanleak, hotpath-alloc, ctxflow). Non-zero
+# (goguard, lockcheck, spanleak, hotpath-alloc, ctxflow). Non-zero
 # exit on any finding; see DESIGN.md "Static analysis & runtime invariants".
 # The merlinlint step carries a 30s wall-time budget: the whole-module
 # type-check is shared and the rules run in parallel, and the budget keeps it

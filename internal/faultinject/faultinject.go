@@ -232,10 +232,6 @@ const (
 	// next ring replica (and a breaker failure for the skipped backend),
 	// never a client-visible 5xx while replicas remain.
 	SiteRouterForward = "router.forward"
-	// SiteRouterHealth fires inside the router's readyz prober before each
-	// probe; an injected error counts as a failed probe and must march the
-	// backend's breaker toward open without affecting in-flight forwards.
-	SiteRouterHealth = "router.health"
 	// SiteGossipSend fires before each outgoing gossip exchange; an injected
 	// error counts as an unreachable peer and must only delay convergence
 	// (suspicion timers still run), never wedge the gossip loop.

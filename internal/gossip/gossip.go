@@ -4,7 +4,7 @@
 // whole membership view (its own digest plus everything it has heard), the
 // peer merges it and replies with its own view, and the sender merges that.
 // Evidence therefore spreads epidemically — a router learns a backend is
-// draining from another router that probed it, without probing it itself.
+// draining from the backend's own digest, relayed by any node that heard it.
 //
 // Claims about one node are totally ordered by (incarnation, seq). A live
 // node bumps seq every time it speaks; only the node itself ever bumps its
@@ -19,9 +19,9 @@
 // incarnation and is believed again.
 //
 // The package carries evidence; policy lives with the consumers: the router
-// prober backs off probing backends with fresh gossip evidence, the fleet
-// brownout controller aggregates gossiped backend pressure, and the
-// replicated store uses membership to pick warm peers.
+// drains a backend while its digest says not ready, the fleet brownout
+// controller aggregates gossiped backend pressure, and the replicated store
+// uses membership to pick warm peers.
 package gossip
 
 import (
@@ -256,12 +256,37 @@ func (n *Node) tick() {
 	}
 }
 
-// pickPeers selects Fanout distinct gossip targets from the seed list plus
-// every learned member (Dead ones included — gossiping at a revenant is how
-// it learns it was declared dead and refutes).
+// Announce push-pulls our current view with every known peer, within ctx.
+// A node that is about to stop calls it after its last SetLocal: the loop
+// may never tick again, and a drain nobody heard drains nothing.
+func (n *Node) Announce(ctx context.Context) {
+	n.mu.Lock()
+	peers := n.knownPeersLocked()
+	n.mu.Unlock()
+	for _, p := range peers {
+		if ctx.Err() != nil {
+			return
+		}
+		n.Exchange(ctx, p)
+	}
+}
+
+// pickPeers selects Fanout distinct gossip targets from the known peers.
 func (n *Node) pickPeers() []string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	cands := n.knownPeersLocked()
+	n.rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
+	if len(cands) > n.cfg.Fanout {
+		cands = cands[:n.cfg.Fanout]
+	}
+	return cands
+}
+
+// knownPeersLocked lists the seed list plus every learned member, sorted
+// (Dead ones included — gossiping at a revenant is how it learns it was
+// declared dead and refutes). Callers hold n.mu.
+func (n *Node) knownPeersLocked() []string {
 	seen := map[string]bool{n.cfg.Self: true}
 	var cands []string
 	for _, p := range n.cfg.Peers {
@@ -277,10 +302,6 @@ func (n *Node) pickPeers() []string {
 		}
 	}
 	sort.Strings(cands) // determinism under a fixed Seed
-	n.rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-	if len(cands) > n.cfg.Fanout {
-		cands = cands[:n.cfg.Fanout]
-	}
 	return cands
 }
 

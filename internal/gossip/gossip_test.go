@@ -202,3 +202,31 @@ func TestPushPullConvergence(t *testing.T) {
 	}
 	t.Fatalf("views did not converge: a=%+v b=%+v", na.Members(), nb.Members())
 }
+
+// TestAnnounceReachesEveryPeer: a node that is about to stop pushes its last
+// digest to every peer it knows — seeds and learned members alike — without
+// waiting for a tick, so a drain is heard before the node goes quiet.
+func TestAnnounceReachesEveryPeer(t *testing.T) {
+	nodes := map[string]*Node{}
+	transport := func(ctx context.Context, peer string, packet []byte) ([]byte, error) {
+		return nodes[peer].HandlePacket(ctx, packet)
+	}
+	for _, name := range []string{"b2", "r1"} {
+		nodes[name] = newTestNode(t, name, nil)
+	}
+	b1, err := New(Config{Self: "b1", Peers: []string{"b2"}, Interval: -1, Transport: transport})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes["b1"] = b1
+	// r1 is no seed of b1's; b1 knows it only as a learned member.
+	mergeDigests(t, b1, Digest{Node: "r1", Incarnation: 1, Seq: 1, State: Alive, Role: RoleRouter})
+
+	b1.SetLocal(false, "draining", 0, 0, 0)
+	b1.Announce(context.Background())
+	for _, name := range []string{"b2", "r1"} {
+		if got := evidence(t, nodes[name], "b1"); got.Digest.Ready || got.Digest.Reason != "draining" {
+			t.Errorf("%s heard b1 as %+v, want the draining digest", name, got.Digest)
+		}
+	}
+}

@@ -16,10 +16,10 @@ func good(site string) {
 	// Same method names on another package are not fault injection.
 	_ = other.Fire("whatever")
 
-	// Router-tier sites (chaos drills arm these to kill backends mid-storm).
+	// Router-tier site (chaos drills arm it to kill backends mid-storm).
 	_ = faultinject.Fire(faultinject.SiteRouterForward)
-	_ = faultinject.Fire("router.health")
-	_ = faultinject.Set("router.forward=error@0.5,router.health=error")
+	_ = faultinject.Fire("router.forward")
+	_ = faultinject.Set("router.forward=error@0.5")
 
 	// Gossip and replication sites (partition drills arm these to drop
 	// exchanges and corrupt replica bytes in transit).

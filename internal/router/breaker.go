@@ -16,8 +16,8 @@ const (
 	// stateOpen: ejected; requests skip this backend until openUntil.
 	stateOpen
 	// stateHalfOpen: the ejection timeout expired and exactly one trial
-	// request (or probe) is allowed through; success closes the breaker,
-	// failure re-opens it with a longer timeout.
+	// request is allowed through; success closes the breaker, failure
+	// re-opens it with a longer timeout.
 	stateHalfOpen
 )
 
@@ -33,13 +33,11 @@ func (s breakerState) String() string {
 	return "unknown"
 }
 
-// backend is one ring member's live state: circuit breaker, drain flag, and
-// counters. The breaker and the drain flag are deliberately separate
-// dimensions — the breaker answers "is it failing?" (connection errors,
-// 5xx) with exponential ejection, while drained answers "did it ask us to
-// stop?" (readyz 503). A draining backend is healthy; it gets no new work
-// but also no ejection clock, so the instant readyz flips back it serves
-// again.
+// backend is one ring member's live state: circuit breaker and counters.
+// The breaker answers only "is it failing?" (connection errors, 5xx), from
+// forward outcomes, with exponential ejection. "Did it ask us to stop?" is
+// gossip's question (Router.drained), so a draining backend keeps a closed
+// breaker and serves again the moment its digest says ready.
 type backend struct {
 	id string // base URL
 
@@ -49,14 +47,12 @@ type backend struct {
 	ejections int       // consecutive opens; exponent for the ejection timeout
 	openUntil time.Time // when open, the half-open trial time
 	trialing  bool      // half-open: one trial in flight
-	drained   bool      // readyz said 503; not a breaker state
 
 	// counters (under mu; snapshot via stats)
-	forwards  uint64 // proxy attempts sent
-	failures  uint64 // breaker-visible failures (conn error / 5xx)
-	opens     uint64 // closed/half-open → open transitions
-	recovers  uint64 // half-open → closed transitions
-	probeFail uint64 // failed readyz probes
+	forwards uint64 // proxy attempts sent
+	failures uint64 // breaker-visible failures (conn error / 5xx)
+	opens    uint64 // closed/half-open → open transitions
+	recovers uint64 // half-open → closed transitions
 }
 
 // breakerPolicy tunes the state machine.
@@ -69,17 +65,14 @@ type breakerPolicy struct {
 	backoff *client.Backoff
 }
 
-// admissible reports whether a request (or probe) may be sent to this
-// backend right now, transitioning open → half-open when the ejection
-// timeout has expired. In half-open, only one caller at a time is admitted;
-// the bool result is the admission ticket and MUST be followed by exactly
-// one recordSuccess/recordFailure (which clears the trial slot).
+// admissible reports whether the breaker lets a request go to this backend
+// right now, transitioning open → half-open when the ejection timeout has
+// expired. In half-open, only one caller at a time is admitted; the bool
+// result is the admission ticket and MUST be followed by exactly one
+// recordSuccess/recordFailure (which clears the trial slot).
 func (b *backend) admissible(now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.drained {
-		return false
-	}
 	switch b.state {
 	case stateClosed:
 		return true
@@ -100,7 +93,7 @@ func (b *backend) admissible(now time.Time) bool {
 	return false
 }
 
-// recordSuccess reports a successful forward or probe: half-open closes
+// recordSuccess reports a backend that answered: half-open closes
 // (recovery), consecutive-failure and ejection counters reset.
 func (b *backend) recordSuccess() {
 	b.mu.Lock()
@@ -131,8 +124,8 @@ func (b *backend) recordFailure(now time.Time, pol breakerPolicy) {
 			b.openLocked(now, pol)
 		}
 	case stateOpen:
-		// Failures while already open (late probe results) extend nothing:
-		// the ejection clock is set at open time.
+		// Failures while already open (forwards admitted before it opened)
+		// extend nothing: the ejection clock is set at open time.
 	}
 }
 
@@ -146,38 +139,27 @@ func (b *backend) openLocked(now time.Time, pol breakerPolicy) {
 	b.ejections++
 }
 
-// setDrained records the readyz verdict. An HTTP answer of any kind means
-// the process is reachable, so the caller also records breaker success
-// separately; this only moves the drain flag.
-func (b *backend) setDrained(v bool) {
-	b.mu.Lock()
-	b.drained = v
-	b.mu.Unlock()
-}
-
 // BackendStats is one backend's /v1/stats row.
 type BackendStats struct {
-	State      string `json:"state"` // closed | open | half_open
-	Drained    bool   `json:"drained"`
-	Forwards   uint64 `json:"forwards"`
-	Failures   uint64 `json:"failures"`
-	Opens      uint64 `json:"opens"`
-	Recovers   uint64 `json:"recovers"`
-	ProbeFails uint64 `json:"probe_fails"`
-	Ejections  int    `json:"consecutive_ejections"`
+	State     string `json:"state"`   // closed | open | half_open
+	Drained   bool   `json:"drained"` // gossip says not ready (Router.drained)
+	Forwards  uint64 `json:"forwards"`
+	Failures  uint64 `json:"failures"`
+	Opens     uint64 `json:"opens"`
+	Recovers  uint64 `json:"recovers"`
+	Ejections int    `json:"consecutive_ejections"`
 }
 
+// stats snapshots the breaker; the caller fills in Drained.
 func (b *backend) stats() BackendStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return BackendStats{
-		State:      b.state.String(),
-		Drained:    b.drained,
-		Forwards:   b.forwards,
-		Failures:   b.failures,
-		Opens:      b.opens,
-		Recovers:   b.recovers,
-		ProbeFails: b.probeFail,
-		Ejections:  b.ejections,
+		State:     b.state.String(),
+		Forwards:  b.forwards,
+		Failures:  b.failures,
+		Opens:     b.opens,
+		Recovers:  b.recovers,
+		Ejections: b.ejections,
 	}
 }

@@ -92,25 +92,6 @@ func TestBreakerHalfOpenFailureReopensLonger(t *testing.T) {
 	}
 }
 
-// TestBreakerDrainOrthogonal: drained is a cooperative flag, not a breaker
-// state — it blocks admission without starting any ejection clock, and
-// clears instantly.
-func TestBreakerDrainOrthogonal(t *testing.T) {
-	b := &backend{id: "http://a"}
-	now := time.Unix(1000, 0)
-	b.setDrained(true)
-	if b.admissible(now) {
-		t.Fatal("drained: want inadmissible")
-	}
-	if st := b.stats(); st.State != "closed" || !st.Drained {
-		t.Fatalf("drained backend: want closed+drained, got %+v", st)
-	}
-	b.setDrained(false)
-	if !b.admissible(now) {
-		t.Fatal("undrained: want admissible immediately (no ejection clock)")
-	}
-}
-
 func TestBreakerUsableDoesNotConsumeTrialTicket(t *testing.T) {
 	b := &backend{id: "http://a"}
 	pol := testPolicy()

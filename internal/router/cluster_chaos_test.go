@@ -71,12 +71,10 @@ func TestClusterChaos(t *testing.T) {
 		waitClusterReady(t, backends[i], 30*time.Second)
 	}
 
-	// --- Router in front, tuned for a fast drill: tight probes, quick
-	// ejection, moderate per-tenant QoS. ---
+	// --- Router in front, tuned for a fast drill: quick ejection, moderate
+	// per-tenant QoS. ---
 	rt, err := New(Config{
 		Backends:         backends,
-		ProbeInterval:    20 * time.Millisecond,
-		ProbeTimeout:     time.Second,
 		FailureThreshold: 3,
 		EjectBase:        100 * time.Millisecond,
 		EjectMax:         500 * time.Millisecond,

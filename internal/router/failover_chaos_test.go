@@ -57,8 +57,6 @@ func TestFailoverChaos(t *testing.T) {
 	routerURL := "http://" + routerLn.Addr().String()
 	rt, err := New(Config{
 		Backends:         backends,
-		ProbeInterval:    20 * time.Millisecond,
-		ProbeTimeout:     time.Second,
 		FailureThreshold: 3,
 		EjectBase:        100 * time.Millisecond,
 		EjectMax:         500 * time.Millisecond,

@@ -66,7 +66,7 @@ func (rt *Router) fleetLoop() {
 	defer t.Stop()
 	for {
 		select {
-		case <-rt.stopProbe:
+		case <-rt.stopLoops:
 			return
 		case <-t.C:
 			rt.fleetSample(interval)

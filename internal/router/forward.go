@@ -28,8 +28,8 @@ var (
 	// fail over.
 	errUpstream = errors.New("router: backend 5xx")
 	// errDrained: the backend answered 503 — it is alive but refusing new
-	// work (draining, durability-degraded, overloaded); not a breaker
-	// failure, but fail over.
+	// work (draining, durability-degraded); not a breaker failure, but fail
+	// over. Only gossip keeps later requests away (Router.drained).
 	errDrained = errors.New("router: backend draining")
 	// errNoBackend: every admissible replica was tried (or none was
 	// admissible); the client should retry later.
@@ -54,7 +54,7 @@ var proxyHeaders = []string{"Content-Type", "Idempotency-Key", "X-Merlin-Tenant"
 // forward tries the candidates in replica order until one yields a
 // relayable response (2xx–4xx), spending at most `budget` attempts on
 // admissible backends. Connection errors and non-503 5xx record breaker
-// failures; 503 marks the backend drained. Every failover emits a
+// failures; a 503 fails over as an answer. Every failover emits a
 // router.retry span.
 func (rt *Router) forward(ctx context.Context, method, path string, header http.Header, body []byte, cands []*backend, budget int) (*bufferedResp, error) {
 	attempts := 0
@@ -63,7 +63,7 @@ func (rt *Router) forward(ctx context.Context, method, path string, header http.
 		if attempts >= budget {
 			break
 		}
-		if !b.admissible(rt.cfg.now()) {
+		if !rt.admissible(b) {
 			continue
 		}
 		attempts++
@@ -125,7 +125,7 @@ func (rt *Router) attempt(ctx context.Context, b *backend, method, path string, 
 	return &bufferedResp{status: resp.StatusCode, header: resp.Header, body: raw, backend: b.id}, nil
 }
 
-// classify sorts a backend status into relay (nil), drain-failover
+// classify sorts a backend status into relay (nil), 503-failover
 // (errDrained) or breaker-failover (errUpstream). 2xx–4xx relay: a 4xx is
 // a verdict about the request and MUST NOT burn failover attempts — the
 // next replica would only say the same thing.
@@ -134,9 +134,8 @@ func (rt *Router) classify(b *backend, status int) error {
 	case status < 500:
 		return nil
 	case status == http.StatusServiceUnavailable:
-		// Alive but refusing work: drained until the prober says otherwise.
-		// Not a breaker failure — draining is cooperative, not broken.
-		b.setDrained(true)
+		// Alive but refusing work: an answer, so not a breaker failure —
+		// draining is cooperative, not broken.
 		b.recordSuccess()
 		return errDrained
 	default:
@@ -185,7 +184,7 @@ func (rt *Router) forwardHedged(ctx context.Context, path string, header http.He
 	now := rt.cfg.now()
 	var pair []*backend
 	for _, b := range cands {
-		if b.usable(now) {
+		if rt.usable(b, now) {
 			pair = append(pair, b)
 			if len(pair) == 2 {
 				break

@@ -1,42 +1,12 @@
 package router
 
 import (
+	"net/http"
 	"testing"
 	"time"
 
 	"merlin/internal/gossip"
 )
-
-// TestProbePhaseJitter pins the probe-clock desynchronization: phases are
-// deterministic per (seed, backend) — restarts don't reshuffle cadence —
-// distinct across backends, distinct across routers (seeds), and always
-// inside [0, ProbeInterval).
-func TestProbePhaseJitter(t *testing.T) {
-	// An hour-long interval keeps every probe clock waiting out its phase
-	// for the duration of the test — no probe traffic, pure arithmetic.
-	backends := []string{deadURL(t), deadURL(t), deadURL(t)}
-	rt1 := newTestRouter(t, Config{Backends: backends, Seed: 1, ProbeInterval: time.Hour})
-	rt2 := newTestRouter(t, Config{Backends: backends, Seed: 2, ProbeInterval: time.Hour})
-
-	interval := rt1.cfg.ProbeInterval
-	seen := map[time.Duration]bool{}
-	for _, b := range backends {
-		p := rt1.probePhase(b)
-		if p < 0 || p >= interval {
-			t.Fatalf("phase %v outside [0, %v)", p, interval)
-		}
-		if p != rt1.probePhase(b) {
-			t.Fatalf("phase for %s not deterministic", b)
-		}
-		if seen[p] {
-			t.Fatalf("two backends share phase %v; the herd is back", p)
-		}
-		seen[p] = true
-		if p == rt2.probePhase(b) {
-			t.Fatalf("routers with different seeds share phase %v for %s", p, b)
-		}
-	}
-}
 
 // seedGossip installs a digest about one backend into the router's gossip
 // node as if it had just merged it off the wire.
@@ -47,67 +17,50 @@ func seedGossip(t *testing.T, rt *Router, d gossip.Digest) {
 	}
 }
 
-// TestGossipRelaxesProbing pins the back-off policy: only fresh gossip
-// unanimously agreeing with the local view (alive, ready, breaker closed,
-// undrained) defers probes; any disagreement restores full cadence, and a
-// fresh alive-but-not-ready digest proactively drains the backend locally.
-func TestGossipRelaxesProbing(t *testing.T) {
-	target := deadURL(t)
+// TestGossipDrainsAndUndrains pins the one drain signal: a not-ready digest
+// for a backend keeps new work off it — without touching its breaker — and
+// a newer ready digest brings its keys home again.
+func TestGossipDrainsAndUndrains(t *testing.T) {
+	a, b := newStubBackend(t), newStubBackend(t)
 	rt := newTestRouter(t, Config{
-		Backends:      []string{target},
-		GossipSelf:    "http://router-under-test",
-		ProbeInterval: time.Hour, // see TestProbePhaseJitter: no probe fires
+		Backends:   []string{a.URL, b.URL},
+		GossipSelf: "http://router-under-test",
 	})
-	b := rt.backends[target]
+	h := rt.Handler()
+	body := bodyHomedAt(t, rt, a.URL, "")
 
-	// No evidence at all: full cadence.
-	if rt.gossipRelaxes(b) {
-		t.Fatal("relaxed with no gossip evidence")
-	}
-
-	// Fresh agreeing evidence: relax.
 	seedGossip(t, rt, gossip.Digest{
-		Node: target, Incarnation: 1, Seq: 1,
-		State: gossip.Alive, Role: gossip.RoleBackend, Ready: true,
-	})
-	if !rt.gossipRelaxes(b) {
-		t.Fatal("fresh agreeing evidence did not relax probing")
-	}
-
-	// Local disagreement (drained backend): full cadence despite good gossip.
-	b.setDrained(true)
-	if rt.gossipRelaxes(b) {
-		t.Fatal("relaxed while the local view disagrees (drained)")
-	}
-	b.setDrained(false)
-
-	// Fresh evidence of trouble: never relax, and a not-ready digest is
-	// relayed into the local drain flag.
-	seedGossip(t, rt, gossip.Digest{
-		Node: target, Incarnation: 1, Seq: 2,
+		Node: a.URL, Incarnation: 1, Seq: 1,
 		State: gossip.Alive, Role: gossip.RoleBackend, Ready: false, Reason: "draining",
 	})
-	if rt.gossipRelaxes(b) {
-		t.Fatal("relaxed on a not-ready digest")
+	rec := postRoute(t, h, body, nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
-	b.mu.Lock()
-	drained := b.drained
-	b.mu.Unlock()
-	if !drained {
-		t.Fatal("fresh not-ready digest was not relayed into the local drain flag")
+	if got := rec.Header().Get(BackendHeader); got != b.URL {
+		t.Fatalf("served by %s, want the next replica %s", got, b.URL)
 	}
-	if rt.counters()["gossip.drain_relay"] == 0 {
-		t.Error("drain relay not counted")
+	if n := a.hits.Load(); n != 0 {
+		t.Errorf("drained home got %d requests, want 0", n)
+	}
+	st := rt.Stats()
+	if abs := st.Backends[a.URL]; !abs.Drained || abs.State != "closed" || abs.Failures != 0 {
+		t.Errorf("drained home: want drained with a closed breaker and 0 failures, got %+v", abs)
+	}
+	if st.ReadyBackends != 1 {
+		t.Errorf("ready_backends = %d, want 1", st.ReadyBackends)
 	}
 
-	// Suspect members never defer probes.
 	seedGossip(t, rt, gossip.Digest{
-		Node: target, Incarnation: 1, Seq: 3,
-		State: gossip.Suspect, Role: gossip.RoleBackend, Ready: true,
+		Node: a.URL, Incarnation: 1, Seq: 2,
+		State: gossip.Alive, Role: gossip.RoleBackend, Ready: true,
 	})
-	b.setDrained(false)
-	if rt.gossipRelaxes(b) {
-		t.Fatal("relaxed on a suspect member")
+	rec = postRoute(t, h, body, nil)
+	if got := rec.Header().Get(BackendHeader); rec.Code != http.StatusOK || got != a.URL {
+		t.Fatalf("after a ready digest: status %d from %s, want 200 from home %s", rec.Code, got, a.URL)
+	}
+	if rt.Stats().Backends[a.URL].Drained {
+		t.Error("home still drained after a newer ready digest")
 	}
 }
 

@@ -108,8 +108,9 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 //	429 tenant_concurrency     the tenant is at its in-flight quota; retry
 //	                           after any of its requests completes
 //	503 no_ready_backend       every ring replica is ejected, draining or
-//	                           unreachable; retryable — the prober is
-//	                           working on it
+//	                           unreachable; retryable — breakers retry
+//	                           ejected backends and gossip undrains the
+//	                           rest
 //	500 internal               contained router panic
 //
 // Backend verdicts (400/404/409/422/429 queue_full/…) relay as-is.
@@ -122,12 +123,14 @@ func writeError(w http.ResponseWriter, status int, code, msg string, retryAfterS
 	_ = json.NewEncoder(w).Encode(service.ErrorBody{Error: msg, Code: code})
 }
 
-// admit runs QoS admission for one request. On deny it writes the 429 and
+// admit runs QoS admission for one request; req is the body parsed by
+// parseRoute (nil when it did not parse). On deny it writes the 429 and
 // returns admitted=false. On degraded admission the returned body carries
 // allow_degraded so the backend's ladder may serve a cheaper tier.
-func (rt *Router) admit(w http.ResponseWriter, r *http.Request, ctx context.Context, body []byte) (newBody []byte, release func(), admitted bool) {
+func (rt *Router) admit(w http.ResponseWriter, r *http.Request, ctx context.Context, body []byte, req *service.RouteRequest) (newBody []byte, release func(), admitted bool) {
 	tenant := r.Header.Get(service.TenantHeader)
-	degradable, req := degradability(body)
+	// Only Flow III can be served degraded: the ladder is a Flow III feature.
+	degradable := req != nil && flowDegradable(req.Flow)
 	_, sp := trace.StartSpan(ctx, "qos.admit")
 	sp.SetAttr("tenant", tenant)
 	d, release, retryAfter := rt.adm.Admit(tenant, degradable)
@@ -186,15 +189,16 @@ func tenantLabel(t string) string {
 	return t
 }
 
-// degradability parses a route or job body far enough to know whether the
-// request can be served degraded (Flow III only — the ladder is a Flow III
-// feature) and returns the parsed request for allow_degraded re-marshaling.
-func degradability(body []byte) (bool, *service.RouteRequest) {
+// parseRoute decodes a route or job body once, for admission (is it
+// degradable?) and placement (shardKey). It returns nil when the body does
+// not parse or names no net; such a request forwards unchanged and the
+// backend judges it.
+func parseRoute(body []byte) *service.RouteRequest {
 	var req service.RouteRequest
 	if err := json.Unmarshal(body, &req); err != nil || req.Net == nil {
-		return false, nil
+		return nil
 	}
-	return flowDegradable(req.Flow), &req
+	return &req
 }
 
 // flowDegradable mirrors service.parseFlow's Flow III spellings.
@@ -216,13 +220,14 @@ func (rt *Router) handleRoute(w http.ResponseWriter, r *http.Request) {
 	defer func() { rt.traces.Finish(tr, root) }()
 	r = r.WithContext(ctx)
 
-	body, release, admitted := rt.admit(w, r, ctx, body)
+	req := parseRoute(body)
+	body, release, admitted := rt.admit(w, r, ctx, body, req)
 	if !admitted {
 		return
 	}
 	defer release()
 
-	key, fp := shardKey(body)
+	key, fp := shardKey(body, req)
 	_, psp := trace.StartSpan(ctx, "router.pick")
 	cands := rt.candidates(key)
 	psp.SetAttr("home", cands[0].id)
@@ -256,13 +261,14 @@ func (rt *Router) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	defer func() { rt.traces.Finish(tr, root) }()
 	r = r.WithContext(ctx)
 
-	body, release, admitted := rt.admit(w, r, ctx, body)
+	req := parseRoute(body)
+	body, release, admitted := rt.admit(w, r, ctx, body, req)
 	if !admitted {
 		return
 	}
 	defer release()
 
-	key, _ := shardKey(body)
+	key, _ := shardKey(body, req)
 	_, psp := trace.StartSpan(ctx, "router.pick")
 	cands := rt.candidates(key)
 	psp.SetAttr("home", cands[0].id)
@@ -321,7 +327,7 @@ func (rt *Router) handleJobGet(w http.ResponseWriter, r *http.Request) {
 
 	if ownerID, ok := rt.ownerOf(id); ok {
 		b := rt.backends[ownerID]
-		if !b.admissible(rt.cfg.now()) {
+		if !rt.admissible(b) {
 			ownerUnreachable = true
 		} else if br, failed := try(b); br != nil {
 			relayBuffered(w, br)
@@ -331,7 +337,7 @@ func (rt *Router) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if cid, ok := rt.claimantOf(id); ok && !tried[cid] {
-		if b, known := rt.backends[cid]; known && b.admissible(rt.cfg.now()) {
+		if b, known := rt.backends[cid]; known && rt.admissible(b) {
 			rt.inc("jobs.claimant_polls")
 			if br, _ := try(b); br != nil {
 				// The claimant is the job's home now; send future polls
@@ -351,7 +357,7 @@ func (rt *Router) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		b := rt.backends[bid]
 		// tried is checked BEFORE admissible: admissible consumes a half-open
 		// trial ticket, and only an actual attempt returns it.
-		if tried[b.id] || !b.admissible(rt.cfg.now()) {
+		if tried[b.id] || !rt.admissible(b) {
 			continue
 		}
 		if br, _ := try(b); br != nil {
@@ -421,7 +427,7 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	rt.inc("requests.readyz")
 	now := rt.cfg.now()
 	for _, id := range rt.order {
-		if rt.backends[id].usable(now) {
+		if rt.usable(rt.backends[id], now) {
 			writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 			return
 		}

@@ -115,8 +115,6 @@ func TestPartitionChaos(t *testing.T) {
 	for i := range routers {
 		rt, err := New(Config{
 			Backends:         backends,
-			ProbeInterval:    20 * time.Millisecond,
-			ProbeTimeout:     time.Second,
 			FailureThreshold: 3,
 			EjectBase:        100 * time.Millisecond,
 			EjectMax:         500 * time.Millisecond,

@@ -3,11 +3,11 @@
 // of merlind backends and forwards /v1/route and /v1/jobs with robustness at
 // every hop:
 //
-//   - Active health probing: a prober GETs every backend's /v1/readyz on an
-//     interval. 503 marks the backend drained (no new work, no ejection
-//     clock — it serves again the instant readyz recovers); a connection
-//     failure marches its circuit breaker toward open.
-//   - Circuit breakers: consecutive failures open a per-backend breaker
+//   - Drain from gossip: a backend whose gossiped digest says not ready
+//     (draining, or its journal is down) gets no new work and no ejection
+//     clock; it serves again the moment a newer digest says ready. Without
+//     gossip nothing drains a backend.
+//   - Circuit breakers: consecutive failed forwards open a per-backend breaker
 //     with an exponentially growing ejection timeout (pkg/client's Backoff
 //     — the repo's one backoff policy); after the timeout one half-open
 //     trial decides between closing and re-opening longer.
@@ -28,24 +28,20 @@
 //
 // Everything is observable: router.pick / router.forward / router.retry /
 // qos.admit spans via internal/trace, per-backend breaker state and
-// per-tenant admission counts on /v1/stats, and fault-injection sites
-// router.forward / router.health for chaos drills.
+// per-tenant admission counts on /v1/stats, and the fault-injection site
+// router.forward for chaos drills.
 package router
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"log"
 	"net/http"
 	"runtime/debug"
 	"sync"
 	"time"
 
-	"merlin/internal/faultinject"
 	"merlin/internal/gossip"
 	"merlin/internal/qos"
 	"merlin/internal/service"
@@ -61,17 +57,11 @@ type Config struct {
 	Replicas int
 
 	// FailureThreshold is how many consecutive breaker-visible failures
-	// (connection errors, 5xx, failed probes) open a backend's breaker;
-	// default 3.
+	// (connection errors, non-503 5xx) open a backend's breaker; default 3.
 	FailureThreshold int
 	// EjectBase/EjectMax bound the exponential ejection timeout an open
 	// breaker waits before its half-open trial; defaults 500ms and 30s.
 	EjectBase, EjectMax time.Duration
-	// ProbeInterval is the readyz probe cadence; default 500ms, negative
-	// disables active probing (breakers then move only on request traffic).
-	ProbeInterval time.Duration
-	// ProbeTimeout bounds one readyz probe; default 2s.
-	ProbeTimeout time.Duration
 
 	// MaxAttempts is the total forward tries per request across replicas
 	// (first attempt + failovers); default 3, clamped to the backend count.
@@ -89,6 +79,7 @@ type Config struct {
 
 	// GossipSelf, when non-empty, joins the router to the health gossip
 	// mesh under this name (its own base URL) and mounts POST /v1/gossip.
+	// Gossip is the router's only drain signal.
 	GossipSelf string
 	// GossipPeers seeds the mesh (typically the backend URLs — backends
 	// gossip too, so one live seed is enough to learn the rest).
@@ -133,12 +124,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.EjectMax <= 0 {
 		c.EjectMax = 30 * time.Second
-	}
-	if c.ProbeInterval == 0 {
-		c.ProbeInterval = 500 * time.Millisecond
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 2 * time.Second
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
@@ -191,14 +176,13 @@ type Router struct {
 	owners  map[string]string // job ID → backend that accepted it
 	ownerQ  []string          // FIFO eviction order
 
-	stopProbe chan struct{}
+	stopLoops chan struct{} // closed by Close; ends the fleet brownout loop
 	stopOnce  sync.Once
-	probeWG   sync.WaitGroup
+	loops     sync.WaitGroup
 }
 
-// New builds a router over the configured backends and starts its readyz
-// prober. It does not contact the backends synchronously: a router in front
-// of a still-booting fleet starts serving 503s and converges as probes land.
+// New builds a router over the configured backends. Every backend starts
+// admissible; forward outcomes and gossip move it from there.
 func New(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
 	r, err := newRing(cfg.Backends, cfg.Replicas)
@@ -219,7 +203,7 @@ func New(cfg Config) (*Router, error) {
 		hc:        &http.Client{},
 		recent:    make(map[string]struct{}),
 		owners:    make(map[string]string),
-		stopProbe: make(chan struct{}),
+		stopLoops: make(chan struct{}),
 	}
 	rt.met.m = make(map[string]uint64)
 	for _, id := range r.backends {
@@ -248,30 +232,20 @@ func New(cfg Config) (*Router, error) {
 			return nil, fmt.Errorf("router: FleetBrownout requires GossipSelf")
 		}
 		rt.fleet = newFleetBrownout(cfg)
-		rt.probeWG.Add(1)
+		rt.loops.Add(1)
 		rt.goGuard("fleet-brownout", func() {
-			defer rt.probeWG.Done()
+			defer rt.loops.Done()
 			rt.fleetLoop()
 		})
-	}
-	if cfg.ProbeInterval > 0 {
-		for _, id := range rt.order {
-			b := rt.backends[id]
-			rt.probeWG.Add(1)
-			rt.goGuard("prober "+id, func() {
-				defer rt.probeWG.Done()
-				rt.probeBackend(b)
-			})
-		}
 	}
 	return rt, nil
 }
 
-// Close stops the prober and the trace collector. In-flight forwards finish
-// on their own contexts.
+// Close stops the fleet brownout loop, gossip and the trace collector.
+// In-flight forwards finish on their own contexts.
 func (rt *Router) Close() {
-	rt.stopOnce.Do(func() { close(rt.stopProbe) })
-	rt.probeWG.Wait()
+	rt.stopOnce.Do(func() { close(rt.stopLoops) })
+	rt.loops.Wait()
 	if rt.gossip != nil {
 		rt.gossip.Stop()
 	}
@@ -310,171 +284,16 @@ func (rt *Router) counters() map[string]uint64 {
 	return out
 }
 
-// ---- health probing ----
-
-// probeBackend is one backend's probe clock. Each backend gets its own
-// goroutine with a deterministic phase offset in [0, ProbeInterval) — N
-// routers each probing M backends used to fire N×M readyz requests on the
-// same 500ms edge; jittered per-(router, backend) clocks spread that herd
-// across the whole interval.
-//
-// Fresh gossip evidence relaxes the cadence further: while a peer's recent
-// digest agrees with our local view that the backend is alive and ready,
-// only every 4th tick actually probes — indirect evidence substitutes for
-// direct probes exactly when nothing is wrong, and full cadence resumes
-// the moment anything (gossip or local state) disagrees.
-func (rt *Router) probeBackend(b *backend) {
-	select {
-	case <-rt.stopProbe:
-		return
-	case <-time.After(rt.probePhase(b.id)):
-	}
-	t := time.NewTicker(rt.cfg.ProbeInterval)
-	defer t.Stop()
-	skips := 0
-	for {
-		select {
-		case <-rt.stopProbe:
-			return
-		case <-t.C:
-			if rt.gossipRelaxes(b) && skips < probeRelax-1 {
-				skips++
-				rt.inc("probes.deferred")
-				continue
-			}
-			skips = 0
-			rt.probe(b)
-		}
-	}
-}
-
-// probeRelax is the cadence stretch under fresh agreeing gossip: probe
-// every Nth tick instead of every tick.
-const probeRelax = 4
-
-// probePhase is the deterministic jitter offset for one backend's probe
-// clock: a hash of (seed, backend) spread over [0, ProbeInterval).
-func (rt *Router) probePhase(id string) time.Duration {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s", rt.cfg.Seed, id)
-	return time.Duration(h.Sum64() % uint64(rt.cfg.ProbeInterval))
-}
-
-// gossipRelaxes reports whether fresh gossip evidence lets this probe round
-// be skipped. Only unanimously good news relaxes: the gossiped digest says
-// alive and ready, the evidence advanced within the last two intervals, and
-// our own breaker agrees (closed, undrained). Fresh evidence of *trouble*
-// never defers a probe — and a fresh not-ready digest proactively drains
-// the backend locally (cheap one-way relay; the probe that follows at full
-// cadence is what undrains it).
-func (rt *Router) gossipRelaxes(b *backend) bool {
-	if rt.gossip == nil {
-		return false
-	}
-	ev, ok := rt.gossip.Evidence(b.id)
-	if !ok || ev.Age > 2*rt.cfg.ProbeInterval {
-		return false
-	}
-	if ev.Digest.State == gossip.Alive && !ev.Digest.Ready {
-		b.setDrained(true)
-		rt.inc("gossip.drain_relay")
-		return false
-	}
-	if ev.Digest.State != gossip.Alive {
-		return false
-	}
-	b.mu.Lock()
-	agree := b.state == stateClosed && !b.drained
-	b.mu.Unlock()
-	return agree
-}
-
-// probe asks one backend's /v1/readyz. 200 → undrain + breaker success;
-// 503 → drained (reachable, so also breaker success); connection error or
-// unexpected status → breaker failure. An open breaker is only probed once
-// its ejection timeout expires — the probe IS the half-open trial.
-func (rt *Router) probe(b *backend) {
-	if !b.probeTicket(rt.cfg.now()) {
-		return // still inside its ejection timeout
-	}
-	rt.inc("probes")
-	if err := faultinject.Fire(faultinject.SiteRouterHealth); err != nil {
-		rt.probeFailed(b)
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.id+"/v1/readyz", nil)
-	if err != nil {
-		rt.probeFailed(b)
-		return
-	}
-	resp, err := rt.hc.Do(req)
-	if err != nil {
-		rt.probeFailed(b)
-		return
-	}
-	drainBody(resp)
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		b.setDrained(false)
-		b.recordSuccess()
-	case resp.StatusCode == http.StatusServiceUnavailable:
-		// Draining (or durability-degraded): reachable, so the breaker is
-		// happy, but no new work until readyz recovers.
-		b.setDrained(true)
-		b.recordSuccess()
-		rt.inc("probes.drained")
-	default:
-		rt.probeFailed(b)
-	}
-}
-
-func (rt *Router) probeFailed(b *backend) {
-	b.mu.Lock()
-	b.probeFail++
-	b.mu.Unlock()
-	b.recordFailure(rt.cfg.now(), rt.pol)
-	rt.inc("probes.failed")
-}
-
-// probeTicket is admissible() for the prober: a closed backend is always
-// probed (drained or not — the probe is how it undrains), an open one only
-// after its ejection timeout (becoming the half-open trial).
-func (b *backend) probeTicket(now time.Time) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case stateClosed:
-		return true
-	case stateOpen:
-		if now.Before(b.openUntil) {
-			return false
-		}
-		b.state = stateHalfOpen
-		b.trialing = true
-		return true
-	case stateHalfOpen:
-		if b.trialing {
-			return false
-		}
-		b.trialing = true
-		return true
-	}
-	return false
-}
-
 // ---- fingerprinting ----
 
-// shardKey fingerprints a route or job body for ring placement: the
-// canonical encoding of the net when the body parses as a RouteRequest
-// (order-independent — MERLIN's semi-order-independence makes the canon
-// bytes a stable shard key), else a hash of the raw bytes (the backend will
-// reject the request; where it lands doesn't matter).
-func shardKey(body []byte) (key uint64, fp string) {
+// shardKey fingerprints a route or job for ring placement: the canonical
+// encoding of the parsed request's net (order-independent — MERLIN's
+// semi-order-independence makes the canon bytes a stable shard key), else,
+// when req is nil, a hash of the raw body (the backend will reject the
+// request; where it lands doesn't matter).
+func shardKey(body []byte, req *service.RouteRequest) (key uint64, fp string) {
 	canon := body
-	var req service.RouteRequest
-	if err := json.Unmarshal(body, &req); err == nil && req.Net != nil {
+	if req != nil {
 		canon = req.Net.AppendCanonical(nil)
 	}
 	sum := sha256.Sum256(canon)
@@ -550,6 +369,32 @@ func (rt *Router) claimantOf(jobID string) (string, bool) {
 	return node, node != ""
 }
 
+// drained reports whether the backend asked for no new work: the router's
+// gossip view holds a digest for it whose Ready is false (it is draining,
+// or its journal is down). Where there is no digest — the router or the
+// backend does not gossip — nothing drains a backend, and its 503s only
+// fail each request over.
+func (rt *Router) drained(b *backend) bool {
+	if rt.gossip == nil {
+		return false
+	}
+	ev, ok := rt.gossip.Evidence(b.id)
+	return ok && !ev.Digest.Ready
+}
+
+// admissible is the per-attempt gate: the backend is not drained and its
+// breaker admits a request. Drain is checked first because the breaker may
+// hand out its half-open trial ticket.
+func (rt *Router) admissible(b *backend) bool {
+	return !rt.drained(b) && b.admissible(rt.cfg.now())
+}
+
+// usable is admissible without taking a trial ticket (stats, readyz and the
+// hedge pair use it).
+func (rt *Router) usable(b *backend, now time.Time) bool {
+	return !rt.drained(b) && b.usable(now)
+}
+
 // candidates returns the ring's replica order for key with each backend's
 // live state attached; the caller filters admissibility per attempt (state
 // can change between attempts).
@@ -570,7 +415,7 @@ type Stats struct {
 	// Ring geometry.
 	RingBackends int `json:"ring_backends"`
 	RingReplicas int `json:"ring_replicas"`
-	// Counters: forward attempts, retries, hedges, probes, QoS decisions.
+	// Counters: forward attempts, retries, hedges, QoS decisions.
 	Counters map[string]uint64 `json:"counters"`
 	// Tenants is the per-tenant QoS table; TenantsEvicted counts bounded-
 	// table evictions.
@@ -595,8 +440,9 @@ func (rt *Router) Stats() Stats {
 	}
 	for id, b := range rt.backends {
 		bs := b.stats()
+		bs.Drained = rt.drained(b)
 		st.Backends[id] = bs
-		if b.usable(now) {
+		if rt.usable(b, now) {
 			st.ReadyBackends++
 		}
 	}
@@ -616,14 +462,11 @@ func (rt *Router) Stats() Stats {
 	return st
 }
 
-// usable reports whether the backend could accept a request right now,
-// without consuming a half-open trial ticket (stats/readyz use this).
+// usable reports whether the breaker would admit a request right now,
+// without consuming a half-open trial ticket.
 func (b *backend) usable(now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.drained {
-		return false
-	}
 	switch b.state {
 	case stateClosed:
 		return true

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"merlin/internal/gossip"
 	"merlin/internal/net"
 	"merlin/internal/qos"
 	"merlin/internal/service"
@@ -23,7 +24,6 @@ import (
 type stubBackend struct {
 	*httptest.Server
 	routeStatus atomic.Int32 // status for POST /v1/route (0 = 200)
-	readyStatus atomic.Int32 // status for GET /v1/readyz (0 = 200)
 	routeDelay  atomic.Int64 // nanoseconds to sleep before answering /v1/route
 	hits        atomic.Int64 // /v1/route requests served
 	lastBody    atomic.Value // []byte, last /v1/route body
@@ -55,13 +55,6 @@ func newStubBackend(t *testing.T) *stubBackend {
 		w.WriteHeader(st)
 		fmt.Fprintf(w, `{"net":"stub","status":%d}`, st)
 	})
-	mux.HandleFunc("GET /v1/readyz", func(w http.ResponseWriter, r *http.Request) {
-		st := int(sb.readyStatus.Load())
-		if st == 0 {
-			st = http.StatusOK
-		}
-		w.WriteHeader(st)
-	})
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `{"error":"no such job","code":"not_found"}`, http.StatusNotFound)
 	})
@@ -83,14 +76,10 @@ func deadURL(t *testing.T) string {
 	return "http://" + addr
 }
 
-// newTestRouter builds a router with probing disabled (tests drive breaker
-// state through request traffic) and QoS disabled unless the config says
+// newTestRouter builds a router with QoS disabled unless the config says
 // otherwise.
 func newTestRouter(t *testing.T, cfg Config) *Router {
 	t.Helper()
-	if cfg.ProbeInterval == 0 {
-		cfg.ProbeInterval = -1
-	}
 	if cfg.QoS.Rate == 0 && cfg.QoS.MaxConcurrent == 0 {
 		cfg.QoS = qos.Config{Rate: -1, MaxConcurrent: -1}
 	}
@@ -122,7 +111,7 @@ func bodyHomedAt(t *testing.T, rt *Router, home string, flow string) []byte {
 	t.Helper()
 	for seed := int64(1); seed < 10000; seed++ {
 		body := routeBody(t, seed, flow)
-		key, _ := shardKey(body)
+		key, _ := shardKey(body, parseRoute(body))
 		if rt.ring.pick(key)[0] == home {
 			return body
 		}
@@ -214,36 +203,30 @@ func Test4xxRelaysWithoutFailover(t *testing.T) {
 	}
 }
 
-// Test503DrainsAndFailsOver: a backend answering 503 is draining — the
-// request moves on, the backend is marked drained (not broken), and
-// subsequent requests skip it without an ejection clock.
-func Test503DrainsAndFailsOver(t *testing.T) {
+// Test503FailsOverWithoutDrain: a backend answering 503 is alive but
+// refusing work. Each request fails over, the 503 counts as an answer (no
+// breaker failure), and nothing drains the backend: only gossip does that.
+func Test503FailsOverWithoutDrain(t *testing.T) {
 	a, b := newStubBackend(t), newStubBackend(t)
 	rt := newTestRouter(t, Config{Backends: []string{a.URL, b.URL}})
 	h := rt.Handler()
 
 	body := bodyHomedAt(t, rt, a.URL, "")
 	a.routeStatus.Store(http.StatusServiceUnavailable)
-	rec := postRoute(t, h, body, nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	for i := 0; i < 2; i++ {
+		rec := postRoute(t, h, body, nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+		if got := rec.Header().Get(BackendHeader); got != b.URL {
+			t.Fatalf("request %d served by %s, want %s", i, got, b.URL)
+		}
 	}
-	if got := rec.Header().Get(BackendHeader); got != b.URL {
-		t.Fatalf("served by %s, want %s", got, b.URL)
+	if n := a.hits.Load(); n != 2 {
+		t.Errorf("home asked %d times, want 2 (a 503 does not drain)", n)
 	}
-	st := rt.Stats()
-	abs := st.Backends[a.URL]
-	if !abs.Drained {
-		t.Error("503 backend: want drained=true")
-	}
-	if abs.State != "closed" || abs.Failures != 0 {
-		t.Errorf("draining is cooperative, not a breaker failure: got %+v", abs)
-	}
-	// Next request skips the drained home without contacting it.
-	hitsBefore := a.hits.Load()
-	postRoute(t, h, body, nil)
-	if a.hits.Load() != hitsBefore {
-		t.Error("drained backend received a request")
+	if abs := rt.Stats().Backends[a.URL]; abs.State != "closed" || abs.Failures != 0 || abs.Drained {
+		t.Errorf("a 503 is an answer, not a failure or a drain: got %+v", abs)
 	}
 }
 
@@ -369,26 +352,36 @@ func TestQoSRateDeny(t *testing.T) {
 }
 
 // TestQoSDegradedTier: an over-rate tenant whose request is degradable gets
-// forwarded with allow_degraded set instead of a 429.
+// forwarded with allow_degraded set instead of a 429, to the same home the
+// plain request went to.
 func TestQoSDegradedTier(t *testing.T) {
-	a := newStubBackend(t)
+	a, b := newStubBackend(t), newStubBackend(t)
 	rt := newTestRouter(t, Config{
-		Backends: []string{a.URL},
+		Backends: []string{a.URL, b.URL},
 		QoS:      qos.Config{Rate: 0.001, Burst: 1, MaxConcurrent: -1},
 	})
 	h := rt.Handler()
 
 	body := routeBody(t, 1, "III")
 	hot := map[string]string{service.TenantHeader: "hot"}
-	if rec := postRoute(t, h, body, hot); rec.Code != http.StatusOK {
-		t.Fatalf("first request: %d", rec.Code)
+	first := postRoute(t, h, body, hot)
+	if first.Code != http.StatusOK {
+		t.Fatalf("first request: %d", first.Code)
 	}
 	rec := postRoute(t, h, body, hot)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("degradable over-rate request: %d, want 200 via overdraft", rec.Code)
 	}
+	home := first.Header().Get(BackendHeader)
+	if got := rec.Header().Get(BackendHeader); got != home {
+		t.Fatalf("stamped request served by %s, want the plain request's home %s", got, home)
+	}
+	served := a
+	if home == b.URL {
+		served = b
+	}
 	var fwd service.RouteRequest
-	if err := json.Unmarshal(a.lastBody.Load().([]byte), &fwd); err != nil {
+	if err := json.Unmarshal(served.lastBody.Load().([]byte), &fwd); err != nil {
 		t.Fatal(err)
 	}
 	if !fwd.AllowDegraded {
@@ -513,7 +506,10 @@ func TestJobPollScatters404(t *testing.T) {
 // backend could take work.
 func TestReadyzReflectsBackendHealth(t *testing.T) {
 	a, b := newStubBackend(t), newStubBackend(t)
-	rt := newTestRouter(t, Config{Backends: []string{a.URL, b.URL}})
+	rt := newTestRouter(t, Config{
+		Backends:   []string{a.URL, b.URL},
+		GossipSelf: "http://router-under-test",
+	})
 	h := rt.Handler()
 
 	get := func(path string) int {
@@ -524,8 +520,12 @@ func TestReadyzReflectsBackendHealth(t *testing.T) {
 	if got := get("/v1/readyz"); got != http.StatusOK {
 		t.Fatalf("readyz with healthy backends: %d", got)
 	}
-	rt.backends[a.URL].setDrained(true)
-	rt.backends[b.URL].setDrained(true)
+	for _, u := range []string{a.URL, b.URL} {
+		seedGossip(t, rt, gossip.Digest{
+			Node: u, Incarnation: 1, Seq: 1,
+			State: gossip.Alive, Role: gossip.RoleBackend, Ready: false, Reason: "draining",
+		})
+	}
 	if got := get("/v1/readyz"); got != http.StatusServiceUnavailable {
 		t.Fatalf("readyz with all backends drained: %d, want 503", got)
 	}
@@ -533,43 +533,6 @@ func TestReadyzReflectsBackendHealth(t *testing.T) {
 	// worth keeping alive.
 	if got := get("/v1/healthz"); got != http.StatusOK {
 		t.Fatalf("healthz: %d, want 200 always", got)
-	}
-}
-
-// TestProbeDrainsAndRecovers exercises the active prober against a backend
-// whose readyz flips 503 and back.
-func TestProbeDrainsAndRecovers(t *testing.T) {
-	a := newStubBackend(t)
-	rt := newTestRouter(t, Config{
-		Backends:      []string{a.URL},
-		ProbeInterval: 5 * time.Millisecond,
-		ProbeTimeout:  time.Second,
-	})
-
-	waitFor := func(what string, pred func() bool) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for !pred() {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s; stats: %+v", what, rt.Stats())
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-
-	a.readyStatus.Store(http.StatusServiceUnavailable)
-	waitFor("probe to mark backend drained", func() bool {
-		return rt.Stats().Backends[a.URL].Drained
-	})
-	if rt.Stats().ReadyBackends != 0 {
-		t.Error("drained backend still counted ready")
-	}
-	a.readyStatus.Store(http.StatusOK)
-	waitFor("probe to undrain backend", func() bool {
-		return !rt.Stats().Backends[a.URL].Drained
-	})
-	if rt.Stats().Backends[a.URL].Failures != 0 {
-		t.Error("drain/undrain cycle must not record breaker failures")
 	}
 }
 

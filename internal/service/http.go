@@ -241,8 +241,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReadyz is readiness: 503 while draining or while the journal cannot
-// acknowledge jobs. The router's health prober ejects backends on this
-// signal without touching their in-flight work.
+// acknowledge jobs. The same answer rides this backend's gossip digest,
+// which is how routers drain it without touching its in-flight work.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	s.met.inc("requests.readyz")
 	if ok, reason := s.Ready(); !ok {

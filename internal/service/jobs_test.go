@@ -277,6 +277,48 @@ func TestJobDegradedTruthfulAfterRecovery(t *testing.T) {
 	}
 }
 
+// TestJobFailedDurable: a job whose route fails journals its failed
+// verdict, and a server reopened over the journal replays that verdict as
+// it was — failed with the same code, not recovered and not re-run.
+func TestJobFailedDurable(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Workers: 2, JournalDir: dir}
+	s, err := NewDurable(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	// MaxSolutions 1 starves the DP, and without allow_degraded the ladder
+	// may not step down: the route fails as budget_exceeded.
+	req := &RouteRequest{Net: testNet(t, 6, 35), Budget: &Budget{MaxSolutions: 1}}
+	ack, _, err := s.SubmitJob(context.Background(), req, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin := waitTerminal(t, s, ack.ID, 30*time.Second)
+	if fin.State != string(JobFailed) || fin.Code != "budget_exceeded" {
+		t.Fatalf("state = %s (%s %s), want failed with budget_exceeded", fin.State, fin.Code, fin.Error)
+	}
+
+	// Reopen as after a crash, with no shutdown snapshot: the verdict must
+	// come back from the WAL's fail record.
+	s2, err := NewDurable(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Shutdown(context.Background())
+	st, err := s2.JobStatus(context.Background(), ack.ID)
+	if err != nil {
+		t.Fatalf("failed job lost across restart: %v", err)
+	}
+	if st.State != string(JobFailed) || st.Code != fin.Code || st.Recovered {
+		t.Fatalf("restarted job = %s (%s) recovered=%v, want failed (%s) and not recovered", st.State, st.Code, st.Recovered, fin.Code)
+	}
+	if got := s2.met.get("jobs.async.failed"); got != 0 {
+		t.Errorf("jobs.async.failed = %d on the restarted server: the failed job ran again", got)
+	}
+}
+
 // TestJobCorruptResultRequeued: a stored result that fails its checksum is
 // quarantined and the job transparently recomputed — the poller sees a
 // truthful non-terminal state and then a fresh verified result, never the

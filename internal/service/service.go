@@ -649,9 +649,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining = true
 	s.mu.Unlock()
 	if s.gossip != nil {
-		// The publish loop is about to stop; push one last truthful digest so
-		// remaining gossip rounds advertise the drain to the fleet.
+		// The publish loop is about to stop, and the gossip loop may never
+		// tick again before the node does: push the drain to every peer now,
+		// so routers stop sending new work here.
 		s.publishGossip()
+		actx, cancel := context.WithTimeout(ctx, time.Second)
+		s.gossip.Announce(actx)
+		cancel()
 	}
 	s.stopOnce.Do(func() { close(s.stopBrown) })
 	drained := make(chan struct{})
@@ -715,8 +719,8 @@ func (s *Server) Draining() bool {
 }
 
 // Ready reports whether the server should receive new work, and when not,
-// why ("draining" or "journal_unavailable"). It is the /v1/readyz answer and
-// the signal routers eject backends on — deliberately separate from
+// why ("draining" or "journal_unavailable"). It is the /v1/readyz answer and,
+// gossiped, the signal routers drain backends on — deliberately separate from
 // liveness: a draining server is healthy (don't restart it) but not ready
 // (stop routing to it), and a server whose WAL cannot acknowledge jobs is
 // not ready either, while restarting it would not help the disk.
