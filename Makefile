@@ -1,20 +1,20 @@
 # Tier-1 verify is: make build test perfbench lint race chaos fuzz invariants
 # crash cluster-chaos partition-chaos failover-chaos (build + full test suite,
-# the repository benchmark's smoke tests, static analysis — go vet then the
-# project's own merlinlint rule suite — the race detector over the concurrent
-# packages, the fault-injection chaos storm, short runs of the fuzz targets,
-# the DP packages rebuilt and retested with the merlin_invariants assertion
-# layer, the SIGKILL crash-recovery drill over the durable-jobs journal, the
-# router kill/restart cluster drill, the gossip/replication partition drill
-# over a 5-node fleet, and the job-failover drill where a SIGKILLed backend's
-# acked jobs are claimed and finished by ring successors with fencing
-# asserted from the journals).
+# the repository benchmark's smoke tests, static analysis — gofmt, go vet,
+# then the project's own merlinlint rule suite — the race detector over the
+# concurrent packages, the fault-injection chaos storm, short runs of the fuzz
+# targets, the DP packages rebuilt and retested with the merlin_invariants
+# assertion layer, the SIGKILL crash-recovery drill over the durable-jobs
+# journal, the router kill/restart cluster drill, the gossip/replication
+# partition drill over a 5-node fleet, and the job-failover drill where a
+# SIGKILLed backend's acked jobs are claimed and finished by ring successors
+# with fencing asserted from the journals).
 
 GO ?= go
 # How long each fuzz target runs under `make fuzz`; raise for deeper soaks.
 FUZZTIME ?= 10s
 
-.PHONY: all build test perfbench race vet lint invariants chaos fuzz crash cluster-chaos partition-chaos failover-chaos verify bench bench-tables
+.PHONY: all build test perfbench race vet gofmt lint invariants chaos fuzz crash cluster-chaos partition-chaos failover-chaos verify bench bench-tables
 
 all: build
 
@@ -111,8 +111,15 @@ failover-chaos:
 vet:
 	$(GO) vet ./...
 
-# Project-invariant static analysis: go vet first (cheap, catches the
-# universal mistakes), then merlinlint's twelve repo-specific rules — the
+gofmt:
+	@out=$$(gofmt -l .); \
+	if [ -n "$$out" ]; then \
+		echo "gofmt: these files are not gofmt-formatted:" >&2; echo "$$out" >&2; exit 1; \
+	fi
+
+# Project-invariant static analysis: gofmt first (any file `gofmt -l`
+# lists fails the target), go vet next (cheap, catches the universal
+# mistakes), then merlinlint's twelve repo-specific rules — the
 # seven syntactic ones (ctxonly, faultsite, errtaxonomy, journalonly,
 # ladderonly, nopanic, tracespan) plus the typed cross-package ones
 # (goguard, lockcheck, spanleak, hotpath-alloc, ctxflow). Non-zero
@@ -120,7 +127,7 @@ vet:
 # The merlinlint step carries a 30s wall-time budget: the whole-module
 # type-check is shared and the rules run in parallel, and the budget keeps it
 # that way — a slow lint gate stops being run.
-lint: vet
+lint: gofmt vet
 	@start=$$(date +%s); \
 	$(GO) run ./cmd/merlinlint . || exit $$?; \
 	end=$$(date +%s); elapsed=$$((end - start)); \

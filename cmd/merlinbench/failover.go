@@ -71,7 +71,6 @@ func runChildBackend() {
 		ReplicaSelf:      self,
 		ReplicaCount:     1,
 		TakeoverInterval: 100 * time.Millisecond,
-		LeaseTTL:         time.Second,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "merlinbench child:", err)
@@ -322,7 +321,7 @@ func runCheckpointResume() (ckptResumeResult, error) {
 			return 0, err
 		}
 		if withCkpt {
-			if err := j.Append([]byte(fmt.Sprintf(`{"t":"ckpt","id":%q,"rung":"lttree","attempt":1}`, id))); err != nil {
+			if err := j.Append([]byte(fmt.Sprintf(`{"t":"ckpt","id":%q,"rung":"lttree"}`, id))); err != nil {
 				return 0, err
 			}
 		}

@@ -12,7 +12,7 @@
 //	        [-trace-ring N] [-trace-slow 250ms] [-trace-sample N]
 //	        [-gossip http://self:8080] [-gossip-peers URL,...]
 //	        [-peers URL,...] [-replicas 2]
-//	        [-lease-ttl 3s] [-takeover-interval 500ms] [-max-wall-cap 0]
+//	        [-takeover-interval 500ms] [-max-wall-cap 0]
 //	merlind -smoke [-target http://host:port]
 //	merlind -audit-verify -journal-dir DIR
 //
@@ -46,12 +46,11 @@
 // its manifest is replicated to ring successors, and long solves checkpoint
 // ladder progress to the WAL. When gossip declares an owner dead, a successor
 // claims its orphaned jobs at a higher term and finishes them; a resurrected
-// stale owner's writes are fenced by term comparison. -lease-ttl is the
-// advisory expiry stamped on lease records (renewal is gossip liveness);
-// -takeover-interval is the orphan-sweep cadence (negative disables
-// takeover). -max-wall-cap puts a server-wide ceiling on per-request wall
-// budgets, including deadlines clients propagate via X-Merlin-Deadline-Ms
-// (0 = uncapped).
+// stale owner's writes are fenced by term comparison; a lease lives as long
+// as its owner's gossip does. -takeover-interval is the orphan-sweep cadence
+// (negative disables takeover). -max-wall-cap puts a server-wide ceiling on
+// per-request wall budgets, including deadlines clients propagate via
+// X-Merlin-Deadline-Ms (0 = uncapped).
 //
 // -audit-verify walks the audit log's hash chain under -journal-dir instead
 // of serving: it prints a verification report and exits 0 when the chain is
@@ -59,8 +58,10 @@
 // start and reported here as benign), or exits 1 with the first broken link
 // when any acknowledged record was altered or removed.
 //
-// SIGINT/SIGTERM trigger a graceful shutdown: the listener stops accepting,
-// in-flight requests drain (bounded by -drain), then the process exits.
+// SIGINT/SIGTERM trigger a graceful shutdown: the node first announces its
+// drain (a gossiping node pushes it to every peer, so routers stop sending
+// it work), then the listener stops accepting, in-flight requests drain
+// (bounded by -drain), and the process exits.
 //
 // -smoke runs an end-to-end health check through pkg/client instead of
 // serving: against -target when given, otherwise against an in-process
@@ -124,8 +125,6 @@ func main() {
 			"comma-separated durable-backend URLs forming the result replication ring (requires -journal-dir and -gossip)")
 		replicaCount = flag.Int("replicas", 0,
 			"replica copies pushed per persisted result (0 = 2)")
-		leaseTTL = flag.Duration("lease-ttl", 0,
-			"advisory job-lease lifetime written to the WAL (0 = 3s)")
 		takeoverInterval = flag.Duration("takeover-interval", 0,
 			"orphaned-job takeover sweep cadence (0 = 500ms, negative disables takeover)")
 		maxWallCap = flag.Duration("max-wall-cap", 0,
@@ -148,7 +147,6 @@ func main() {
 		GossipSelf:       *gossipSelf,
 		GossipPeers:      splitURLs(*gossipPeers),
 		GossipInterval:   *gossipInterval,
-		LeaseTTL:         *leaseTTL,
 		TakeoverInterval: *takeoverInterval,
 		MaxWallCap:       *maxWallCap,
 	}
@@ -279,9 +277,11 @@ func run(addr string, drain time.Duration, cfg service.Config) error {
 	log.Printf("merlind: draining (budget %v)", drain)
 	dctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
-	// Stop the listener first so no new requests arrive, then drain the
-	// pool; hs.Shutdown itself waits for in-flight handlers, which in turn
-	// wait on their jobs.
+	// Announce the drain while the listener is still open, so routers stop
+	// sending work here before connections are refused; then stop the
+	// listener and drain the pool. hs.Shutdown itself waits for in-flight
+	// handlers, which in turn wait on their jobs.
+	srv.Drain(dctx)
 	if err := hs.Shutdown(dctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return fmt.Errorf("http shutdown: %w", err)
 	}

@@ -13,9 +13,9 @@
 // suspects a peer keeps the peer's (incarnation, seq) and only worsens the
 // state — so the suspicion propagates at the subject's own freshness, and
 // the subject's very next self-publish (seq+1) refutes it everywhere.
-// Suspicion-before-eviction: evidence must first go stale (SuspectAfter),
-// then stay stale (DeadAfter) before a member is marked Dead; a node that
-// learns it is suspected or dead at its current incarnation bumps its
+// Suspicion-before-eviction: evidence must first go stale (three gossip
+// ticks), then stay stale (DeadAfter) before a member is marked Dead; a node
+// that learns it is suspected or dead at its current incarnation bumps its
 // incarnation and is believed again.
 //
 // The package carries evidence; policy lives with the consumers: the router
@@ -57,18 +57,11 @@ type Config struct {
 	// Interval is the gossip tick; default 200ms. Negative disables the
 	// background loop (the node still merges inbound packets).
 	Interval time.Duration
-	// SuspectAfter is how stale a member's evidence may go before we mark
-	// it Suspect; default 3×Interval.
-	SuspectAfter time.Duration
 	// DeadAfter is how long a Suspect member has to refute before Dead;
-	// default 3×Interval (so silence → Dead in SuspectAfter+DeadAfter).
+	// default the suspect timeout, three ticks (so silence → Dead in six).
 	DeadAfter time.Duration
-	// Fanout is how many peers each tick gossips to; default 2.
-	Fanout int
 	// Transport sends packets. Required when Interval > 0.
 	Transport Transport
-	// Seed fixes the peer-selection RNG for tests; 0 seeds from the name.
-	Seed int64
 
 	// now substitutes the clock in tests.
 	now func() time.Time
@@ -79,36 +72,34 @@ func (c Config) withDefaults() (Config, error) {
 		return Config{}, errors.New("gossip: Config.Self is required")
 	}
 	if c.Interval == 0 {
-		c.Interval = 200 * time.Millisecond
-	}
-	// Suspicion defaults scale with the tick, but a loopless node (negative
-	// Interval, merge-only) still needs positive timers for its sweeps.
-	base := c.Interval
-	if base < 0 {
-		base = 200 * time.Millisecond
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 3 * base
+		c.Interval = defaultInterval
 	}
 	if c.DeadAfter <= 0 {
-		c.DeadAfter = 3 * base
-	}
-	if c.Fanout <= 0 {
-		c.Fanout = 2
+		c.DeadAfter = c.suspectAfter()
 	}
 	if c.Interval > 0 && c.Transport == nil {
 		return Config{}, errors.New("gossip: Config.Transport is required when the loop is enabled")
-	}
-	if c.Seed == 0 {
-		for _, b := range []byte(c.Self) {
-			c.Seed = c.Seed*131 + int64(b)
-		}
-		c.Seed |= 1
 	}
 	if c.now == nil {
 		c.now = time.Now
 	}
 	return c, nil
+}
+
+// defaultInterval is the gossip tick when Config.Interval is zero.
+const defaultInterval = 200 * time.Millisecond
+
+// fanout is how many peers each tick gossips to.
+const fanout = 2
+
+// suspectAfter is how stale a member's evidence may go before we mark it
+// Suspect: three ticks. A loopless node (negative Interval, merge-only)
+// still needs a positive timer for its sweeps, so it counts default ticks.
+func (c Config) suspectAfter() time.Duration {
+	if c.Interval < 0 {
+		return 3 * defaultInterval
+	}
+	return 3 * c.Interval
 }
 
 // member is everything we believe about one peer.
@@ -152,11 +143,17 @@ func New(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The peer-selection RNG is seeded from the node name: deterministic per
+	// node, different across nodes.
+	var seed int64
+	for _, b := range []byte(c.Self) {
+		seed = seed*131 + int64(b)
+	}
 	n := &Node{
 		cfg:     c,
 		inc:     1,
 		members: make(map[string]*member),
-		rng:     rand.New(rand.NewSource(c.Seed)),
+		rng:     rand.New(rand.NewSource(seed | 1)),
 		stop:    make(chan struct{}),
 	}
 	n.payload = Digest{Node: c.Self, Role: c.Role, Ready: true}
@@ -234,7 +231,7 @@ func (n *Node) loop() {
 	}
 }
 
-// tick runs one gossip round: sweep staleness, then push-pull with Fanout
+// tick runs one gossip round: sweep staleness, then push-pull with fanout
 // random peers. Exchanges are sequential with a per-round deadline so one
 // hung peer delays, but cannot wedge, the loop.
 func (n *Node) tick() {
@@ -271,14 +268,14 @@ func (n *Node) Announce(ctx context.Context) {
 	}
 }
 
-// pickPeers selects Fanout distinct gossip targets from the known peers.
+// pickPeers selects fanout distinct gossip targets from the known peers.
 func (n *Node) pickPeers() []string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	cands := n.knownPeersLocked()
 	n.rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-	if len(cands) > n.cfg.Fanout {
-		cands = cands[:n.cfg.Fanout]
+	if len(cands) > fanout {
+		cands = cands[:fanout]
 	}
 	return cands
 }
@@ -301,7 +298,7 @@ func (n *Node) knownPeersLocked() []string {
 			cands = append(cands, name)
 		}
 	}
-	sort.Strings(cands) // determinism under a fixed Seed
+	sort.Strings(cands) // determinism under the name-seeded RNG
 	return cands
 }
 
@@ -310,15 +307,16 @@ func (n *Node) knownPeersLocked() []string {
 // (incarnation, seq), so they spread — and are refuted — at the subject's
 // freshness.
 func (n *Node) sweep(now time.Time) {
+	suspectAfter := n.cfg.suspectAfter()
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for _, m := range n.members {
 		stale := now.Sub(m.lastAdvance)
 		switch {
-		case m.d.State == Alive && stale > n.cfg.SuspectAfter:
+		case m.d.State == Alive && stale > suspectAfter:
 			m.d.State = Suspect
 			n.suspected.Add(1)
-		case m.d.State == Suspect && stale > n.cfg.SuspectAfter+n.cfg.DeadAfter:
+		case m.d.State == Suspect && stale > suspectAfter+n.cfg.DeadAfter:
 			m.d.State = Dead
 			n.died.Add(1)
 		}

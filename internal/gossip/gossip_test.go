@@ -97,7 +97,7 @@ func TestSuspicionBeforeEviction(t *testing.T) {
 		t.Fatalf("fresh member swept to %v", got.Digest.State)
 	}
 
-	clock.advance(n.cfg.SuspectAfter + time.Millisecond)
+	clock.advance(n.cfg.suspectAfter() + time.Millisecond)
 	n.sweep(clock.now())
 	if got := evidence(t, n, "b1"); got.Digest.State != Suspect {
 		t.Fatalf("stale member not suspected: %v", got.Digest.State)
@@ -112,7 +112,7 @@ func TestSuspicionBeforeEviction(t *testing.T) {
 	clock.advance(n.cfg.DeadAfter + time.Millisecond)
 	n.sweep(clock.now())
 	if got := evidence(t, n, "b1"); got.Digest.State != Dead {
-		t.Fatalf("member not dead after SuspectAfter+DeadAfter: %v", got.Digest.State)
+		t.Fatalf("member not dead after suspectAfter+DeadAfter: %v", got.Digest.State)
 	}
 
 	// The revenant speaks: fresh evidence resurrects it.

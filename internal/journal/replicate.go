@@ -68,13 +68,16 @@ type ReplicatorConfig struct {
 	Client *http.Client
 	// QueueDepth bounds the async push queue; default 256.
 	QueueDepth int
-	// Workers drain the queue; default 2.
-	Workers int
-	// Attempts is the per-target push retry budget; default 3.
-	Attempts int
 	// RetryDelay spaces push retries; default 50ms.
 	RetryDelay time.Duration
 }
+
+// replicatorWorkers is how many goroutines drain the push queue;
+// pushAttempts is each target's push retry budget.
+const (
+	replicatorWorkers = 2
+	pushAttempts      = 3
+)
 
 func (c ReplicatorConfig) withDefaults() (ReplicatorConfig, error) {
 	if c.Self == "" {
@@ -91,12 +94,6 @@ func (c ReplicatorConfig) withDefaults() (ReplicatorConfig, error) {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
-	}
-	if c.Workers <= 0 {
-		c.Workers = 2
-	}
-	if c.Attempts <= 0 {
-		c.Attempts = 3
 	}
 	if c.RetryDelay <= 0 {
 		c.RetryDelay = 50 * time.Millisecond
@@ -145,7 +142,7 @@ func NewReplicator(cfg ReplicatorConfig) (*Replicator, error) {
 
 // Start launches the push workers.
 func (r *Replicator) Start() {
-	for i := 0; i < r.cfg.Workers; i++ {
+	for i := 0; i < replicatorWorkers; i++ {
 		r.goGuard(fmt.Sprintf("replicate-%d", i), r.worker)
 	}
 }
@@ -249,7 +246,7 @@ func (r *Replicator) replicate(t repTask) {
 				r.pushFenced.Add(1)
 				break
 			}
-			if attempt+1 >= r.cfg.Attempts {
+			if attempt+1 >= pushAttempts {
 				r.pushFails.Add(1)
 				break
 			}

@@ -573,7 +573,6 @@ func TestFailoverChaosChild(t *testing.T) {
 		ReplicaSelf:      self,
 		ReplicaCount:     2,
 		TakeoverInterval: 150 * time.Millisecond,
-		LeaseTTL:         time.Second,
 	})
 	if err != nil {
 		t.Fatalf("child boot: %v", err)

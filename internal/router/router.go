@@ -68,11 +68,10 @@ type Config struct {
 	MaxAttempts int
 
 	// HedgeDelay, when positive, enables hedged reads: a /v1/route whose
-	// fingerprint is in the recent set launches a second attempt at the
-	// next replica after this delay. Default 0 (disabled).
+	// fingerprint is in the recent set (the last hedgeRecent fingerprints)
+	// launches a second attempt at the next replica after this delay.
+	// Default 0 (disabled).
 	HedgeDelay time.Duration
-	// HedgeRecent is the recent-fingerprint set capacity; default 1024.
-	HedgeRecent int
 
 	// QoS configures per-tenant admission; see qos.Config for defaults.
 	QoS qos.Config
@@ -106,8 +105,6 @@ type Config struct {
 	// GET /v1/trace/{id}; default 256, negative disables router tracing.
 	TraceRing int
 
-	// Seed makes breaker-ejection jitter deterministic in tests.
-	Seed int64
 	// now substitutes the clock in tests.
 	now func() time.Time
 }
@@ -127,9 +124,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
-	}
-	if c.HedgeRecent <= 0 {
-		c.HedgeRecent = 1024
 	}
 	if c.TraceRing == 0 {
 		c.TraceRing = 256
@@ -198,7 +192,7 @@ func New(cfg Config) (*Router, error) {
 		ring:      r,
 		backends:  make(map[string]*backend, len(r.backends)),
 		order:     r.backends,
-		pol:       breakerPolicy{threshold: cfg.FailureThreshold, backoff: client.NewBackoff(cfg.EjectBase, cfg.EjectMax, cfg.Seed)},
+		pol:       breakerPolicy{threshold: cfg.FailureThreshold, backoff: client.NewBackoff(cfg.EjectBase, cfg.EjectMax, 0)},
 		adm:       adm,
 		hc:        &http.Client{},
 		recent:    make(map[string]struct{}),
@@ -219,7 +213,6 @@ func New(cfg Config) (*Router, error) {
 			Peers:     cfg.GossipPeers,
 			Interval:  cfg.GossipInterval,
 			Transport: gossip.HTTPTransport(&http.Client{Timeout: 2 * time.Second}),
-			Seed:      cfg.Seed,
 		})
 		if err != nil {
 			return nil, err
@@ -302,6 +295,9 @@ func shardKey(body []byte, req *service.RouteRequest) (key uint64, fp string) {
 
 // ---- recent-fingerprint set (hedge candidates) and job owners ----
 
+// hedgeRecent is the recent-fingerprint set's capacity.
+const hedgeRecent = 1024
+
 // rememberFingerprint records fp and reports whether it was already present
 // (= a repeat request, likely cached on its home backend — hedge-worthy).
 func (rt *Router) rememberFingerprint(fp string) (seen bool) {
@@ -312,7 +308,7 @@ func (rt *Router) rememberFingerprint(fp string) (seen bool) {
 	}
 	rt.recent[fp] = struct{}{}
 	rt.recentQ = append(rt.recentQ, fp)
-	if len(rt.recentQ) > rt.cfg.HedgeRecent {
+	if len(rt.recentQ) > hedgeRecent {
 		old := rt.recentQ[0]
 		rt.recentQ = rt.recentQ[1:]
 		delete(rt.recent, old)

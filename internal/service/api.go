@@ -74,7 +74,7 @@ type RouteRequest struct {
 // cap (Config.MaxSolutionsCap).
 type Budget struct {
 	// MaxSolutions caps the DP's retained-solution count, its dominant
-	// memory term; 0 uses the server default (Config.DefaultMaxSolutions).
+	// memory term; 0 uses the server default of 4,000,000.
 	MaxSolutions int `json:"max_solutions,omitempty"`
 	// MaxSinks rejects nets with more sinks than this before any compute;
 	// 0 defers to the server-wide Config.MaxSinks.
@@ -248,6 +248,11 @@ func ladderFloor(req *RouteRequest, fl flows.ID) (degrade.Tier, error) {
 // Non-ladder flows (I, II) use the empty tier.
 func tieredKey(key, tier string) string { return key + "|" + tier }
 
+// defaultMaxSolutions is the retained-solution budget of a request that
+// carries none (core.Budget.MaxSolutions bounds the DP's dominant memory
+// term).
+const defaultMaxSolutions = 4_000_000
+
 // resolveBudget folds the request's budget (if any) over the server-wide
 // default and clamps the result to the hard cap, so one request can lower
 // its own bounds but never raise them past what the operator allows.
@@ -255,10 +260,7 @@ func tieredKey(key, tier string) string { return key + "|" + tier }
 // server-wide Config.MaxSinks stays a validation error (400): the former is
 // the client's own declared bound, the latter the server's contract.
 func (s *Server) resolveBudget(req *RouteRequest) (core.Budget, error) {
-	var b core.Budget
-	if s.cfg.DefaultMaxSolutions > 0 {
-		b.MaxSolutions = s.cfg.DefaultMaxSolutions
-	}
+	b := core.Budget{MaxSolutions: defaultMaxSolutions}
 	if rb := req.Budget; rb != nil {
 		if rb.MaxSolutions < 0 || rb.MaxSinks < 0 || rb.MaxWallMS < 0 {
 			return core.Budget{}, fmt.Errorf("%w: budget fields must be >= 0", ErrBadRequest)
@@ -274,7 +276,7 @@ func (s *Server) resolveBudget(req *RouteRequest) (core.Budget, error) {
 			b.MaxWallTime = time.Duration(rb.MaxWallMS) * time.Millisecond
 		}
 	}
-	if hard := s.cfg.MaxSolutionsCap; hard > 0 && (b.MaxSolutions == 0 || b.MaxSolutions > hard) {
+	if hard := s.cfg.MaxSolutionsCap; hard > 0 && b.MaxSolutions > hard {
 		b.MaxSolutions = hard
 	}
 	// The server-wide wall cap clamps every request's effective wall budget,

@@ -6,6 +6,18 @@ import (
 	"merlin/internal/degrade"
 )
 
+// The brownout controller's thresholds. A sample whose queue utilization
+// (depth over capacity) reaches brownoutHighWater is hot and shifts
+// admission one ladder tier down; one at or below brownoutLowWater is calm,
+// and brownoutCooldown consecutive calm samples recover one tier back up.
+// Raising is immediate, lowering is damped, so oscillating load cannot flap
+// the serving tier per sample.
+const (
+	brownoutHighWater = 0.75
+	brownoutLowWater  = 0.25
+	brownoutCooldown  = 5
+)
+
 // brownoutTier is the ladder rung degradable requests are admitted at right
 // now.
 func (s *Server) brownoutTier() degrade.Tier { return degrade.Tier(s.brown.Level()) }
@@ -20,7 +32,7 @@ func (s *Server) brownoutTier() degrade.Tier { return degrade.Tier(s.brown.Level
 // capacity) plus an estimate of how long the current backlog takes to drain
 // at the serving tier's observed latency (EWMA). Either crossing its
 // threshold raises the brownout level one rung immediately; recovery
-// requires BrownoutCooldown consecutive calm samples per rung
+// requires brownoutCooldown consecutive calm samples per rung
 // (degrade.Hysteresis), so a bursty arrival process cannot flap the tier
 // sample to sample.
 //
@@ -46,14 +58,14 @@ func (s *Server) brownoutLoop() {
 func (s *Server) brownoutSample() {
 	util := float64(len(s.jobs)) / float64(s.cfg.QueueDepth)
 	cur := s.brownoutTier()
-	hot := util >= s.cfg.BrownoutHighWater || s.drainEstimate(cur) > s.cfg.BrownoutMaxDrain
+	hot := util >= brownoutHighWater || s.drainEstimate(cur) > s.cfg.BrownoutMaxDrain
 	want := cur
 	if hot && cur < degrade.TierVanGin {
 		want = cur + 1
 	}
 	// At vangin a hot sample raises nothing, but it is not calm either, so
 	// it still resets the count.
-	switch from, to := s.brown.Step(int32(want), !hot && util <= s.cfg.BrownoutLowWater); {
+	switch from, to := s.brown.Step(int32(want), !hot && util <= brownoutLowWater); {
 	case to > from:
 		s.met.inc("brownout.raised")
 	case to < from:

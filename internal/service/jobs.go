@@ -111,12 +111,11 @@ type jobEntry struct {
 	// Lease fields (see lease.go). owner/term are the fencing identity: the
 	// node that may write this job's terminal state and the monotone term it
 	// holds it at.
-	owner       string
-	term        uint64
-	manifest    bool   // replicated manifest of another node's queued job
-	released    bool   // owner released the lease (graceful-drain handoff)
-	ckptRung    string // last checkpointed ladder rung
-	ckptAttempt int    // checkpointed attempt count
+	owner    string
+	term     uint64
+	manifest bool   // replicated manifest of another node's queued job
+	released bool   // owner released the lease (graceful-drain handoff)
+	ckptRung string // last checkpointed ladder rung
 	// orphanDefers counts takeover sweeps that deferred this orphan to a
 	// preferred ring claimant; past a small cap this node claims anyway.
 	orphanDefers int
@@ -155,17 +154,14 @@ type walRecord struct {
 	// claim also carries Idem/FP/Req so the claimant's own journal can
 	// recompute the job after its crash), surrendered by a "release"
 	// (graceful drain). Terminal records carry the term they finished at so
-	// journal inspection can audit fencing. Exp is an advisory expiry (unix
-	// ms): the operational renewal is the owner's gossip liveness, not this
-	// timestamp.
+	// journal inspection can audit fencing. A lease stays live while its
+	// owner's gossip state is not Dead, so no record carries an expiry.
 	Owner string `json:"owner,omitempty"`
 	Term  uint64 `json:"term,omitempty"`
-	Exp   int64  `json:"exp,omitempty"`
-	// Rung and Attempt are T=="ckpt" progress: the ladder rung the solve
-	// reached and how many rung attempts it has burned. A successor resumes
-	// at the checkpointed rung instead of recomputing from the top.
-	Rung    string `json:"rung,omitempty"`
-	Attempt int    `json:"attempt,omitempty"`
+	// Rung is T=="ckpt" progress: the ladder rung the solve reached. A
+	// successor resumes at the checkpointed rung instead of recomputing
+	// from the top.
+	Rung string `json:"rung,omitempty"`
 }
 
 // walSnapshot is the compaction baseline: the full job table.
@@ -174,18 +170,17 @@ type walSnapshot struct {
 }
 
 type walJob struct {
-	ID      string        `json:"id"`
-	Idem    string        `json:"idem,omitempty"`
-	FP      string        `json:"fp,omitempty"`
-	State   string        `json:"state"`
-	Req     *RouteRequest `json:"req,omitempty"`
-	Key     string        `json:"key,omitempty"`
-	Error   string        `json:"error,omitempty"`
-	Code    string        `json:"code,omitempty"`
-	Owner   string        `json:"owner,omitempty"`
-	Term    uint64        `json:"term,omitempty"`
-	Rung    string        `json:"rung,omitempty"`
-	Attempt int           `json:"attempt,omitempty"`
+	ID    string        `json:"id"`
+	Idem  string        `json:"idem,omitempty"`
+	FP    string        `json:"fp,omitempty"`
+	State string        `json:"state"`
+	Req   *RouteRequest `json:"req,omitempty"`
+	Key   string        `json:"key,omitempty"`
+	Error string        `json:"error,omitempty"`
+	Code  string        `json:"code,omitempty"`
+	Owner string        `json:"owner,omitempty"`
+	Term  uint64        `json:"term,omitempty"`
+	Rung  string        `json:"rung,omitempty"`
 }
 
 // FsyncPolicy reports the journal fsync policy in effect; empty on servers
@@ -263,7 +258,7 @@ func (s *Server) SubmitJob(ctx context.Context, req *RouteRequest, idemKey strin
 		e.owner, e.term = s.nodeID(), 1
 		rec, merr := json.Marshal(walRecord{
 			T: "accept", ID: e.id, Idem: e.idem, FP: e.fp, Req: req,
-			Owner: e.owner, Term: e.term, Exp: s.leaseExpiry(),
+			Owner: e.owner, Term: e.term,
 		})
 		if merr == nil {
 			merr = s.jour.AppendCtx(ctx, rec)
@@ -532,6 +527,10 @@ func (s *Server) fencedLocked(e *jobEntry, term uint64) bool {
 	return true
 }
 
+// snapshotEvery is how many terminal job records the WAL takes between
+// compactions.
+const snapshotEvery = 256
+
 // appendTerminalLocked writes a terminal WAL record and snapshots when the
 // compaction budget is due. A failed append degrades durability (the job
 // will re-run after a crash — at-least-once), never blocks completion.
@@ -552,7 +551,7 @@ func (s *Server) appendTerminalLocked(rec walRecord) {
 	}
 	s.jourDown.Store(false)
 	s.termSinceSnap++
-	if s.cfg.SnapshotEvery > 0 && s.termSinceSnap >= s.cfg.SnapshotEvery {
+	if s.termSinceSnap >= snapshotEvery {
 		s.snapshotLocked()
 	}
 }
@@ -580,7 +579,7 @@ func (s *Server) snapshotLocked() {
 		snap.Jobs = append(snap.Jobs, walJob{
 			ID: e.id, Idem: e.idem, FP: e.fp, State: string(e.state),
 			Req: e.req, Key: e.resultKey, Error: e.errMsg, Code: e.code,
-			Owner: e.owner, Term: e.term, Rung: e.ckptRung, Attempt: e.ckptAttempt,
+			Owner: e.owner, Term: e.term, Rung: e.ckptRung,
 		})
 	}
 	b, err := json.Marshal(snap)
@@ -718,7 +717,7 @@ func (s *Server) applySnapshot(payload []byte) {
 		e := &jobEntry{
 			id: w.ID, idem: w.Idem, fp: w.FP, state: JobState(w.State),
 			req: w.Req, resultKey: w.Key, errMsg: w.Error, code: w.Code,
-			owner: w.Owner, term: w.Term, ckptRung: w.Rung, ckptAttempt: w.Attempt,
+			owner: w.Owner, term: w.Term, ckptRung: w.Rung,
 		}
 		s.registerJobLocked(e)
 		s.noteLeaseTermLocked(e.id, e.term)
@@ -801,7 +800,7 @@ func (s *Server) applyWALRecord(payload []byte) {
 		}
 	case "ckpt":
 		if e, ok := s.jobsByID[rec.ID]; ok {
-			e.ckptRung, e.ckptAttempt = rec.Rung, rec.Attempt
+			e.ckptRung = rec.Rung
 		}
 	default:
 		s.met.inc("journal.replay.bad_records")

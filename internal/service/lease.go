@@ -15,15 +15,16 @@ import (
 // This file is the fleet-wide job failover machinery: journaled leases,
 // checkpointed progress, and orphan takeover.
 //
-// Every durably accepted job carries a lease — (owner, term, advisory
-// expiry) — journaled with the accept record, so the one fsync that
-// acknowledges the job also fences it to its owner. Owners renew leases for
-// free: the lease high-water mark and any takeover claims ride the gossip
-// digest, so a lease is live exactly while its owner's gossip state is not
-// Dead. When gossip declares an owner dead (or the owner journals a release
-// while draining), ring successors holding the job's replicated manifest
-// elect a claimant — first live non-owner on the job's replica ring — which
-// journals a "claim" record at term+1 and runs the job itself.
+// Every durably accepted job carries a lease — (owner, term) — journaled
+// with the accept record, so the one fsync that acknowledges the job also
+// fences it to its owner. Owners renew leases for free: the lease
+// high-water mark and any takeover claims ride the gossip digest, so a lease
+// is live exactly while its owner's gossip state is not Dead, and no record
+// carries an expiry. When gossip declares an owner dead (or the owner
+// journals a release while draining), ring successors holding the job's
+// replicated manifest elect a claimant — first live non-owner on the job's
+// replica ring — which journals a "claim" record at term+1 and runs the job
+// itself.
 //
 // The term is the fencing token. A resurrected stale owner can still finish
 // its run, but its terminal verdict dies twice: locally, because the entry's
@@ -78,11 +79,6 @@ func (s *Server) nodeID() string {
 		return s.cfg.GossipSelf
 	}
 	return "local"
-}
-
-// leaseExpiry is the advisory expiry stamped on lease records (unix ms).
-func (s *Server) leaseExpiry() int64 {
-	return time.Now().Add(s.cfg.LeaseTTL).UnixMilli()
 }
 
 // noteLeaseTermLocked folds one learned fencing term into the lease
@@ -321,7 +317,7 @@ func (s *Server) tryClaim(e *jobEntry, self string, dead map[string]bool) {
 	newTerm := term + 1 + uint64(rank)
 	claim := walRecord{
 		T: "claim", ID: e.id, Idem: e.idem, FP: e.fp, Req: e.req,
-		Owner: self, Term: newTerm, Exp: s.leaseExpiry(),
+		Owner: self, Term: newTerm,
 	}
 	b, err := json.Marshal(claim)
 	if err == nil {
@@ -353,7 +349,7 @@ func (s *Server) tryClaim(e *jobEntry, self string, dead map[string]bool) {
 }
 
 // checkpointJob journals one progress record for a running job: the ladder
-// rung about to run and the attempt count so far. A successor (or this
+// rung about to run. A successor (or this
 // node's next boot) resumes at the checkpointed rung instead of recomputing
 // the more expensive tiers above it. Failures lose only this checkpoint —
 // the job still runs; recovery just resumes from an older rung.
@@ -370,8 +366,7 @@ func (s *Server) checkpointJob(e *jobEntry, term uint64, t degrade.Tier) {
 	if e.term != term {
 		return // fenced mid-run: don't journal progress for a lease we lost
 	}
-	attempt := e.ckptAttempt + 1
-	b, err := json.Marshal(walRecord{T: "ckpt", ID: e.id, Term: term, Rung: t.String(), Attempt: attempt})
+	b, err := json.Marshal(walRecord{T: "ckpt", ID: e.id, Term: term, Rung: t.String()})
 	if err == nil {
 		err = s.jour.Append(b)
 	}
@@ -379,7 +374,7 @@ func (s *Server) checkpointJob(e *jobEntry, term uint64, t degrade.Tier) {
 		s.met.inc("journal.errors")
 		return
 	}
-	e.ckptRung, e.ckptAttempt = t.String(), attempt
+	e.ckptRung = t.String()
 	s.met.inc("jobs.checkpoints")
 }
 

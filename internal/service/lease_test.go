@@ -3,10 +3,15 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	stdnet "net"
 	"net/http"
+	"path/filepath"
+	"slices"
 	"testing"
 	"time"
+
+	"merlin/internal/journal"
 )
 
 // TestDrainHandoffReleasesLeases: a draining durable backend journals a
@@ -42,7 +47,6 @@ func TestDrainHandoffReleasesLeases(t *testing.T) {
 			ReplicaRing:      ring,
 			ReplicaCount:     1,
 			TakeoverInterval: 50 * time.Millisecond,
-			LeaseTTL:         time.Second,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -104,5 +108,56 @@ func TestDrainHandoffReleasesLeases(t *testing.T) {
 	}
 	if got := sb.Stats().Counters["jobs.takeovers"]; got == 0 {
 		t.Fatal("peer recorded no takeovers; released leases were never claimed")
+	}
+}
+
+// TestRecoveredJobResumesAtCheckpoint: a job that checkpointed at the lttree
+// rung before a crash resumes there on recovery instead of recomputing the
+// full and nobubble tiers above it. The WAL is written record by record as
+// older servers wrote it — the accept record with an expiry ("exp"), the
+// ckpt record with an attempt count — so the test also shows that such a
+// WAL still replays.
+func TestRecoveredJobResumesAtCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	req := &RouteRequest{Net: testNet(t, 6, 61), MaxLoops: 1, AllowDegraded: true}
+	reqJSON, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := journal.Open(filepath.Join(dir, "wal"), journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Replay(func(journal.Record) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	const id = "j-ckpt-resume"
+	for _, rec := range []string{
+		fmt.Sprintf(`{"t":"accept","id":%q,"req":%s,"owner":"local","term":1,"exp":1760000003000}`, id, reqJSON),
+		fmt.Sprintf(`{"t":"ckpt","id":%q,"term":1,"rung":"lttree","attempt":1}`, id),
+	} {
+		if err := j.Append([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := NewDurable(Config{Workers: 1, JournalDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	st := waitTerminal(t, s, id, 30*time.Second)
+	if st.State != string(JobDegraded) || !st.Recovered {
+		t.Fatalf("recovered job: state %s, recovered %v; want degraded, recovered", st.State, st.Recovered)
+	}
+	if st.Result == nil {
+		t.Fatal("recovered job carries no result")
+	}
+	if st.Result.Tier != "lttree" || !slices.Equal(st.Result.TiersAttempted, []string{"lttree"}) {
+		t.Fatalf("recovered job served by tier %q after trying %v; want lttree after [lttree]",
+			st.Result.Tier, st.Result.TiersAttempted)
 	}
 }

@@ -34,23 +34,14 @@ type Config struct {
 	// CacheSize is the result-cache capacity in entries; default 256,
 	// negative disables caching.
 	CacheSize int
-	// EngineCacheSize is each worker's engine LRU capacity; default 4,
-	// negative disables engine reuse.
-	EngineCacheSize int
 	// DefaultTimeout caps a request's compute time when the request does
 	// not set timeout_ms; default 60s, negative disables the default cap.
 	DefaultTimeout time.Duration
 	// MaxSinks rejects nets larger than this (the DPs are cubic and worse);
 	// default 64, negative disables the limit.
 	MaxSinks int
-	// DefaultMaxSolutions is the server-wide default resource budget: the
-	// retained-solution cap applied to every request that does not carry a
-	// budget of its own (see core.Budget.MaxSolutions — it bounds the DP's
-	// dominant memory term). Default 4,000,000; negative disables the
-	// default so unbudgeted requests run unbounded.
-	DefaultMaxSolutions int
 	// MaxSolutionsCap is the hard per-request ceiling: any request budget
-	// above it (or a disabled default) is clamped down to it. Default
+	// above it, the server default included, is clamped down to it. Default
 	// 8,000,000; negative disables the cap.
 	MaxSolutionsCap int
 
@@ -59,38 +50,22 @@ type Config struct {
 	// JournalDir/store. New ignores it.
 	JournalDir string
 	// Fsync is the journal's fsync policy: "always" (the default — an
-	// acknowledged job is on disk), "interval" (group fsync on a timer) or
-	// "never" (OS page cache only).
+	// acknowledged job is on disk), "interval" (a group fsync every 100ms,
+	// the journal's own cadence) or "never" (OS page cache only).
 	Fsync string
-	// FsyncInterval is the group-fsync cadence under Fsync="interval";
-	// default per internal/journal (50ms).
-	FsyncInterval time.Duration
-	// SnapshotEvery compacts the journal after this many terminal job
-	// records; default 256, negative disables compaction.
-	SnapshotEvery int
 	// MaxJobs bounds the async job table; default 4096. When full, the
 	// oldest finished job is evicted; if every job is live, submissions are
 	// rejected like a full queue.
 	MaxJobs int
 
 	// BrownoutInterval is how often the overload controller samples queue
-	// utilization and per-tier latency; default 100ms, negative disables the
-	// controller entirely (requests then degrade only reactively, on their
-	// own budget exhaustion).
+	// utilization and per-tier latency (see brownout.go for its thresholds);
+	// default 100ms, negative disables the controller entirely (requests
+	// then degrade only reactively, on their own budget exhaustion).
 	BrownoutInterval time.Duration
-	// BrownoutHighWater is the queue-utilization fraction at which the
-	// controller shifts admission one ladder tier down; default 0.75.
-	BrownoutHighWater float64
-	// BrownoutLowWater is the utilization fraction below which a sample
-	// counts as calm; default 0.25.
-	BrownoutLowWater float64
-	// BrownoutCooldown is how many consecutive calm samples recover one
-	// tier back up; default 5. Raising is immediate, lowering is damped, so
-	// oscillating load cannot flap the serving tier per sample.
-	BrownoutCooldown int
 	// BrownoutMaxDrain is the estimated queue-drain time (depth × current-
 	// tier latency EWMA / workers) above which the controller degrades even
-	// below the high-water mark; default 2s.
+	// below brownoutHighWater; default 2s.
 	BrownoutMaxDrain time.Duration
 
 	// TraceRing is how many completed traces the in-memory ring retains for
@@ -131,11 +106,6 @@ type Config struct {
 	// result; default 2.
 	ReplicaCount int
 
-	// LeaseTTL is the advisory expiry stamped on lease records in the WAL.
-	// Operationally a lease stays live while its owner's gossip state is not
-	// Dead — the owner renews by existing, at gossip cadence, not by
-	// journaling. Default 3s.
-	LeaseTTL time.Duration
 	// TakeoverInterval is how often this node sweeps gossip evidence for
 	// orphaned jobs — acknowledged, unfinished, owner dead or drained — that
 	// it should claim; default 500ms, negative disables takeover. Takeover
@@ -162,32 +132,17 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize == 0 {
 		c.CacheSize = 256
 	}
-	if c.EngineCacheSize == 0 {
-		c.EngineCacheSize = 4
-	}
 	if c.DefaultTimeout == 0 {
 		c.DefaultTimeout = 60 * time.Second
 	}
 	if c.MaxSinks == 0 {
 		c.MaxSinks = 64
 	}
-	if c.DefaultMaxSolutions == 0 {
-		c.DefaultMaxSolutions = 4_000_000
-	}
 	if c.MaxSolutionsCap == 0 {
 		c.MaxSolutionsCap = 8_000_000
 	}
 	if c.BrownoutInterval == 0 {
 		c.BrownoutInterval = 100 * time.Millisecond
-	}
-	if c.BrownoutHighWater == 0 {
-		c.BrownoutHighWater = 0.75
-	}
-	if c.BrownoutLowWater == 0 {
-		c.BrownoutLowWater = 0.25
-	}
-	if c.BrownoutCooldown == 0 {
-		c.BrownoutCooldown = 5
 	}
 	if c.BrownoutMaxDrain == 0 {
 		c.BrownoutMaxDrain = 2 * time.Second
@@ -204,14 +159,8 @@ func (c Config) withDefaults() Config {
 	if c.Fsync == "" {
 		c.Fsync = string(journal.FsyncAlways)
 	}
-	if c.SnapshotEvery == 0 {
-		c.SnapshotEvery = 256
-	}
 	if c.MaxJobs == 0 {
 		c.MaxJobs = 4096
-	}
-	if c.LeaseTTL == 0 {
-		c.LeaseTTL = 3 * time.Second
 	}
 	if c.TakeoverInterval == 0 {
 		c.TakeoverInterval = 500 * time.Millisecond
@@ -327,10 +276,7 @@ func NewDurable(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: opening result store: %w", err)
 	}
-	jour, err := journal.Open(filepath.Join(cfg.JournalDir, "wal"), journal.Options{
-		Fsync:         pol,
-		FsyncInterval: cfg.FsyncInterval,
-	})
+	jour, err := journal.Open(filepath.Join(cfg.JournalDir, "wal"), journal.Options{Fsync: pol})
 	if err != nil {
 		return nil, fmt.Errorf("service: opening journal: %w", err)
 	}
@@ -391,7 +337,7 @@ func newServer(cfg Config) *Server {
 		jobTerms:   make(map[string]uint64),
 		myClaims:   make(map[string]uint64),
 	}
-	s.brown = degrade.NewHysteresis(cfg.BrownoutCooldown)
+	s.brown = degrade.NewHysteresis(brownoutCooldown)
 	s.stopBrown = make(chan struct{})
 	if cfg.GossipSelf != "" {
 		gn, err := gossip.New(gossip.Config{
@@ -640,23 +586,34 @@ func (s *Server) submit(j *job) error {
 	}
 }
 
-// Shutdown drains the service: new submissions are refused immediately,
-// queued and running jobs run to completion (or their own deadlines), then
-// the workers exit. It returns ctx.Err() if the drain outlives ctx; calling
-// it again is safe and waits for the same drain.
-func (s *Server) Shutdown(ctx context.Context) error {
+// Drain marks the server draining and tells the fleet: new submissions are
+// refused from here on and Ready reports "draining". A gossiping server
+// pushes that digest to every peer at once (within ctx, at most a second),
+// so routers stop sending it work while its listener is still open. Queued
+// and running jobs carry on. Calling Drain again does nothing; Shutdown
+// calls it first.
+func (s *Server) Drain(ctx context.Context) {
 	s.mu.Lock()
+	already := s.draining
 	s.draining = true
 	s.mu.Unlock()
-	if s.gossip != nil {
-		// The publish loop is about to stop, and the gossip loop may never
-		// tick again before the node does: push the drain to every peer now,
-		// so routers stop sending new work here.
-		s.publishGossip()
-		actx, cancel := context.WithTimeout(ctx, time.Second)
-		s.gossip.Announce(actx)
-		cancel()
+	if already || s.gossip == nil {
+		return
 	}
+	// The gossip loop may not tick again before the node stops: push the
+	// drain to every peer now.
+	s.publishGossip()
+	actx, cancel := context.WithTimeout(ctx, time.Second)
+	s.gossip.Announce(actx)
+	cancel()
+}
+
+// Shutdown drains the service: it calls Drain, lets queued and running jobs
+// run to completion (or their own deadlines), then the workers exit. It
+// returns ctx.Err() if the drain outlives ctx; calling it again is safe and
+// waits for the same drain.
+func (s *Server) Shutdown(ctx context.Context) error {
+	s.Drain(ctx)
 	s.stopOnce.Do(func() { close(s.stopBrown) })
 	drained := make(chan struct{})
 	s.goGuard("drain", func() {
@@ -711,7 +668,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return nil
 }
 
-// Draining reports whether Shutdown has begun.
+// Draining reports whether Drain (or Shutdown) has begun.
 func (s *Server) Draining() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -734,12 +691,15 @@ func (s *Server) Ready() (bool, string) {
 	return true, ""
 }
 
+// engineCacheSize is each worker's engine LRU capacity.
+const engineCacheSize = 4
+
 // worker is one pool goroutine: it owns its engine cache outright, which is
 // what makes engine reuse race-free (engines are not goroutine-safe; see
 // core.NewEngine).
 func (s *Server) worker() {
 	defer s.workers.Done()
-	engines := newLRU(s.cfg.EngineCacheSize)
+	engines := newLRU(engineCacheSize)
 	for j := range s.jobs {
 		s.runJobGuarded(j, engines)
 		s.inflight.Done()
