@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"merlin/internal/core"
@@ -107,12 +108,15 @@ type flowAnswer struct {
 	WL   int64   `json:"wl"`
 }
 
-// merlinAnswer adds what Flow III exposes beyond the tree: the realized sink
-// order and the source frontier as (load, req, area) triples in curve order.
+// merlinAnswer adds what Flow III exposes beyond the tree's evaluation: the
+// realized sink order, the source frontier as (load, req, area) triples in
+// curve order, and the tree itself, node for node, as the lines of
+// tree.String.
 type merlinAnswer struct {
 	flowAnswer
 	Order    []int        `json:"order"`
 	Frontier [][3]float64 `json:"frontier"`
+	Tree     []string     `json:"tree"`
 }
 
 type goldenEntry struct {
@@ -178,6 +182,7 @@ func runGolden(t *testing.T, c goldenCase) goldenEntry {
 		flowAnswer: answerOf(r3),
 		Order:      r3.Tree.SinkOrder(),
 		Frontier:   frontierOf(r3.Frontier),
+		Tree:       strings.Split(strings.TrimSuffix(r3.Tree.String(), "\n"), "\n"),
 	}
 	return e
 }
@@ -254,6 +259,9 @@ func compareMerlin(t *testing.T, name string, got, want *merlinAnswer) {
 	compareFlow(t, name, &got.flowAnswer, &want.flowAnswer)
 	if !slices.Equal(got.Order, want.Order) {
 		t.Errorf("%s: realized order %v, pinned %v", name, got.Order, want.Order)
+	}
+	if !slices.Equal(got.Tree, want.Tree) {
+		t.Errorf("%s: tree\n%s\npinned\n%s", name, strings.Join(got.Tree, "\n"), strings.Join(want.Tree, "\n"))
 	}
 	if len(got.Frontier) != len(want.Frontier) {
 		t.Errorf("%s: frontier has %d solutions, pinned %d:\n got %v\npinned %v", name, len(got.Frontier), len(want.Frontier), got.Frontier, want.Frontier)
