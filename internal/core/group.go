@@ -64,6 +64,12 @@ func Stretch(e Chi) int {
 // SinkSet panics if the span does not fit (r-span+1 < 0) or is too short to
 // host the requested bubbles; callers iterate only over legal (r, span, e).
 func SinkSet(r, span int, e Chi) []int {
+	return appendSinkSet(make([]int, 0, span-Stretch(e)), r, span, e)
+}
+
+// appendSinkSet appends SinkSet(r, span, e) to dst and returns the extended
+// slice, so the engine's sub-problem scan reuses its buffers.
+func appendSinkSet(dst []int, r, span int, e Chi) []int {
 	left := r - span + 1
 	if left < 0 {
 		// Invariant panic, contained by the engine boundary (robust.go).
@@ -73,7 +79,6 @@ func SinkSet(r, span int, e Chi) []int {
 		// Invariant panic, contained by the engine boundary (robust.go).
 		panic(fmt.Sprintf("core: SinkSet span %d too short for %v", span, e)) //lint:allow nopanic -- caller-bug invariant, contained by recoverToErr at the engine boundary
 	}
-	out := make([]int, 0, span-Stretch(e))
 	for p := left; p <= r; p++ {
 		if e.HasRightBubble() && p == r-1 {
 			continue
@@ -81,9 +86,9 @@ func SinkSet(r, span int, e Chi) []int {
 		if e.HasLeftBubble() && p == left+1 {
 			continue
 		}
-		out = append(out, p)
+		dst = append(dst, p)
 	}
-	return out
+	return dst
 }
 
 // minSpan returns the smallest legal span for a structure. Single-bubble

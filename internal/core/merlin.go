@@ -118,7 +118,7 @@ func (en *Engine) MerlinCtx(ctx context.Context, initOrder order.Order) (out *Re
 			esp.End()
 			return nil, err
 		}
-		t, err := en.BuildTree(sol)
+		t, err := en.BuildTree(sol, en.srcIdx)
 		esp.End()
 		if err != nil {
 			return nil, err

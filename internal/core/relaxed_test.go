@@ -38,7 +38,7 @@ func TestRelaxedCaTree(t *testing.T) {
 	if reqR < reqS-1e-9 {
 		t.Fatalf("relaxed space (req %.6f) lost to strict chain (req %.6f)", reqR, reqS)
 	}
-	tr, err := enR.BuildTree(solR)
+	tr, err := enR.BuildTree(solR, enR.SourceIndex())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestRelaxedCaTree(t *testing.T) {
 	}
 	// Solutions across the relaxed frontier keep tree/solution consistency.
 	for _, sol := range finR[enR.SourceIndex()].Sols {
-		tr, err := enR.BuildTree(sol)
+		tr, err := enR.BuildTree(sol, enR.SourceIndex())
 		if err != nil {
 			t.Fatal(err)
 		}

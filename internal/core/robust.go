@@ -45,11 +45,10 @@ var (
 type Budget struct {
 	// MaxSolutions caps the total number of solutions retained across all of
 	// the DP's sub-problem curves during one search. Retained solutions are
-	// the DP's dominant memory term (each is a flat triple and handle, and
-	// the engine's table of reconstruction records grows with them), so
-	// this is a direct memory bound: the engine aborts within one
-	// sub-problem of crossing it, and a sub-problem adds at most
-	// k·MaxSols solutions.
+	// the DP's dominant memory term (each is a flat triple and index; their
+	// reconstruction records live only while their cell runs), so this is a
+	// direct memory bound: the engine aborts within one sub-problem of
+	// crossing it, and a sub-problem adds at most k·MaxSols solutions.
 	MaxSolutions int
 	// MaxWallTime caps the wall-clock time of the whole search, checked at
 	// the same per-sub-problem granularity as context cancellation. Unlike a

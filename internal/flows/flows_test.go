@@ -86,6 +86,34 @@ func TestFrontierIsCallersCopy(t *testing.T) {
 	}
 }
 
+// TestWarmRepeatReplaysNothing: the engine keeps the records of every tree
+// it has rebuilt, so a repeat of the same request on a warm engine builds
+// its tree without replaying a cell or running a *PTREE call, and builds
+// the same tree.
+func TestWarmRepeatReplaysNothing(t *testing.T) {
+	p := ProfileFor(6)
+	nt := net.Generate(net.DefaultGenSpec(6, 37), p.Tech, p.Lib.Driver)
+	en := NewEngineIII(nt, p)
+	r1, err := RunFlowIIIOn(context.Background(), en, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replays, calls := en.Replays, en.StarDPCalls
+	if replays == 0 {
+		t.Fatal("the cold run rebuilt its trees without replaying a cell")
+	}
+	r2, err := RunFlowIIIOn(context.Background(), en, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if en.Replays != replays || en.StarDPCalls != calls {
+		t.Errorf("warm repeat replayed %d cells and ran %d *PTREE calls, want 0 and 0", en.Replays-replays, en.StarDPCalls-calls)
+	}
+	if r2.Tree.String() != r1.Tree.String() {
+		t.Errorf("warm repeat tree\n%s\ncold tree\n%s", r2.Tree, r1.Tree)
+	}
+}
+
 func TestProfileForScalesDown(t *testing.T) {
 	small := ProfileFor(5)
 	big := ProfileFor(60)

@@ -50,6 +50,11 @@ var HotPaths = map[string]string{
 	"(merlin/internal/curve.Solution).Dominates":   "three-way dominance predicate, called O(s²)",
 	"merlin/internal/curve.better":                 "selector tie-break comparator",
 	"(*merlin/internal/core.Engine).starDP":        "*PTREE interval DP, the O(k·t²) core loop",
+	"(*merlin/internal/core.Engine).intervalCell":  "one *PTREE interval at every candidate: joins, buffer passes and transfer",
+	"(*merlin/internal/core.Engine).gammaCell":     "one Γ sub-problem's accumulation of its *PTREE calls at every candidate",
+	"(*merlin/internal/core.Engine).leafCell":      "one INITIALIZATION sub-problem at every candidate",
+	"(*merlin/internal/core.Engine).scanCalls":     "inner-group scan of every (L, E, R) sub-problem, warm passes included",
+	"(*merlin/internal/core.Engine).intervalIDs":   "memo ids of every interval of every *PTREE call",
 	"(*merlin/internal/core.Engine).bufferScratch": "caps and seals the scratch curve, then runs the buffer pass at one candidate",
 	"(*merlin/internal/core.Engine).intervalMask":  "root window of every interval, written into the engine's one mask",
 	"(*merlin/internal/core.Engine).transfer":      "candidate-transfer relaxation, O(k²·s) per hop",
