@@ -14,7 +14,7 @@
 // state — so the suspicion propagates at the subject's own freshness, and
 // the subject's very next self-publish (seq+1) refutes it everywhere.
 // Suspicion-before-eviction: evidence must first go stale (three gossip
-// ticks), then stay stale (DeadAfter) before a member is marked Dead; a node
+// ticks), then stay stale as long again before a member is marked Dead; a node
 // that learns it is suspected or dead at its current incarnation bumps its
 // incarnation and is believed again.
 //
@@ -54,12 +54,9 @@ type Config struct {
 	// Peers seeds the membership: names we gossip to before hearing from
 	// anyone. Learned members join the candidate set automatically.
 	Peers []string
-	// Interval is the gossip tick; default 200ms. Negative disables the
-	// background loop (the node still merges inbound packets).
+	// Interval is the gossip tick; default DefaultInterval. Negative
+	// disables the background loop (the node still merges inbound packets).
 	Interval time.Duration
-	// DeadAfter is how long a Suspect member has to refute before Dead;
-	// default the suspect timeout, three ticks (so silence → Dead in six).
-	DeadAfter time.Duration
 	// Transport sends packets. Required when Interval > 0.
 	Transport Transport
 
@@ -72,10 +69,7 @@ func (c Config) withDefaults() (Config, error) {
 		return Config{}, errors.New("gossip: Config.Self is required")
 	}
 	if c.Interval == 0 {
-		c.Interval = defaultInterval
-	}
-	if c.DeadAfter <= 0 {
-		c.DeadAfter = c.suspectAfter()
+		c.Interval = DefaultInterval
 	}
 	if c.Interval > 0 && c.Transport == nil {
 		return Config{}, errors.New("gossip: Config.Transport is required when the loop is enabled")
@@ -86,8 +80,9 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// defaultInterval is the gossip tick when Config.Interval is zero.
-const defaultInterval = 200 * time.Millisecond
+// DefaultInterval is the gossip tick when Config.Interval is zero; the
+// service and router loops that run at the gossip cadence default to it too.
+const DefaultInterval = 200 * time.Millisecond
 
 // fanout is how many peers each tick gossips to.
 const fanout = 2
@@ -97,10 +92,14 @@ const fanout = 2
 // still needs a positive timer for its sweeps, so it counts default ticks.
 func (c Config) suspectAfter() time.Duration {
 	if c.Interval < 0 {
-		return 3 * defaultInterval
+		return 3 * DefaultInterval
 	}
 	return 3 * c.Interval
 }
+
+// deadAfter is how long a Suspect member has to refute before Dead: as long
+// as it took to suspect it, so silence → Dead in six ticks.
+func (c Config) deadAfter() time.Duration { return c.suspectAfter() }
 
 // member is everything we believe about one peer.
 type member struct {
@@ -316,7 +315,7 @@ func (n *Node) sweep(now time.Time) {
 		case m.d.State == Alive && stale > suspectAfter:
 			m.d.State = Suspect
 			n.suspected.Add(1)
-		case m.d.State == Suspect && stale > suspectAfter+n.cfg.DeadAfter:
+		case m.d.State == Suspect && stale > suspectAfter+n.cfg.deadAfter():
 			m.d.State = Dead
 			n.died.Add(1)
 		}

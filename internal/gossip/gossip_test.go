@@ -103,16 +103,16 @@ func TestSuspicionBeforeEviction(t *testing.T) {
 		t.Fatalf("stale member not suspected: %v", got.Digest.State)
 	}
 
-	// Not yet DeadAfter past suspicion: still Suspect.
+	// Not yet deadAfter past suspicion: still Suspect.
 	n.sweep(clock.now())
 	if got := evidence(t, n, "b1"); got.Digest.State != Suspect {
-		t.Fatalf("member died without DeadAfter elapsing: %v", got.Digest.State)
+		t.Fatalf("member died without deadAfter elapsing: %v", got.Digest.State)
 	}
 
-	clock.advance(n.cfg.DeadAfter + time.Millisecond)
+	clock.advance(n.cfg.deadAfter() + time.Millisecond)
 	n.sweep(clock.now())
 	if got := evidence(t, n, "b1"); got.Digest.State != Dead {
-		t.Fatalf("member not dead after suspectAfter+DeadAfter: %v", got.Digest.State)
+		t.Fatalf("member not dead after suspectAfter+deadAfter: %v", got.Digest.State)
 	}
 
 	// The revenant speaks: fresh evidence resurrects it.

@@ -60,7 +60,7 @@ func newFleetBrownout(cfg Config) *fleetBrownout {
 func (rt *Router) fleetLoop() {
 	interval := rt.cfg.GossipInterval
 	if interval <= 0 {
-		interval = 200 * time.Millisecond
+		interval = gossip.DefaultInterval
 	}
 	t := time.NewTicker(interval)
 	defer t.Stop()

@@ -83,7 +83,7 @@ type Config struct {
 	// GossipPeers seeds the mesh (typically the backend URLs — backends
 	// gossip too, so one live seed is enough to learn the rest).
 	GossipPeers []string
-	// GossipInterval is the gossip tick; default 200ms (see gossip.Config).
+	// GossipInterval is the gossip tick; default gossip.DefaultInterval.
 	GossipInterval time.Duration
 
 	// FleetBrownout, when true (requires GossipSelf), aggregates gossiped

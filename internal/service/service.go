@@ -90,7 +90,7 @@ type Config struct {
 	// GossipPeers seeds the mesh: typically the sibling backends and the
 	// routers (any one live seed is enough to learn the rest).
 	GossipPeers []string
-	// GossipInterval is the gossip tick; default per internal/gossip (200ms).
+	// GossipInterval is the gossip tick; default gossip.DefaultInterval.
 	GossipInterval time.Duration
 
 	// ReplicaRing, when set (NewDurable only), enables result replication
@@ -383,7 +383,7 @@ func (s *Server) startWorkers() {
 func (s *Server) gossipPublishLoop() {
 	interval := s.cfg.GossipInterval
 	if interval <= 0 {
-		interval = 200 * time.Millisecond
+		interval = gossip.DefaultInterval
 	}
 	t := time.NewTicker(interval)
 	defer t.Stop()
