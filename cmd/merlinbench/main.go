@@ -39,6 +39,11 @@
 //   - lint_wall_ms — the wall time of one full merlinlint pass (whole-module
 //     type-check plus every rule), so the `make lint` 30s budget's headroom
 //     is tracked next to the runtime numbers.
+//   - table1_net10 — Flow III under flows.ProfileFor on Table 1's net10
+//     (49 sinks), solved in a re-exec'd child: its wall time, its VmHWM
+//     (peak resident set), and the answer's loops, required time and buffer
+//     area. It is the one line at the paper's net sizes, where engine
+//     memory, not time, is what runs out first.
 //
 // Every timing here moves from run to run with the machine; the perfbench
 // block gives each one's spread over the seeds. A speed claim still rests on
@@ -108,11 +113,16 @@ type output struct {
 	Takeover    takeoverBenchResult    `json:"takeover"`
 	CkptResume  ckptResumeResult       `json:"checkpoint_resume"`
 	LintWallMS  int64                  `json:"lint_wall_ms"`
+	Table1Net10 table1Result           `json:"table1_net10"`
 }
 
 func main() {
-	if os.Getenv("MERLINBENCH_CHILD") == "backend" {
+	switch os.Getenv("MERLINBENCH_CHILD") {
+	case "backend":
 		runChildBackend() // re-exec'd fleet member for the takeover benchmark
+		return
+	case "table1":
+		runChildTable1() // re-exec'd solver of the Table 1-size memory line
 		return
 	}
 	out := flag.String("out", "", "write JSON here (empty = stdout)")
@@ -179,6 +189,9 @@ func run(outPath string) error {
 		return err
 	}
 	if doc.LintWallMS, err = runLintPass(root); err != nil {
+		return err
+	}
+	if doc.Table1Net10, err = runTable1(); err != nil {
 		return err
 	}
 	// Last, because it is the long one: the sections above fail in seconds.

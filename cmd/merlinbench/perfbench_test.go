@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
@@ -55,5 +56,47 @@ func TestSummarize(t *testing.T) {
 		if got[name] != w {
 			t.Errorf("%s = %+v, want %+v", name, got[name], w)
 		}
+	}
+}
+
+func TestParseTable1(t *testing.T) {
+	good := `{"net":"net10","sinks":49,"wall_s":26.6,"vm_hwm_mb":1426,"loops":3,"req_ns":-1.5,"buffer_area":24000}`
+	res, err := parseTable1([]byte("merlinbench child: solving\n" + good + "\n"))
+	if err != nil {
+		t.Fatalf("parseTable1(good) = %v", err)
+	}
+	if res.Net != "net10" || res.Sinks != 49 || res.VmHWMMB != 1426 || res.Loops != 3 || res.ReqNS != -1.5 {
+		t.Fatalf("parseTable1(good) = %+v", res)
+	}
+	bad := []struct{ name, stdout, want string }{
+		{"no output", "", "no JSON result line"},
+		{"JSON not last", good + "\nmerlinbench child: done\n", "no JSON result line"},
+		{"no peak", `{"net":"net10","sinks":49,"wall_s":26.6,"loops":3}`, "incomplete result"},
+		{"no loops", `{"net":"net10","sinks":49,"wall_s":26.6,"vm_hwm_mb":1426}`, "incomplete result"},
+	}
+	for _, tc := range bad {
+		if _, err := parseTable1([]byte(tc.stdout)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: parseTable1 = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+func TestVmHWMKB(t *testing.T) {
+	status := "Name:\tmerlinbench\nVmPeak:\t 2000000 kB\nVmHWM:\t 1460224 kB\nVmRSS:\t 1000 kB\n"
+	if kb, err := vmHWMKB([]byte(status)); err != nil || kb != 1460224 {
+		t.Fatalf("vmHWMKB = %d, %v; want 1460224", kb, err)
+	}
+	for _, bad := range []string{"Name:\tx\n", "VmHWM:\t12 MB\n", "VmHWM:\tlots kB\n"} {
+		if kb, err := vmHWMKB([]byte(bad)); err == nil {
+			t.Errorf("vmHWMKB(%q) = %d, want an error", bad, kb)
+		}
+	}
+	// This process's own status file parses too.
+	b, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		t.Skip("no /proc/self/status:", err)
+	}
+	if kb, err := vmHWMKB(b); err != nil || kb <= 0 {
+		t.Fatalf("own status: vmHWMKB = %d, %v", kb, err)
 	}
 }
