@@ -127,12 +127,12 @@ const (
 )
 
 // ref is one record of a cell's reconstruction table (see replay.go). While
-// a cell runs, a solution's Ref is the handle of the record that rebuilds
-// its structure, and a record's a names either another record of the cell
-// (refVia, refBuf) or, by its index, a solution of a stored list the cell
-// reads (refJoin, refGroup, refCall). Once the cell's curves are stored, a
-// stored solution's Ref is its index in its list, and the records go with
-// the next cell.
+// a cell runs, each of its curves' Refs holds the handle of the record that
+// rebuilds a solution's structure, and a record's a names either another
+// record of the cell (refVia, refBuf) or, by its index, a solution of a
+// stored list the cell reads (refJoin, refGroup, refCall). The cell stores
+// its curves' triples alone: a stored solution is named by its index in its
+// list, and the records go with the next cell.
 type ref struct {
 	kind  refKind
 	point int32 // candidate index the structure is rooted at
@@ -165,19 +165,18 @@ type Engine struct {
 	dist   [][]int64
 	margin int64 // root-window inflation in λ (0 = unrestricted)
 
-	// ids and curves are the memo: the per-candidate curves of every Γ
+	// ids and memo are the memo: the per-candidate curves of every Γ
 	// sub-problem and every *PTREE interval computed so far, keyed by
 	// content. A key is a sequence of int32 codes, interned one code at a
-	// time: ids maps (prefix id, next code) to the key's id, and curves[id]
-	// holds its curves once computed. Id 0 is the empty key, which never
-	// holds curves. A Γ key is its structure's code followed by its net-sink
-	// indices (see gammaID); an interval key is its items' codes (see
-	// itemCode). Curves
-	// depend only on content (Lemma 7), so entries serve every (L,E,R)
-	// sub-problem and every MERLIN iteration: this is the OVERLAP
-	// optimization of §III.4.
-	ids    map[memoKey]int32
-	curves [][]*curve.Curve
+	// time: ids maps (prefix id, next code) to the key's id, and memo[id]
+	// holds its curves once computed (see entry). Id 0 is the empty key,
+	// which never holds curves. A Γ key is its structure's code followed by
+	// its net-sink indices (see gammaID); an interval key is its items'
+	// codes (see itemCode). Curves depend only on content (Lemma 7), so
+	// entries serve every (L,E,R) sub-problem and every MERLIN iteration:
+	// this is the OVERLAP optimization of §III.4.
+	ids  map[memoKey]int32
+	memo []entry
 	// ivl holds one starDP call's interval ids, [a*t+b] for interval [a, b].
 	ivl []int32
 	// ord and gamma are the last successful ConstructCtx's order and the
@@ -195,27 +194,31 @@ type Engine struct {
 	inner      []innerGroup
 	innerSinks []int
 	calls      []call
+	// pts, keyed and items are buildItems' working lists; items holds the
+	// items of the call being computed.
+	pts   []geom.Point
+	keyed []keyedItem
+	items []item
 
 	// refs holds the reconstruction records of the cell being computed or
 	// replayed; every cell resets it when it starts.
 	refs curve.Refs[ref]
 	// scratch is the curve every join, buffer and wire pass accumulates
-	// into; its capped result is sealed and stored as an exact-size slice,
-	// so a stored solution list is never rewritten in place.
+	// into; its capped result is sealed and moved into a curve of cur (see
+	// storeScratch).
 	scratch curve.Curve
 	// base is bufferScratch's copy of the capped scratch, the source its
 	// buffer pass reads while it inserts into the scratch.
 	base curve.Curve
 	// mask is intervalMask's result, reused by every interval.
 	mask []bool
-	// snap and srcs are transfer's per-hop view of the sources.
-	snap []curve.Curve
-	srcs []*curve.Curve
-	// accs accumulates one Γ sub-problem's per-candidate curves across its
-	// starDP calls; the capped result is stored by storeCurves.
-	accs []*curve.Curve
-	// rcur holds the per-candidate curves of the cell being replayed.
-	rcur []*curve.Curve
+	// cur holds, per candidate, the curves of the cell being computed or
+	// replayed, with their handles; a computed cell's triples are stored
+	// from it as one block. pre holds an interval's curves before a
+	// transfer hop, which reads them while it writes cur, and srcs views
+	// their solution lists.
+	cur, pre []curve.Curve
+	srcs     [][]curve.Solution
 	// trees keeps the expanded records of every solution BuildTree has
 	// rebuilt, so a repeat rebuild replays nothing.
 	trees map[treeKey][]ref
@@ -251,8 +254,8 @@ type Engine struct {
 func NewEngine(n *net.Net, cands []geom.Point, lib *buflib.Library, tech rc.Technology, opts Options) *Engine {
 	en := &Engine{
 		Net: n, Lib: lib, Tech: tech, Opts: opts.withDefaults(),
-		ids:    map[memoKey]int32{},
-		curves: [][]*curve.Curve{nil},
+		ids:  map[memoKey]int32{},
+		memo: []entry{{}},
 	}
 	en.Cands = geom.Dedup(cands)
 	en.srcIdx = -1
@@ -268,10 +271,9 @@ func NewEngine(n *net.Net, cands []geom.Point, lib *buflib.Library, tech rc.Tech
 	}
 	k := len(en.Cands)
 	en.mask = make([]bool, k)
-	en.snap = make([]curve.Curve, k)
-	en.srcs = make([]*curve.Curve, k)
-	en.accs = newCurves(k)
-	en.rcur = newCurves(k)
+	en.cur = make([]curve.Curve, k)
+	en.pre = make([]curve.Curve, k)
+	en.srcs = make([][]curve.Solution, k)
 	en.trees = map[treeKey][]ref{}
 	en.inG = make([]bool, n.N())
 	en.gamma = make([][][]int32, n.N())
@@ -382,14 +384,26 @@ func (en *Engine) Construct(ord order.Order) ([]*curve.Curve, error) {
 // sub-problem granularity as cancellation, returning ErrBudgetExceeded when
 // the retained-solution count or wall-time bound is crossed.
 //
-// The final curves belong to the engine: they are its memo entries, which
-// later constructions read back, so callers must treat them as read-only
-// and Clone a curve before trimming or editing it.
+// The final curves read the engine's memo entry in place: each curve's
+// solution list is its candidate's part of the stored block (see entry),
+// which later constructions read back, so callers must treat them as
+// read-only and Clone a curve before trimming or editing it.
 func (en *Engine) ConstructCtx(ctx context.Context, ord order.Order) (final []*curve.Curve, err error) {
 	defer recoverToErr(&err)
 	if en.beginBudget() {
 		defer en.endBudget()
 	}
+	top, err := en.construct(ctx, ord)
+	if err != nil {
+		return nil, err
+	}
+	return top.views(), nil
+}
+
+// construct is ConstructCtx inside the caller's budget window and panic
+// guard. It returns the final Γ's memo entry, which the caller reads before
+// the memo grows again.
+func (en *Engine) construct(ctx context.Context, ord order.Order) (*entry, error) {
 	n := len(ord)
 	if n == 0 || n != en.Net.N() || !ord.Valid() {
 		return nil, fmt.Errorf("core: order must be a permutation of the %d sinks", en.Net.N())
@@ -397,11 +411,10 @@ func (en *Engine) ConstructCtx(ctx context.Context, ord order.Order) (final []*c
 	if en.Opts.MaxInternalChildren > 2 {
 		return nil, fmt.Errorf("core: MaxInternalChildren is %d, but at most 2 internal children per node are enumerated", en.Opts.MaxInternalChildren)
 	}
-	k := len(en.Cands)
 
 	// The memo ids of Γ(L, E, R, ·). Entries stay 0, the empty key, when the
 	// span does not fit; a Γ with no solution keeps its id without curves.
-	// Either way its curves read nil.
+	// Either way its entry holds no curves.
 	en.ord = en.ord[:0]
 	gamma := en.gamma
 	for _, row := range gamma {
@@ -424,15 +437,11 @@ func (en *Engine) ConstructCtx(ctx context.Context, ord order.Order) (final []*c
 			}
 			key := en.gammaID(e, ord, en.g)
 			gamma[0][e][r] = key
-			if cached := en.curves[key]; cached != nil {
-				en.chargeSols(cached)
-				continue
+			if !en.memo[key].stored() {
+				en.leafCell(ord[en.g[0]])
+				en.memo[key] = storeEntry(en.cur)
 			}
-			cs := newCurves(k)
-			en.leafCell(ord[en.g[0]], cs)
-			settle(cs)
-			en.curves[key] = cs
-			en.chargeSols(cs)
+			en.chargeSols(&en.memo[key])
 		}
 	}
 	if err := en.checkBudget(); err != nil {
@@ -462,30 +471,29 @@ func (en *Engine) ConstructCtx(ctx context.Context, ord order.Order) (final []*c
 				en.g = appendSinkSet(en.g[:0], R, span, E)
 				key := en.gammaID(E, ord, en.g)
 				gamma[L-1][E][R] = key
-				if cached := en.curves[key]; cached != nil {
-					en.chargeSols(cached)
-					continue
+				if !en.memo[key].stored() {
+					en.scanCalls(L, R, span)
+					for i := range en.calls {
+						en.items = en.callItems(en.items[:0], ord, i)
+						en.calls[i].final = en.starDP(en.items)
+					}
+					if !en.gammaCell(-1) {
+						continue
+					}
+					en.memo[key] = storeEntry(en.cur)
 				}
-				en.scanCalls(L, R, span)
-				for i := range en.calls {
-					en.calls[i].final = en.starDP(en.callItems(ord, i))
-				}
-				if en.gammaCell(en.accs, -1) {
-					cs := storeCurves(en.accs)
-					en.curves[key] = cs
-					en.chargeSols(cs)
-				}
+				en.chargeSols(&en.memo[key])
 			}
 		}
 	}
 
-	final = en.curves[gamma[n-1][Chi0][n-1]]
-	if final == nil {
+	top := &en.memo[gamma[n-1][Chi0][n-1]]
+	if !top.stored() {
 		return nil, fmt.Errorf("core: no solution constructed (n=%d, α=%d)", n, en.Opts.Alpha)
 	}
-	assertFinalCurves(final, "ConstructCtx")
+	assertFinalCurves(top, "construct")
 	en.ord = append(en.ord, ord...)
-	return final, nil
+	return top, nil
 }
 
 // scanCalls lists the *PTREE calls of sub-problem Γ(L, E, R), whose span
@@ -523,7 +531,7 @@ func (en *Engine) scanCalls(L, R, span int) {
 					continue
 				}
 				gid := en.gamma[l-1][e][r]
-				if en.curves[gid] == nil {
+				if !en.memo[gid].stored() {
 					continue
 				}
 				at := len(sinks)
@@ -564,33 +572,34 @@ func (en *Engine) scanCalls(L, R, span int) {
 	en.inner, en.innerSinks, en.calls = inner, sinks, calls
 }
 
-// callItems builds the items of the i-th call scanCalls listed.
-func (en *Engine) callItems(ord order.Order, i int) []item {
+// callItems appends the items of the i-th call scanCalls listed to dst and
+// returns the extended list.
+func (en *Engine) callItems(dst []item, ord order.Order, i int) []item {
 	c := &en.calls[i]
 	if c.b < 0 {
-		return en.buildItems(ord, en.g, en.inner[c.a])
+		return en.buildItems(dst, ord, en.g, en.inner[c.a])
 	}
-	return en.buildItems(ord, en.g, en.inner[c.a], en.inner[c.b])
+	return en.buildItems(dst, ord, en.g, en.inner[c.a], en.inner[c.b])
 }
 
 // gammaCell is the cell of one Γ sub-problem: for every candidate, the
 // final curves of its *PTREE calls (en.calls, already computed) inserted in
-// call order and capped into acc. Candidates are independent, so root ≥ 0
-// computes that candidate's curve alone, which is all a replay needs. It
+// call order and capped into en.cur. Candidates are independent, so root ≥
+// 0 computes that candidate's curve alone, which is all a replay needs. It
 // reports whether any computed curve has a solution.
-func (en *Engine) gammaCell(acc []*curve.Curve, root int) bool {
+func (en *Engine) gammaCell(root int) bool {
 	en.refs.Reset()
 	any := false
-	for p, c := range acc {
-		c.Sols = c.Sols[:0]
+	for p := range en.cur {
+		c := clearCurve(&en.cur[p])
 		if root >= 0 && p != root {
 			continue
 		}
 		for j := range en.calls {
-			for i, s := range en.curves[en.calls[j].final][p].Sols {
-				if c.Insert(s) == 1 {
-					c.Sols[len(c.Sols)-1].Ref = en.refs.Add(ref{kind: refCall, point: int32(p), a: int32(i), b: int32(j)})
-				}
+			for i, s := range en.memo[en.calls[j].final].at(p) {
+				c.InsertRef(s, func() int32 {
+					return en.refs.Add(ref{kind: refCall, point: int32(p), a: int32(i), b: int32(j)})
+				})
 			}
 		}
 		c.Cap(en.Opts.MaxSols)
@@ -604,13 +613,13 @@ func (en *Engine) gammaCell(acc []*curve.Curve, root int) bool {
 
 // leafCell is the cell of one INITIALIZATION sub-problem: for every
 // candidate, the minimum-distance path to net sink s, driven with or
-// without a buffer, into cs.
-func (en *Engine) leafCell(s int, cs []*curve.Curve) {
+// without a buffer, into en.cur.
+func (en *Engine) leafCell(s int) {
 	en.refs.Reset()
-	for p, c := range cs {
-		en.startScratch(en.leafSol(p, s))
+	for p := range en.cur {
+		en.startLeaf(p, s)
 		en.bufferScratch(p)
-		en.storeScratch(c)
+		en.storeScratch(&en.cur[p])
 	}
 }
 
@@ -644,9 +653,9 @@ func (en *Engine) intern(prefix, code int32) int32 {
 	if id, ok := en.ids[k]; ok {
 		return id
 	}
-	id := int32(len(en.curves))
+	id := int32(len(en.memo))
 	en.ids[k] = id
-	en.curves = append(en.curves, nil)
+	en.memo = append(en.memo, entry{})
 	return id
 }
 
@@ -659,66 +668,93 @@ func (en *Engine) itemCode(it *item) int32 {
 	return int32(it.sinkIdx)
 }
 
-// leafSol is the minimum-distance path from candidate p to a sink. It is
-// the only solution of its curve, so no Cap can drop it, and its record is
-// kept directly.
-func (en *Engine) leafSol(p, sinkIdx int) curve.Solution {
+// startLeaf seeds the scratch curve with the minimum-distance path from
+// candidate p to net sink sinkIdx. It is the only solution of its curve, so
+// no Cap can drop it, and its record is kept directly.
+func (en *Engine) startLeaf(p, sinkIdx int) {
 	sk := en.Net.Sinks[sinkIdx]
 	wl := geom.Dist(en.Cands[p], sk.Pos)
-	return curve.Solution{
+	sc := en.startScratch()
+	sc.Sols = append(sc.Sols, curve.Solution{
 		Load: en.Tech.QuantizeLoad(sk.Load + en.Tech.WireC(wl)),
 		Req:  sk.Req - en.Tech.WireElmore(wl, sk.Load),
-		Ref:  en.refs.Keep(ref{kind: refLeaf, point: int32(p), a: int32(sinkIdx)}),
-	}
+	})
+	sc.Refs = append(sc.Refs, en.refs.Keep(ref{kind: refLeaf, point: int32(p), a: int32(sinkIdx)}))
 }
 
-// newCurves returns k empty curves allocated as one block.
-func newCurves(k int) []*curve.Curve {
+// entry is one memo entry: the curves of all k candidates, stored as one
+// block of (load, req, area) triples, candidate p's at
+// sols[off[p]:off[p+1]]. The block is written once, when its cell stores
+// its curves, and a stored solution's index in its candidate's list is its
+// identity. An entry without offsets holds no curves.
+type entry struct {
+	sols []curve.Solution
+	off  []int32
+}
+
+// storeEntry copies the triples of a cell's curves, one per candidate, into
+// a new entry.
+func storeEntry(cs []curve.Curve) entry {
+	n := 0
+	for p := range cs {
+		n += len(cs[p].Sols)
+	}
+	e := entry{sols: make([]curve.Solution, 0, n), off: make([]int32, len(cs)+1)}
+	for p := range cs {
+		e.sols = append(e.sols, cs[p].Sols...)
+		e.off[p+1] = int32(len(e.sols))
+	}
+	return e
+}
+
+// stored reports whether the entry holds curves.
+func (e *entry) stored() bool { return e.off != nil }
+
+// at returns candidate p's solution list, read in place. Its capacity ends
+// where the next candidate's list starts, so an append to it copies the
+// list instead of writing over the next one.
+func (e *entry) at(p int) []curve.Solution {
+	lo, hi := e.off[p], e.off[p+1]
+	return e.sols[lo:hi:hi]
+}
+
+// views returns one curve per candidate whose solution list is the entry's
+// (see at).
+func (e *entry) views() []*curve.Curve {
+	k := len(e.off) - 1
 	cells := make([]curve.Curve, k)
 	cs := make([]*curve.Curve, k)
 	for p := range cs {
+		cells[p].Sols = e.at(p)
 		cs[p] = &cells[p]
 	}
 	return cs
 }
 
-// storeCurves copies per-candidate curves into new curves with exact-size
-// solution lists, settled (see settle).
-func storeCurves(from []*curve.Curve) []*curve.Curve {
-	cs := newCurves(len(from))
-	for p, c := range from {
-		cs[p].Sols = slices.Clone(c.Sols)
-	}
-	settle(cs)
-	return cs
+// clearCurve empties c, keeping its lists for reuse, and returns it.
+func clearCurve(c *curve.Curve) *curve.Curve {
+	c.Sols, c.Refs = c.Sols[:0], c.Refs[:0]
+	return c
 }
 
-// settle ends a cell's hold on the curves it stores: each solution's Ref
-// becomes its index in its list, the position by which later cells and
-// BuildTree name it, so the cell's records are no longer needed.
-func settle(cs []*curve.Curve) {
-	for _, c := range cs {
-		for i := range c.Sols {
-			c.Sols[i].Ref = int32(i)
-		}
-	}
+// copyCurve makes dst a copy of src's solutions and handles, reusing dst's
+// lists.
+func copyCurve(dst, src *curve.Curve) {
+	dst.Sols = append(dst.Sols[:0], src.Sols...)
+	dst.Refs = append(dst.Refs[:0], src.Refs...)
 }
 
-// startScratch empties the scratch curve and returns it, seeded with a copy
-// of sols.
-func (en *Engine) startScratch(sols ...curve.Solution) *curve.Curve {
-	sc := &en.scratch
-	sc.Sols = append(sc.Sols[:0], sols...)
-	return sc
-}
+// startScratch empties the scratch curve and returns it.
+func (en *Engine) startScratch() *curve.Curve { return clearCurve(&en.scratch) }
 
 // storeScratch caps the scratch curve, seals its survivors' records and
-// stores them in c as an exact-size slice, replacing c's solutions.
+// moves them into c by swapping the two curves' lists: c's old lists become
+// the next scratch.
 func (en *Engine) storeScratch(c *curve.Curve) {
 	sc := &en.scratch
 	sc.Cap(en.Opts.MaxSols)
 	en.refs.Seal(sc)
-	c.Sols = slices.Clone(sc.Sols)
+	*c, *sc = *sc, *c
 }
 
 // bufferScratch caps the scratch curve and seals its survivors' records,
@@ -729,33 +765,36 @@ func (en *Engine) bufferScratch(p int) {
 	sc := &en.scratch
 	sc.Cap(en.Opts.MaxSols)
 	en.refs.Seal(sc)
-	en.base.Sols = append(en.base.Sols[:0], sc.Sols...)
-	sc.Buffer(en.Tech, &en.base, en.Lib.Buffers, func(s *curve.Solution, gi int) int32 {
-		return en.refs.Add(ref{kind: refBuf, point: int32(p), a: s.Ref, b: int32(gi)})
+	copyCurve(&en.base, sc)
+	sc.Buffer(en.Tech, en.base.Sols, en.Lib.Buffers, func(i, gi int) int32 {
+		return en.refs.Add(ref{kind: refBuf, point: int32(p), a: en.base.Refs[i], b: int32(gi)})
 	})
 }
 
-// buildItems assembles the ordered child list of the sub-group G being
+// keyedItem is an item with its place in buildItems' ordering.
+type keyedItem struct {
+	key float64
+	it  item
+}
+
+// buildItems appends to dst the ordered child list of the sub-group G being
 // built: its inner groups, whose spans are pairwise disjoint, plus the
 // directly attached sinks, G minus the groups' sinks. Bubble-out (Fig. 5): a
 // sink occupying a group's right hole is ordered immediately after that
 // group; one occupying its left hole immediately before it. Keys are in
 // half-position units to express "just before/after". Two sinks bubbled out
 // of adjacent groups into the gap between them tie, and the stable sort keeps
-// them in G's order.
-func (en *Engine) buildItems(ord order.Order, G []int, groups ...innerGroup) []item {
-	type keyed struct {
-		key float64
-		it  item
-	}
-	items := make([]keyed, 0, len(G))
+// them in G's order. The working lists are the engine's.
+func (en *Engine) buildItems(dst []item, ord order.Order, G []int, groups ...innerGroup) []item {
+	keyed := en.keyed[:0]
 	for i := range groups {
 		gr := &groups[i]
-		gpts := make([]geom.Point, len(gr.sinks))
-		for j, q := range gr.sinks {
-			gpts[j] = en.Net.Sinks[ord[q]].Pos
+		pts := en.pts[:0]
+		for _, q := range gr.sinks {
+			pts = append(pts, en.Net.Sinks[ord[q]].Pos)
 		}
-		items = append(items, keyed{key: float64(gr.left()), it: item{group: gr.id, bbox: geom.BoundingBox(gpts)}})
+		en.pts = pts
+		keyed = append(keyed, keyedItem{key: float64(gr.left()), it: item{group: gr.id, bbox: geom.BoundingBox(pts)}})
 	}
 sinks:
 	for _, q := range G {
@@ -772,14 +811,14 @@ sinks:
 			}
 		}
 		pt := en.Net.Sinks[ord[q]].Pos
-		items = append(items, keyed{key: key, it: item{sinkIdx: ord[q], pos: q, bbox: geom.Rect{Min: pt, Max: pt}}})
+		keyed = append(keyed, keyedItem{key: key, it: item{sinkIdx: ord[q], pos: q, bbox: geom.Rect{Min: pt, Max: pt}}})
 	}
-	slices.SortStableFunc(items, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
-	out := make([]item, len(items))
-	for i, kv := range items {
-		out[i] = kv.it
+	slices.SortStableFunc(keyed, func(a, b keyedItem) int { return cmp.Compare(a.key, b.key) })
+	for _, kv := range keyed {
+		dst = append(dst, kv.it) //lint:allow hotpath-alloc -- dst is the caller's: construct passes the engine's list, a replay's walk one sized to G
 	}
-	return out
+	en.keyed = keyed
+	return dst
 }
 
 // starDP is *PTREE (§3.2.3): the P-Tree interval DP over the ordered item
@@ -790,34 +829,27 @@ sinks:
 func (en *Engine) starDP(items []item) int32 {
 	t := len(items)
 	id := en.intervalIDs(items)
-	if en.curves[id[t-1]] != nil {
+	if en.memo[id[t-1]].stored() {
 		en.MemoHits++
 		return id[t-1]
 	}
 	en.StarDPCalls++
-	k := len(en.Cands)
 	for length := 1; length <= t; length++ {
 		for a := 0; a+length-1 < t; a++ {
 			b := a + length - 1
-			if en.curves[id[a*t+b]] != nil {
+			if en.memo[id[a*t+b]].stored() {
 				en.MemoHits++
 				continue
 			}
-			cur := newCurves(k)
-			en.intervalCell(items, id, a, b, cur, -1)
-			settle(cur)
-			en.curves[id[a*t+b]] = cur
+			en.intervalCell(items, id, a, b, -1)
+			en.memo[id[a*t+b]] = storeEntry(en.cur)
 		}
 	}
 	return id[t-1]
 }
 
 // intervalIDs interns the memo ids of every interval of items into the
-// engine's ivl, [a*t+b] for interval [a, b], and returns them. The final
-// interval [0, t−1] runs the buffer passes even with BufferAtSteiner off
-// and may drop unbuffered roots (ForceGroupBuffers); under either option
-// its key ends with finalCode, and otherwise it shares the non-final
-// interval's id.
+// engine's ivl, [a*t+b] for interval [a, b], and returns them.
 func (en *Engine) intervalIDs(items []item) []int32 {
 	t := len(items)
 	if cap(en.ivl) < t*t {
@@ -831,35 +863,54 @@ func (en *Engine) intervalIDs(items []item) []int32 {
 			id[a*t+b] = prev
 		}
 	}
+	id[t-1] = en.finalKey(id[t-1])
+	return id
+}
+
+// finalID interns only the chain of keys that ends in the memo id of items'
+// final interval [0, t−1], and returns that id: intervalIDs(items)[t−1].
+func (en *Engine) finalID(items []item) int32 {
+	id := int32(0)
+	for i := range items {
+		id = en.intern(id, en.itemCode(&items[i]))
+	}
+	return en.finalKey(id)
+}
+
+// finalKey returns the memo id of the final interval whose items have key
+// id. The final interval [0, t−1] runs the buffer passes even with
+// BufferAtSteiner off and may drop unbuffered roots (ForceGroupBuffers);
+// under either option its key ends with finalCode, and otherwise it shares
+// the non-final interval's id.
+func (en *Engine) finalKey(id int32) int32 {
 	if !en.Opts.BufferAtSteiner || en.Opts.ForceGroupBuffers {
-		id[t-1] = en.intern(id[t-1], finalCode)
+		return en.intern(id, finalCode)
 	}
 	return id
 }
 
 // intervalCell is the cell of interval [a, b] of one *PTREE call's items,
 // whose shorter intervals are stored under id: it computes the interval's
-// curve at every candidate into cur. root < 0 runs the last transfer hop
+// curve at every candidate into en.cur. root < 0 runs the last transfer hop
 // into every candidate; root ≥ 0 runs it into that one, which is all a
 // replay of that candidate's curve needs.
 //
 // Per-interval passes: raw → buffer → transfer → buffer, run in the scratch
-// curve as two pipelines that store each cell once: raw (join, leaf or
-// inner group) → buffer below, and wire → buffer in transfer's last hop.
-// Buffering before the transfer lets "buffer at q, wire q→p" structures
-// migrate to p (a plain-wire detour is never useful — Elmore is
-// path-additive — but a buffered one often is); the second pass lets a
-// buffer at p drive the incoming wire. This realizes the paper's mutual
-// S/S_b recursion with buffers at Steiner points to one relaxation depth
-// per level.
-func (en *Engine) intervalCell(items []item, id []int32, a, b int, cur []*curve.Curve, root int) {
+// curve as two pipelines: raw (join, leaf or inner group) → buffer below,
+// and wire → buffer in transfer's last hop. Buffering before the transfer
+// lets "buffer at q, wire q→p" structures migrate to p (a plain-wire detour
+// is never useful — Elmore is path-additive — but a buffered one often is);
+// the second pass lets a buffer at p drive the incoming wire. This realizes
+// the paper's mutual S/S_b recursion with buffers at Steiner points to one
+// relaxation depth per level.
+func (en *Engine) intervalCell(items []item, id []int32, a, b int, root int) {
 	en.refs.Reset()
 	t := len(items)
 	final := b-a+1 == t
 	buffered := final || en.Opts.BufferAtSteiner
 	mask := en.intervalMask(items[a : b+1])
-	for p, c := range cur {
-		c.Sols = c.Sols[:0]
+	for p := range en.cur {
+		c := clearCurve(&en.cur[p])
 		if mask != nil && !mask[p] {
 			continue
 		}
@@ -867,27 +918,28 @@ func (en *Engine) intervalCell(items []item, id []int32, a, b int, cur []*curve.
 		case a < b:
 			sc := en.startScratch()
 			for u := a; u < b; u++ {
-				sc.Join(en.curves[id[a*t+u]][p], en.curves[id[(u+1)*t+b]][p], func(x, y *curve.Solution) int32 {
-					return en.refs.Add(ref{kind: refJoin, point: int32(p), a: x.Ref, b: y.Ref, u: int32(u)})
+				sc.Join(en.memo[id[a*t+u]].at(p), en.memo[id[(u+1)*t+b]].at(p), func(x, y int) int32 {
+					return en.refs.Add(ref{kind: refJoin, point: int32(p), a: int32(x), b: int32(y), u: int32(u)})
 				})
 			}
 		case it.group != 0:
-			sc := en.startScratch(en.curves[it.group][p].Sols...)
+			sc := en.startScratch()
+			sc.Sols = append(sc.Sols, en.memo[it.group].at(p)...)
 			for i := range sc.Sols {
-				sc.Sols[i].Ref = en.refs.Keep(ref{kind: refGroup, point: int32(p), a: int32(i), b: it.group})
+				sc.Refs = append(sc.Refs, en.refs.Keep(ref{kind: refGroup, point: int32(p), a: int32(i), b: it.group}))
 			}
 		default:
-			en.startScratch(en.leafSol(p, it.sinkIdx))
+			en.startLeaf(p, it.sinkIdx)
 		}
 		if buffered {
 			en.bufferScratch(p)
 		}
 		en.storeScratch(c)
 	}
-	en.transfer(cur, mask, buffered, root)
+	en.transfer(mask, buffered, root)
 	if final && en.Opts.ForceGroupBuffers {
-		for _, c := range cur {
-			en.keepBufferedRoots(c)
+		for p := range en.cur {
+			en.keepBufferedRoots(&en.cur[p])
 		}
 	}
 }
@@ -898,46 +950,48 @@ func (en *Engine) intervalCell(items []item, id []int32, a, b int, cur []*curve.
 // items, so its root, through its via chain, is a join or buffer record
 // made in the cell.
 func (en *Engine) keepBufferedRoots(c *curve.Curve) {
-	out := make([]curve.Solution, 0, len(c.Sols))
-	for _, s := range c.Sols {
-		r := en.refs.At(s.Ref)
+	w := 0
+	for i, h := range c.Refs {
+		r := en.refs.At(h)
 		for r.kind == refVia {
 			r = en.refs.At(r.a)
 		}
 		if r.kind == refBuf {
-			out = append(out, s)
+			c.Sols[w], c.Refs[w] = c.Sols[i], h
+			w++
 		}
 	}
-	c.Sols = out
+	c.Sols, c.Refs = c.Sols[:w], c.Refs[:w]
 }
 
-// transfer relaxes curves across candidate locations: a structure rooted at
-// p′ may serve root p through a direct wire p→p′ (the S = min{d(p,p′)+S′}
-// recursion). Opts.TransferHops sweeps are performed; with buffered, the
-// last one also runs the buffer pass on each target before storing it.
-// Each sweep is Jacobi: every target reads the sources as they stood before
-// the sweep, so the last sweep may run into root alone (root ≥ 0). A
-// target's result replaces its solution list rather than rewriting it, so
-// copying the slice headers is snapshot enough.
-func (en *Engine) transfer(cur []*curve.Curve, mask []bool, buffered bool, root int) {
-	k := len(en.Cands)
-	snap, srcs := en.snap, en.srcs
+// transfer relaxes an interval's curves across candidate locations: a
+// structure rooted at p′ may serve root p through a direct wire p→p′ (the
+// S = min{d(p,p′)+S′} recursion). Opts.TransferHops sweeps are performed;
+// with buffered, the last one also runs the buffer pass on each target
+// before storing it. Each sweep is Jacobi: it swaps en.cur into en.pre, and
+// every target reads the sources there, as they stood before the sweep,
+// while it writes its curve in en.cur. So the last sweep may run into root
+// alone (root ≥ 0).
+func (en *Engine) transfer(mask []bool, buffered bool, root int) {
 	for hop := 1; hop <= en.Opts.TransferHops; hop++ {
-		for q := 0; q < k; q++ {
-			snap[q] = *cur[q]
-			srcs[q] = &snap[q]
+		en.pre, en.cur = en.cur, en.pre
+		pre := en.pre
+		for q := range pre {
+			en.srcs[q] = pre[q].Sols
 		}
-		for p := 0; p < k; p++ {
+		for p := range en.cur {
+			c := clearCurve(&en.cur[p])
 			if (mask != nil && !mask[p]) || (hop == en.Opts.TransferHops && root >= 0 && p != root) {
 				continue
 			}
-			en.startScratch(cur[p].Sols...).Wire(en.Tech, srcs, en.dist[p], p, 0, func(s *curve.Solution) int32 {
-				return en.refs.Add(ref{kind: refVia, point: int32(p), a: s.Ref})
+			copyCurve(&en.scratch, &pre[p])
+			en.scratch.Wire(en.Tech, en.srcs, en.dist[p], p, 0, func(q, i int) int32 {
+				return en.refs.Add(ref{kind: refVia, point: int32(p), a: pre[q].Refs[i]})
 			})
 			if buffered && hop == en.Opts.TransferHops {
 				en.bufferScratch(p)
 			}
-			en.storeScratch(cur[p])
+			en.storeScratch(c)
 		}
 	}
 }
@@ -955,8 +1009,16 @@ func (en *Engine) driver() rc.Gate {
 // delay, and returns the solution together with its driver-input required
 // time.
 func (en *Engine) Extract(final []*curve.Curve, goal Goal) (curve.Solution, float64, error) {
-	src := final[en.srcIdx]
-	if src == nil || src.Empty() {
+	var src []curve.Solution
+	if c := final[en.srcIdx]; c != nil {
+		src = c.Sols
+	}
+	return en.extract(src, goal)
+}
+
+// extract is Extract on the final curve at the source, src.
+func (en *Engine) extract(src []curve.Solution, goal Goal) (curve.Solution, float64, error) {
+	if len(src) == 0 {
 		return curve.Solution{}, 0, fmt.Errorf("core: no solution at source")
 	}
 	drv := en.driver()
@@ -965,7 +1027,7 @@ func (en *Engine) Extract(final []*curve.Curve, goal Goal) (curve.Solution, floa
 	found := false
 	switch goal.Mode {
 	case GoalMaxReq:
-		for _, s := range src.Sols {
+		for _, s := range src {
 			if goal.AreaBudget > 0 && s.Area > goal.AreaBudget {
 				continue
 			}
@@ -974,7 +1036,7 @@ func (en *Engine) Extract(final []*curve.Curve, goal Goal) (curve.Solution, floa
 			}
 		}
 	case GoalMinArea:
-		for _, s := range src.Sols {
+		for _, s := range src {
 			if reqAt(s) < goal.ReqFloor {
 				continue
 			}
@@ -985,7 +1047,7 @@ func (en *Engine) Extract(final []*curve.Curve, goal Goal) (curve.Solution, floa
 		if !found {
 			// Infeasible floor: fall back to the max-req solution so callers
 			// still get the closest structure; they can detect the shortfall.
-			return en.Extract(final, Goal{Mode: GoalMaxReq})
+			return en.extract(src, Goal{Mode: GoalMaxReq})
 		}
 	}
 	if !found {

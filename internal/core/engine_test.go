@@ -3,10 +3,12 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"merlin/internal/buflib"
+	"merlin/internal/curve"
 	"merlin/internal/geom"
 	"merlin/internal/net"
 	"merlin/internal/order"
@@ -479,9 +481,9 @@ func TestExtractGoalFallback(t *testing.T) {
 	}
 }
 
-// TestBuildTreeRejectsBadHandles: a solution whose Ref names no solution of
-// the final curve — negative, as a provisional handle is, or past the
-// curve's end — is an error, not a panic.
+// TestBuildTreeRejectsBadHandles: BuildTree names a stored solution by its
+// triple, so a solution that is no solution of the final curve at the
+// candidate, or a candidate out of range, is an error, not a panic.
 func TestBuildTreeRejectsBadHandles(t *testing.T) {
 	nt, cands, lib, tech := testSetup(4, 3, 6)
 	en := NewEngine(nt, cands, lib, tech, exactOpts())
@@ -493,15 +495,82 @@ func TestBuildTreeRejectsBadHandles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := en.BuildTree(sol, en.SourceIndex()); err != nil {
+	src := en.SourceIndex()
+	if _, err := en.BuildTree(sol, src); err != nil {
 		t.Fatalf("extracted solution: %v", err)
 	}
-	for _, h := range []int32{-1, 1 << 30} {
-		bad := sol
-		bad.Ref = h
-		tr, err := en.BuildTree(bad, en.SourceIndex())
-		if err == nil || !strings.Contains(err.Error(), "no reconstruction reference") {
-			t.Fatalf("handle %d: got tree %v, error %v; want the no-reconstruction-reference error", h, tr, err)
+	for _, bad := range []curve.Solution{
+		{Load: sol.Load, Req: sol.Req + 1, Area: sol.Area},
+		{Load: -1, Req: sol.Req, Area: sol.Area},
+	} {
+		tr, err := en.BuildTree(bad, src)
+		if err == nil || !strings.Contains(err.Error(), "is no solution of the last construct's curve") {
+			t.Fatalf("solution %v: got tree %v, error %v; want the no-such-solution error", bad, tr, err)
 		}
+	}
+	for _, p := range []int{-1, len(en.Cands)} {
+		tr, err := en.BuildTree(sol, p)
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Fatalf("candidate %d: got tree %v, error %v; want the out-of-range error", p, tr, err)
+		}
+	}
+}
+
+// TestStoredListsAreBounded: a memo entry stores the lists of all its
+// candidates back to back in one block, and each candidate's list, read in
+// place, ends where the next one starts. Appending to it, directly or by a
+// kernel insert that evicts nothing, must copy the list and leave the next
+// candidate's triples unchanged.
+func TestStoredListsAreBounded(t *testing.T) {
+	nt, cands, lib, tech := testSetup(5, 11, 7)
+	opts := exactOpts()
+	opts.MaxSols = 4
+	en := NewEngine(nt, cands, lib, tech, opts)
+	final, err := en.Construct(order.Identity(nt.N()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Nothing dominates it, and it dominates nothing: no stored solution has
+	// zero load, and every one has a better required time.
+	extra := curve.Solution{Load: 0, Req: -1e9, Area: 0}
+	checked := 0
+	for id := range en.memo {
+		e := &en.memo[id]
+		if !e.stored() {
+			continue
+		}
+		for p := 0; p+1 < len(en.Cands); p++ {
+			l, next := e.at(p), e.at(p+1)
+			if len(l) == 0 || len(next) == 0 {
+				continue
+			}
+			if &e.sols[e.off[p+1]] != &next[0] {
+				t.Fatalf("memo id %d: candidate %d's list is not in the entry's block", id, p+1)
+			}
+			want := slices.Clone(next)
+			grown := append(l, extra)
+			c := curve.Curve{Sols: l}
+			if c.Insert(extra) != 1 {
+				t.Fatalf("memo id %d candidate %d: %v was not admitted", id, p, extra)
+			}
+			if &grown[0] == &l[0] || &c.Sols[0] == &l[0] {
+				t.Fatalf("memo id %d candidate %d: an append wrote into the block", id, p)
+			}
+			if !slices.Equal(e.at(p+1), want) {
+				t.Fatalf("memo id %d: appending to candidate %d changed candidate %d's list to %v, want %v", id, p, p+1, e.at(p+1), want)
+			}
+			checked++
+		}
+	}
+	if checked < 10 {
+		t.Fatalf("only %d adjacent pairs of non-empty lists checked", checked)
+	}
+	src := en.SourceIndex()
+	before := slices.Clone(final[src].Sols)
+	for p := range final {
+		final[p].Sols = append(final[p].Sols, extra)
+	}
+	if again := en.memo[en.gamma[nt.N()-1][Chi0][nt.N()-1]].at(src); !slices.Equal(again, before) {
+		t.Fatalf("appending to the final curves changed the stored source list to %v, want %v", again, before)
 	}
 }

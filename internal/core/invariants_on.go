@@ -17,14 +17,12 @@ import (
 // and every extracted tree realizes a sink order and — in the strict
 // Definition 2 configuration — is a Cα_Tree with branching ≤ α.
 
-// assertFinalCurves panics unless every non-nil per-candidate curve of a
-// finished construction is a pairwise non-inferior frontier (the curves are
-// Cap-thinned, so sort order is not required).
-func assertFinalCurves(final []*curve.Curve, where string) {
-	for p, c := range final {
-		if c == nil {
-			continue
-		}
+// assertFinalCurves panics unless every per-candidate curve of a finished
+// construction's final entry is a pairwise non-inferior frontier (the
+// curves are Cap-thinned, so sort order is not required).
+func assertFinalCurves(final *entry, where string) {
+	for p := 0; p+1 < len(final.off); p++ {
+		c := curve.Curve{Sols: final.at(p)}
 		if err := c.CheckFrontier(false); err != nil {
 			panic(fmt.Sprintf("merlin_invariants: %s: candidate %d: %v", where, p, err))
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -96,6 +97,7 @@ func (en *Engine) MerlinCtx(ctx context.Context, initOrder order.Order) (out *Re
 
 	res := &Result{}
 	bestCost := costInf
+	var best []curve.Solution // the best loop's final curve at the source
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: merlin canceled after %d loops: %w", res.Loops, err)
@@ -105,15 +107,17 @@ func (en *Engine) MerlinCtx(ctx context.Context, initOrder order.Order) (out *Re
 		// the DP hot phase a traced request mostly consists of.
 		cctx, csp := trace.StartSpan(ctx, "dp.construct")
 		csp.SetAttr("loop", strconv.Itoa(res.Loops))
-		final, err := en.ConstructCtx(cctx, pi)
+		top, err := en.construct(cctx, pi)
 		csp.End()
 		if err != nil {
 			return nil, err
 		}
 		// dp.extract: final eval — walk the frontier for the goal's best
-		// solution and rebuild its embedded tree.
+		// solution and rebuild its embedded tree. The frontier is read in
+		// place, from the stored block.
 		_, esp := trace.StartSpan(ctx, "dp.extract")
-		sol, reqAt, err := en.Extract(final, en.Opts.Goal)
+		frontier := top.at(en.srcIdx)
+		sol, reqAt, err := en.extract(frontier, en.Opts.Goal)
 		if err != nil {
 			esp.End()
 			return nil, err
@@ -135,7 +139,7 @@ func (en *Engine) MerlinCtx(ctx context.Context, initOrder order.Order) (out *Re
 			res.Solution = sol
 			res.ReqAtDriverInput = reqAt
 			res.FinalOrder = next
-			res.Frontier = final[en.srcIdx]
+			best = frontier
 		}
 		if next.Equal(pi) {
 			break // order fixpoint: N(Π) holds nothing better (Fig. 14 line 8)
@@ -153,7 +157,7 @@ func (en *Engine) MerlinCtx(ctx context.Context, initOrder order.Order) (out *Re
 	}
 	// The best loop's curve belongs to the engine's memo; hand out a copy
 	// so a caller that trims or edits it cannot corrupt later searches.
-	res.Frontier = res.Frontier.Clone()
+	res.Frontier = &curve.Curve{Sols: slices.Clone(best)}
 	res.Runtime = time.Since(start)
 	return res, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"merlin/internal/curve"
 	"merlin/internal/tree"
@@ -11,11 +12,12 @@ import (
 // entry: an INITIALIZATION sub-problem (leafCell), one *PTREE interval
 // (intervalCell) or one Γ accumulation (gammaCell). A cell writes the
 // records of its curves into the engine's one table and resets it when it
-// starts, so no record outlives its cell; stored solutions are named by
-// position, (memo id, candidate, index). Every stored list is a
-// deterministic function of its inputs (Lemma 7), so BuildTree rebuilds a
-// solution by running the cells its tree touches again, with the same code,
-// and following the records each replayed cell writes.
+// starts, so no record outlives its cell; it stores its curves' triples
+// alone, and stored solutions are named by position, (memo id, candidate,
+// index). Every stored list is a deterministic function of its inputs
+// (Lemma 7), so BuildTree rebuilds a solution by running the cells its tree
+// touches again, with the same code, and following the records each
+// replayed cell writes.
 
 // treeKey names a solution of a construct's final curves: the final Γ's
 // memo id, the candidate and the solution's index.
@@ -35,34 +37,31 @@ type spot struct {
 }
 
 // BuildTree reconstructs the buffered routing tree of solution sol of the
-// final curve at candidate p of the most recent construct (Fig. 9 line 22);
-// sol.Ref is the solution's index in that curve, as Extract returns it. The
-// first rebuild of a solution replays the cells its tree touches and
-// checks that each reproduces its stored curve, triple for triple and in
-// curve order, returning an error wrapping ErrInternal if one does not; the
-// engine keeps the expanded records, so a repeat rebuild replays nothing.
+// final curve at candidate p of the most recent construct (Fig. 9 line 22),
+// as Extract returns it. A curve is non-inferior, so no two of its
+// solutions share a triple, and sol's triple names it. The first rebuild of
+// a solution replays the cells its tree touches and checks that each
+// reproduces its stored curve, triple for triple and in curve order,
+// returning an error wrapping ErrInternal if one does not; the engine keeps
+// the expanded records, so a repeat rebuild replays nothing.
 func (en *Engine) BuildTree(sol curve.Solution, p int) (t *tree.Tree, err error) {
 	defer recoverToErr(&err)
 	n := en.Net.N()
 	if len(en.ord) != n {
 		return nil, fmt.Errorf("core: no finished construct to rebuild a tree from")
 	}
+	if p < 0 || p >= len(en.Cands) {
+		return nil, fmt.Errorf("core: candidate %d out of range (%d candidates)", p, len(en.Cands))
+	}
 	id := en.gamma[n-1][Chi0][n-1]
-	final := en.curves[id]
-	if p < 0 || p >= len(final) {
-		return nil, fmt.Errorf("core: candidate %d out of range (%d candidates)", p, len(final))
+	i := slices.Index(en.memo[id].at(p), sol)
+	if i < 0 {
+		return nil, fmt.Errorf("core: solution %v is no solution of the last construct's curve at candidate %d", sol, p)
 	}
-	sols := final[p].Sols
-	if sol.Ref < 0 || int(sol.Ref) >= len(sols) {
-		return nil, fmt.Errorf("core: solution carries no reconstruction reference (index %d, %d solutions at candidate %d)", sol.Ref, len(sols), p)
-	}
-	if s := sols[sol.Ref]; s.Load != sol.Load || s.Req != sol.Req || s.Area != sol.Area {
-		return nil, fmt.Errorf("core: solution %v is not solution %d of the last construct's curve at candidate %d", sol, sol.Ref, p)
-	}
-	key := treeKey{id, int32(p), sol.Ref}
+	key := treeKey{id, int32(p), int32(i)}
 	recs, ok := en.trees[key]
 	if !ok {
-		if recs, err = en.expand(spot{p: p, i: int(sol.Ref), l: n, e: Chi0, r: n - 1}); err != nil {
+		if recs, err = en.expand(spot{p: p, i: i, l: n, e: Chi0, r: n - 1}); err != nil {
 			return nil, err
 		}
 		en.trees[key] = recs
@@ -100,46 +99,46 @@ func (en *Engine) expand(root spot) ([]ref, error) {
 	return out, nil
 }
 
-// replay runs spot s's cell again into the engine's replay curves, checks
-// that it reproduces the stored curve at s.p, and returns the handle of
-// solution s.i's record in the replayed cell.
+// replay runs spot s's cell again into en.cur, checks that it reproduces
+// the stored curve at s.p, and returns the handle of solution s.i's record
+// in the replayed cell.
 func (en *Engine) replay(s spot) (int32, error) {
 	en.Replays++
 	var id int32
 	if s.items != nil {
 		ids := en.intervalIDs(s.items)
 		id = ids[s.a*len(s.items)+s.b]
-		if en.curves[id] == nil {
+		if !en.memo[id].stored() {
 			return 0, fmt.Errorf("%w: %s has no stored curves", ErrInternal, s)
 		}
-		en.intervalCell(s.items, ids, s.a, s.b, en.rcur, s.p)
+		en.intervalCell(s.items, ids, s.a, s.b, s.p)
 	} else {
 		span := s.l + Stretch(s.e)
 		id = en.gamma[s.l-1][s.e][s.r]
-		if en.curves[id] == nil {
+		if !en.memo[id].stored() {
 			return 0, fmt.Errorf("%w: %s has no stored curves", ErrInternal, s)
 		}
 		en.g = appendSinkSet(en.g[:0], s.r, span, s.e)
 		if s.l == 1 {
-			en.leafCell(en.ord[en.g[0]], en.rcur)
+			en.leafCell(en.ord[en.g[0]])
 		} else {
 			en.scanCalls(s.l, s.r, span)
 			for i := range en.calls {
-				items := en.callItems(en.ord, i)
-				fid := en.intervalIDs(items)[len(items)-1]
-				if en.curves[fid] == nil {
+				en.items = en.callItems(en.items[:0], en.ord, i)
+				fid := en.finalID(en.items)
+				if !en.memo[fid].stored() {
 					return 0, fmt.Errorf("%w: %s: call %d has no stored curves", ErrInternal, s, i)
 				}
 				en.calls[i].final = fid
 			}
-			en.gammaCell(en.rcur, s.p)
+			en.gammaCell(s.p)
 		}
 	}
-	got, want := en.rcur[s.p].Sols, en.curves[id][s.p].Sols
-	if !sameTriples(got, want) {
-		return 0, fmt.Errorf("%w: replay of %s gives %v, stored %v", ErrInternal, s, got, want)
+	got, want := &en.cur[s.p], en.memo[id].at(s.p)
+	if !slices.Equal(got.Sols, want) {
+		return 0, fmt.Errorf("%w: replay of %s gives %v, stored %v", ErrInternal, s, got.Sols, want)
 	}
-	return got[s.i].Ref, nil
+	return got.Refs[s.i], nil
 }
 
 // String names the spot's cell and candidate for errors.
@@ -148,20 +147,6 @@ func (s spot) String() string {
 		return fmt.Sprintf("interval [%d, %d] of %d items at candidate %d", s.a, s.b, len(s.items), s.p)
 	}
 	return fmt.Sprintf("Γ(%d, %v, %d) at candidate %d", s.l, s.e, s.r, s.p)
-}
-
-// sameTriples reports whether two solution lists hold equal triples in the
-// same order.
-func sameTriples(a, b []curve.Solution) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Load != b[i].Load || a[i].Req != b[i].Req || a[i].Area != b[i].Area {
-			return false
-		}
-	}
-	return true
 }
 
 // walk copies the record of handle h, replayed for spot s, and the records
@@ -190,7 +175,9 @@ func (en *Engine) walk(h int32, s spot, out []ref, todo []spot) ([]ref, []spot) 
 		l, e, gr := en.gammaAt(r.b)
 		todo = append(todo, spot{slot: s.slot, p: p, i: int(r.a), l: l, e: e, r: gr})
 	case refCall:
-		items := en.callItems(en.ord, int(r.b))
+		// The spot keeps its items on the todo stack, so they get a list
+		// of their own.
+		items := en.callItems(make([]item, 0, len(en.g)), en.ord, int(r.b))
 		todo = append(todo, spot{slot: s.slot, p: p, i: int(r.a), items: items, a: 0, b: len(items) - 1})
 	}
 	return out, todo

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"merlin/internal/order"
@@ -20,10 +21,8 @@ func TestCellTableHoldsOneCell(t *testing.T) {
 	k, o := len(en.Cands), en.Opts
 	bound := 2 * (1 + o.TransferHops) * k * o.MaxSols
 	stored := 0
-	for _, cs := range en.curves {
-		for _, c := range cs {
-			stored += c.Len()
-		}
+	for i := range en.memo {
+		stored += len(en.memo[i].sols)
 	}
 	if en.refs.Len() > bound {
 		t.Fatalf("table holds %d records after the solve, more than one cell's %d", en.refs.Len(), bound)
@@ -39,18 +38,18 @@ func TestCellTableHoldsOneCell(t *testing.T) {
 	en.g = appendSinkSet(en.g[:0], n-1, n, Chi0)
 	en.scanCalls(n, n-1, n)
 	for i := range en.calls {
-		items := en.callItems(en.ord, i)
-		en.calls[i].final = en.intervalIDs(items)[len(items)-1]
+		en.items = en.callItems(en.items[:0], en.ord, i)
+		en.calls[i].final = en.finalID(en.items)
 	}
-	items := en.callItems(en.ord, 0)
+	items := en.callItems(nil, en.ord, 0)
 	ids := en.intervalIDs(items)
 	for _, c := range []struct {
 		name string
 		run  func()
 	}{
-		{"leaf", func() { en.leafCell(0, en.rcur) }},
-		{"interval", func() { en.intervalCell(items, ids, 0, len(items)-1, en.rcur, -1) }},
-		{"gamma", func() { en.gammaCell(en.rcur, -1) }},
+		{"leaf", func() { en.leafCell(0) }},
+		{"interval", func() { en.intervalCell(items, ids, 0, len(items)-1, -1) }},
+		{"gamma", func() { en.gammaCell(-1) }},
 	} {
 		c.run()
 		once := en.refs.Len()
@@ -67,7 +66,8 @@ func TestCellTableHoldsOneCell(t *testing.T) {
 // it fail the same way or, when no replayed cell reads the entry or the
 // change does not reach a survivor, rebuild the same tree. Some entries
 // below the final curve must fail, so the check runs in every replayed cell,
-// not only at the root.
+// not only at the root. The alterations write the stored blocks themselves:
+// the final curve Construct returns reads its block in place.
 func TestReplayDetectsAlteredCurves(t *testing.T) {
 	nt, cands, lib, tech := testSetup(5, 11, 7)
 	opts := exactOpts()
@@ -99,7 +99,11 @@ func TestReplayDetectsAlteredCurves(t *testing.T) {
 	if len(sols) < 2 {
 		t.Fatalf("source curve has %d solutions; need another one to alter", len(sols))
 	}
-	j := (int(sol.Ref) + 1) % len(sols)
+	finalID := en.gamma[nt.N()-1][Chi0][nt.N()-1]
+	if &sols[0] != &en.memo[finalID].at(src)[0] {
+		t.Fatal("Construct's final curve at the source is a copy, not the stored block")
+	}
+	j := (slices.Index(sols, sol) + 1) % len(sols)
 	sols[j].Req += 1
 	if err := rebuild(); !errors.Is(err, ErrInternal) {
 		t.Fatalf("altered final curve: BuildTree err = %v, want ErrInternal", err)
@@ -109,23 +113,22 @@ func TestReplayDetectsAlteredCurves(t *testing.T) {
 		t.Fatalf("restored final curve: %v", err)
 	}
 
-	finalID := en.gamma[nt.N()-1][Chi0][nt.N()-1]
 	caught := 0
-	for id, cs := range en.curves {
-		if cs == nil || int32(id) == finalID {
+	for id := range en.memo {
+		e := &en.memo[id]
+		if !e.stored() || int32(id) == finalID {
 			continue
 		}
-		for _, c := range cs {
-			if !c.Empty() {
-				c.Sols[0].Req += 1
+		alter := func(by float64) {
+			for p := range en.Cands {
+				if l := e.at(p); len(l) > 0 {
+					l[0].Req += by
+				}
 			}
 		}
+		alter(1)
 		err := rebuild()
-		for _, c := range cs {
-			if !c.Empty() {
-				c.Sols[0].Req -= 1
-			}
-		}
+		alter(-1)
 		switch {
 		case errors.Is(err, ErrInternal):
 			caught++

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"time"
-
-	"merlin/internal/curve"
 )
 
 // This file is the engine's robustness boundary: typed errors for the two
@@ -82,15 +80,11 @@ func (en *Engine) endBudget() { en.budgetActive = false }
 // candidate) against the budget. Memo hits are charged like fresh
 // computations: what the budget bounds is the working set referenced by
 // this run, which includes re-used curves.
-func (en *Engine) chargeSols(cs []*curve.Curve) {
+func (en *Engine) chargeSols(e *entry) {
 	if !en.budgetActive || !en.Opts.Budget.enforced() {
 		return
 	}
-	for _, c := range cs {
-		if c != nil {
-			en.budgetUsed += len(c.Sols)
-		}
-	}
+	en.budgetUsed += len(e.sols)
 }
 
 // checkBudget returns ErrBudgetExceeded if the open budget window is

@@ -2,18 +2,17 @@
 // curves that BUBBLE_CONSTRUCT and *PTREE propagate (Fig. 8 of the paper),
 // and the one kernel of curve operators that all three flows build them with.
 //
-// A solution σ records the (load, required time, total buffer area) of a
-// buffered routing structure rooted at some point, plus the handle of the
-// record its owner rebuilds the structure from during extraction (see
-// Refs). Definition 6 of the paper orders solutions: σ2 is inferior to σ1
-// iff
+// A solution σ is the (load, required time, total buffer area) triple of a
+// buffered routing structure rooted at some point. Definition 6 of the
+// paper orders solutions: σ2 is inferior to σ1 iff
 //
 //	load(σ1) ≤ load(σ2) ∧ reqTime(σ2) ≤ reqTime(σ1) ∧ area(σ1) ≤ area(σ2).
 //
-// A Curve stores only the non-inferior frontier. Every curve is built by the
-// kernel — Insert, Join, Wire and Buffer — which grows a frontier
-// incrementally and keeps it non-inferior after every solution; Sort orders
-// a curve and Cap thins it.
+// A Curve stores only the non-inferior frontier, and beside it, while its
+// owner builds it, the handle of each solution's reconstruction record (see
+// Refs). Every curve is built by the kernel — Insert, Join, Wire and Buffer
+// — which grows a frontier incrementally and keeps it non-inferior after
+// every solution; Sort orders a curve and Cap thins it.
 //
 // Kernel rules, shared by every operator:
 //
@@ -34,21 +33,25 @@
 //     its solutions. Every transform is monotone, so if the target already
 //     dominates the mapped corner it dominates everything the input could
 //     produce, and the whole input is skipped.
+//   - Sources are read in place: an operator takes its inputs as solution
+//     lists, which may be views into an owner's storage, and names an input
+//     solution to its ref callback by its index in its list.
 //   - Records are built only for solutions that survive the insert: an
 //     operator calls its ref callback, which writes a provisional record into
-//     the owner's Refs table, right after the insert admits the solution.
+//     the owner's Refs table, right after the insert admits the solution,
+//     and appends the handle it returns to the target's Refs.
 package curve
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 
 	"merlin/internal/rc"
 )
 
-// Solution is one point of a three-dimensional solution curve.
+// Solution is one point of a three-dimensional solution curve. It carries no
+// handle: the kernel names a solution by its index in its list, and an
+// owner keeps its handles in Curve.Refs.
 type Solution struct {
 	// Load is the capacitance (pF) presented at the root of the structure.
 	Load float64
@@ -57,10 +60,6 @@ type Solution struct {
 	Req float64
 	// Area is the total buffer area (λ²) used inside the structure.
 	Area float64
-	// Ref is the handle of the record the owner reconstructs the structure
-	// from (line 22 of BUBBLE_CONSTRUCT), an index into the owner's Refs
-	// table. The kernel only copies it.
-	Ref int32
 }
 
 // Dominates reports whether s is at least as good as t in all three
@@ -75,9 +74,17 @@ func (s Solution) String() string {
 }
 
 // Curve is a set of solutions, normally kept pruned to its non-inferior
-// frontier. The zero value is an empty curve ready for use.
+// frontier, with the handles of their reconstruction records. The zero
+// value is an empty curve ready for use.
 type Curve struct {
 	Sols []Solution
+	// Refs, on a curve whose owner keeps reconstruction records, is parallel
+	// to Sols: Refs[i] is the handle of Sols[i]'s record in the owner's Refs
+	// table. The kernel operators append a handle for every solution they
+	// admit, and insert, Sort, Cap and PruneNaive move each handle with its
+	// solution. A curve filled by Insert alone, or stored without its
+	// records, has none.
+	Refs []int32
 }
 
 // Len returns the number of stored solutions.
@@ -86,27 +93,43 @@ func (c *Curve) Len() int { return len(c.Sols) }
 // Empty reports whether the curve holds no solutions.
 func (c *Curve) Empty() bool { return len(c.Sols) == 0 }
 
-// Clone returns a copy of the curve with its own solution list.
+// Clone returns a copy of the curve with its own solution and handle lists.
 func (c *Curve) Clone() *Curve {
-	out := &Curve{Sols: make([]Solution, len(c.Sols))}
-	copy(out.Sols, c.Sols)
-	return out
+	return &Curve{Sols: append([]Solution(nil), c.Sols...), Refs: append([]int32(nil), c.Refs...)}
+}
+
+// moveRef moves refs[from] down to refs[to], shifting the handles between up
+// by one, as an insertion sort moves their solutions. A curve without
+// handles has none to move.
+func moveRef(refs []int32, to, from int) {
+	if to == from || len(refs) == 0 {
+		return
+	}
+	r := refs[from]
+	copy(refs[to+1:from+1], refs[to:from])
+	refs[to] = r
 }
 
 // Sort orders the curve by increasing load, then increasing area, then
 // decreasing required time: the order Flows I and II cap in. The kernel
 // keeps every curve non-inferior, so no two solutions compare equal and the
-// order is unique.
+// order is unique. It is an insertion sort, which moves each handle with
+// its solution; the curves sorted here are small.
 func (c *Curve) Sort() {
-	slices.SortFunc(c.Sols, func(a, b Solution) int {
-		if a.Load != b.Load {
-			return cmp.Compare(a.Load, b.Load)
+	sols, refs := c.Sols, c.Refs
+	for i := 1; i < len(sols); i++ {
+		s := sols[i]
+		j := i - 1
+		for ; j >= 0; j-- {
+			t := &sols[j]
+			if t.Load < s.Load || (t.Load == s.Load && (t.Area < s.Area || (t.Area == s.Area && t.Req >= s.Req))) {
+				break
+			}
+			sols[j+1] = *t
 		}
-		if a.Area != b.Area {
-			return cmp.Compare(a.Area, b.Area)
-		}
-		return cmp.Compare(b.Req, a.Req)
-	})
+		sols[j+1] = s
+		moveRef(refs, j+1, i)
+	}
 	assertFrontier(c, "Sort")
 }
 
@@ -114,8 +137,9 @@ func (c *Curve) Sort() {
 // against: it removes every inferior solution (Definition 6), keeping the
 // first of equal triples, then sorts the survivors.
 func (c *Curve) PruneNaive() {
-	sols := c.Sols
+	sols, refs := c.Sols, c.Refs
 	out := make([]Solution, 0, len(sols))
+	var outRefs []int32
 	for i, s := range sols {
 		inferior := false
 		for j, t := range sols {
@@ -138,9 +162,12 @@ func (c *Curve) PruneNaive() {
 		}
 		if !inferior {
 			out = append(out, s)
+			if len(refs) > 0 {
+				outRefs = append(outRefs, refs[i])
+			}
 		}
 	}
-	c.Sols = out
+	c.Sols, c.Refs = out, outRefs
 	c.Sort()
 }
 
@@ -160,7 +187,7 @@ func (c *Curve) dominated(load, req, area float64) bool {
 // minimum load, maximum required time and minimum area, a triple that
 // dominates every solution in the list.
 func corner(sols []Solution) Solution {
-	lo := Solution{Load: sols[0].Load, Req: sols[0].Req, Area: sols[0].Area}
+	lo := sols[0]
 	for i := 1; i < len(sols); i++ {
 		t := &sols[i]
 		if t.Load < lo.Load {
@@ -176,11 +203,11 @@ func corner(sols []Solution) Solution {
 	return lo
 }
 
-// Insert adds sols, in order, to a non-inferior curve and keeps it
-// non-inferior (see insert). It returns how many of sols were admitted; a
-// later one may evict an earlier one. The result holds the solutions
-// PruneNaive keeps of the curve's solutions followed by sols, as property
-// tests check.
+// Insert adds sols, in order, to a non-inferior curve without handles and
+// keeps it non-inferior (see insert). It returns how many of sols were
+// admitted; a later one may evict an earlier one. The result holds the
+// solutions PruneNaive keeps of the curve's solutions followed by sols, as
+// property tests check.
 func (c *Curve) Insert(sols ...Solution) int {
 	n := 0
 	for i := range sols {
@@ -191,12 +218,24 @@ func (c *Curve) Insert(sols ...Solution) int {
 	return n
 }
 
+// InsertRef inserts s like Insert into a curve that keeps handles and, only
+// if s is admitted, appends the handle ref returns. It reports whether s
+// was admitted.
+func (c *Curve) InsertRef(s Solution, ref func() int32) bool {
+	if !c.insert(s) {
+		return false
+	}
+	c.Refs = append(c.Refs, ref())
+	return true
+}
+
 // insert is the kernel's one insert, in two scans. The rejection scan walks
 // the stored solutions newest first and returns false at the first one that
 // dominates s (an equal triple counts, so the first of two duplicates wins),
 // leaving the curve unchanged. Only an admitted s gets the second scan: a
 // forward walk to the first solution s dominates, then a stable compaction
-// that drops every solution s dominates; s is appended last. Both scans test
+// that drops every solution s dominates, and its handle with it; s is
+// appended last, and the caller appends its handle. Both scans test
 // dominance branch-free, ANDing the three comparisons with b2i.
 //
 // Rejections are common and cluster at the newest end. Over Flow III on
@@ -223,13 +262,20 @@ func (c *Curve) insert(s Solution) bool {
 		}
 	}
 	if first < len(sols) {
+		refs := c.Refs
 		w := first
 		for j := first + 1; j < len(sols); j++ {
 			t := sols[j]
 			sols[w] = t
+			if len(refs) > 0 {
+				refs[w] = refs[j]
+			}
 			w += 1 - b2i(s.Load <= t.Load)&b2i(s.Req >= t.Req)&b2i(s.Area <= t.Area)
 		}
 		sols = sols[:w]
+		if len(refs) > 0 {
+			c.Refs = refs[:w]
+		}
 	}
 	c.Sols = append(sols, s)
 	assertInserted(c, "insert")
@@ -247,24 +293,24 @@ func b2i(b bool) int {
 	return i
 }
 
-// Join inserts into c the merge of every pair (x from a, y from b) of two
+// Join inserts into c the merge of every pair (a[i], b[j]) of two
 // structures rooted at the same point: loads and areas add, required times
-// take the minimum. Pairs are inserted x-major. ref returns a surviving
-// merge's Ref, built from its two parts.
-func (c *Curve) Join(a, b *Curve, ref func(x, y *Solution) int32) {
-	if len(a.Sols) == 0 || len(b.Sols) == 0 {
+// take the minimum. Pairs are inserted i-major. ref(i, j) returns a
+// surviving merge's handle, built from its two parts.
+func (c *Curve) Join(a, b []Solution, ref func(i, j int) int32) {
+	if len(a) == 0 || len(b) == 0 {
 		return
 	}
-	ca, cb := corner(a.Sols), corner(b.Sols)
+	ca, cb := corner(a), corner(b)
 	if c.dominated(ca.Load+cb.Load, minReq(ca.Req, cb.Req), ca.Area+cb.Area) {
 		return
 	}
-	for i := range a.Sols {
-		x := &a.Sols[i]
-		for j := range b.Sols {
-			y := &b.Sols[j]
+	for i := range a {
+		x := &a[i]
+		for j := range b {
+			y := &b[j]
 			if c.insert(Solution{Load: x.Load + y.Load, Req: minReq(x.Req, y.Req), Area: x.Area + y.Area}) {
-				c.Sols[len(c.Sols)-1].Ref = ref(x, y)
+				c.Refs = append(c.Refs, ref(i, j))
 			}
 		}
 	}
@@ -278,32 +324,31 @@ func minReq(a, b float64) float64 {
 	return a
 }
 
-// Wire inserts into c the solutions of every source curve srcs[q] except
+// Wire inserts into c the solutions of every source list srcs[q] except
 // srcs[skip] (pass -1 to read them all), each carried through a wire of
 // lens[q] λ to c's root: the wire's Elmore delay is charged against the
 // required time, its capacitance added to the load (then quantized), and
-// areaPerLambda·lens[q] added to the area. Sources are read in index order,
-// each when its turn comes, so a source that aliases a curve the caller
-// updated earlier is read as updated. ref returns a surviving solution's
-// Ref, built from the source solution.
-func (c *Curve) Wire(t rc.Technology, srcs []*Curve, lens []int64, skip int, areaPerLambda float64, ref func(s *Solution) int32) {
+// areaPerLambda·lens[q] added to the area. Sources are read in index order;
+// none may share storage with c. ref(q, i) returns a surviving solution's
+// handle, built from source solution srcs[q][i].
+func (c *Curve) Wire(t rc.Technology, srcs [][]Solution, lens []int64, skip int, areaPerLambda float64, ref func(q, i int) int32) {
 	for q, src := range srcs {
-		if q == skip || src == nil || len(src.Sols) == 0 {
+		if q == skip || len(src) == 0 {
 			continue
 		}
 		wl := lens[q]
 		wc := t.WireC(wl)
 		wa := areaPerLambda * float64(wl)
-		lo := corner(src.Sols)
+		lo := corner(src)
 		if c.dominated(lo.Load+wc, lo.Req-t.WireElmore(wl, lo.Load), lo.Area+wa) {
 			continue
 		}
-		for i := range src.Sols {
-			s := &src.Sols[i]
+		for i := range src {
+			s := &src[i]
 			d := t.WireElmore(wl, s.Load)
 			assertFiniteDelay(d, "curve.Wire: WireElmore")
 			if c.insert(Solution{Load: t.QuantizeLoad(s.Load + wc), Req: s.Req - d, Area: s.Area + wa}) {
-				c.Sols[len(c.Sols)-1].Ref = ref(s)
+				c.Refs = append(c.Refs, ref(q, i))
 			}
 		}
 	}
@@ -312,27 +357,27 @@ func (c *Curve) Wire(t rc.Technology, srcs []*Curve, lens []int64, skip int, are
 // Buffer inserts into c every solution of src driven by each gate in turn
 // (gate-major): the load becomes the gate's quantized input capacitance,
 // the gate's nominal-slew delay is charged and its area added. src must not
-// be c: inserts rewrite c.Sols in place. ref returns a surviving solution's
-// Ref, built from the driven solution and its gate's index in gates.
-func (c *Curve) Buffer(t rc.Technology, src *Curve, gates []rc.Gate, ref func(s *Solution, gi int) int32) {
+// be c's own list: inserts rewrite c.Sols in place. ref(i, gi) returns a
+// surviving solution's handle, built from src[i] and its gate's index in
+// gates.
+func (c *Curve) Buffer(t rc.Technology, src []Solution, gates []rc.Gate, ref func(i, gi int) int32) {
 	assertNotAliased(c, src, "curve.Buffer")
-	base := src.Sols
-	if len(base) == 0 {
+	if len(src) == 0 {
 		return
 	}
-	lo := corner(base)
+	lo := corner(src)
 	for gi := range gates {
 		g := &gates[gi]
 		cin := t.QuantizeLoad(g.Cin)
 		if c.dominated(cin, lo.Req-g.DelayNominal(&t, lo.Load), lo.Area+g.Area) {
 			continue
 		}
-		for i := range base {
-			s := &base[i]
+		for i := range src {
+			s := &src[i]
 			d := g.DelayNominal(&t, s.Load)
 			assertFiniteDelay(d, "curve.Buffer: DelayNominal")
 			if c.insert(Solution{Load: cin, Req: s.Req - d, Area: s.Area + g.Area}) {
-				c.Sols[len(c.Sols)-1].Ref = ref(s, gi)
+				c.Refs = append(c.Refs, ref(i, gi))
 			}
 		}
 	}
@@ -348,14 +393,14 @@ func (c *Curve) Buffer(t rc.Technology, src *Curve, gates []rc.Gate, ref func(s 
 // area) before every Cap, while Flow III caps curves in insertion
 // order. Capping trades optimality for speed exactly like coarser load
 // quantization; max <= 0 means no cap. Cap works in place: it reorders and
-// truncates c.Sols without allocating.
+// truncates c.Sols, and c.Refs with it, without allocating.
 func (c *Curve) Cap(max int) {
 	if max <= 0 || len(c.Sols) <= max {
 		return
 	}
 	// Insertion sort by descending req: curves here are small (a few dozen
 	// at most), where this beats the generic sort by a wide margin.
-	sols := c.Sols
+	sols, refs := c.Sols, c.Refs
 	for i := 1; i < len(sols); i++ {
 		s := sols[i]
 		j := i - 1
@@ -364,6 +409,7 @@ func (c *Curve) Cap(max int) {
 			j--
 		}
 		sols[j+1] = s
+		moveRef(refs, j+1, i)
 	}
 	// The kept indices strictly increase from 0, so the w-th one is at least
 	// w and compacting into the prefix never overwrites a solution still to
@@ -380,21 +426,28 @@ func (c *Curve) Cap(max int) {
 		}
 		prev = idx
 		sols[w] = sols[idx]
+		if len(refs) > 0 {
+			refs[w] = refs[idx]
+		}
 		w++
 	}
 	c.Sols = sols[:w]
+	if len(refs) > 0 {
+		c.Refs = refs[:w]
+	}
 	assertNonInferior(c, "Cap")
 }
 
-// BestReq returns the solution with the maximum required time, breaking ties
-// by smaller area then smaller load. ok is false on an empty curve.
-func (c *Curve) BestReq() (best Solution, ok bool) {
-	for i, s := range c.Sols {
-		if i == 0 || better(s, best) {
-			best, ok = s, true
+// BestReq returns the index of the solution with the maximum required time,
+// breaking ties by smaller area then smaller load. ok is false on an empty
+// curve.
+func (c *Curve) BestReq() (best int, ok bool) {
+	for i := range c.Sols {
+		if i > 0 && better(c.Sols[i], c.Sols[best]) {
+			best = i
 		}
 	}
-	return best, ok
+	return best, len(c.Sols) > 0
 }
 
 func better(a, b Solution) bool {

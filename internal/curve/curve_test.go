@@ -126,13 +126,14 @@ func TestCap(t *testing.T) {
 		c.Insert(sol(float64(i)/10, float64(i), float64(2000-i*100)))
 	}
 	c.Sort()
-	best, _ := c.BestReq()
+	bi, _ := c.BestReq()
+	best := c.Sols[bi]
 	c.Cap(5)
 	if c.Len() > 5 {
 		t.Fatalf("Cap left %d sols", c.Len())
 	}
-	after, _ := c.BestReq()
-	if after.Req != best.Req {
+	ai, _ := c.BestReq()
+	if after := c.Sols[ai]; after.Req != best.Req {
 		t.Fatalf("Cap dropped the best-req solution: %v -> %v", best, after)
 	}
 	// Cap with zero or large max is the identity.
@@ -156,8 +157,8 @@ func TestSelectors(t *testing.T) {
 	}
 	c.Sols = []Solution{sol(0.1, 5, 3000), sol(0.2, 9, 9000), sol(0.3, 9, 2000), sol(0.1, 9, 2000)}
 	best, ok := c.BestReq()
-	if !ok || best != sol(0.1, 9, 2000) {
-		t.Fatalf("BestReq = %v, want the max req with the smaller area, then load", best)
+	if !ok || best != 3 {
+		t.Fatalf("BestReq = %d, want 3: the max req with the smaller area, then load", best)
 	}
 }
 

@@ -6,15 +6,15 @@ import (
 	"testing"
 )
 
-// insertRef is the kernel's insert as one fused scan: it tests both
-// directions of dominance on every stored solution, oldest first. It is the
-// reference for the order the kernel leaves a curve in, which Cap reads to
-// break required-time ties. The brute-force tests in kernel_test.go compare
-// curves as sets, so only this reference pins the order: the two-scan insert
-// and every operator must leave exactly the solutions, handles and order
-// that insertRef does.
-func (c *Curve) insertRef(s Solution) bool {
-	sols := c.Sols
+// fusedInsert is the kernel's insert as one fused scan: it tests both
+// directions of dominance on every stored solution, oldest first, and moves
+// each handle with its solution. It is the reference for the order the
+// kernel leaves a curve in, which Cap reads to break required-time ties.
+// The brute-force tests in kernel_test.go compare curves as sets, so only
+// this reference pins the order: the two-scan insert and every operator
+// must leave exactly the solutions, handles and order that fusedInsert does.
+func (c *Curve) fusedInsert(s Solution, h int32) bool {
+	sols, refs := c.Sols, c.Refs
 	firstDead := -1
 	for i := range sols {
 		t := &sols[i]
@@ -26,29 +26,27 @@ func (c *Curve) insertRef(s Solution) bool {
 		}
 	}
 	if firstDead >= 0 {
-		out := sols[:firstDead]
-		for _, t := range sols[firstDead+1:] {
-			if !s.Dominates(t) {
-				out = append(out, t)
+		out, outRefs := sols[:firstDead], refs[:firstDead]
+		for i := firstDead + 1; i < len(sols); i++ {
+			if !s.Dominates(sols[i]) {
+				out, outRefs = append(out, sols[i]), append(outRefs, refs[i])
 			}
 		}
-		sols = out
+		sols, refs = out, outRefs
 	}
-	c.Sols = append(sols, s)
-	assertInserted(c, "insertRef")
+	c.Sols, c.Refs = append(sols, s), append(refs, h)
 	return true
 }
 
-// refInserted is the order oracle for an operator: insertRef applied to the
-// target's solutions and then to the operator's produced candidates, in
+// refInserted is the order oracle for an operator: fusedInsert applied to
+// the target's solutions and then to the operator's produced candidates, in
 // operator order.
-func refInserted(target *Curve, produced []Solution) *Curve {
+func refInserted(target, produced *Curve) *Curve {
 	c := &Curve{}
-	for _, s := range target.Sols {
-		c.insertRef(s)
-	}
-	for _, s := range produced {
-		c.insertRef(s)
+	for _, from := range []*Curve{target, produced} {
+		for i, s := range from.Sols {
+			c.fusedInsert(s, from.Refs[i])
+		}
 	}
 	return c
 }
@@ -57,30 +55,35 @@ func refInserted(target *Curve, produced []Solution) *Curve {
 // and order.
 func checkSameOrder(t *testing.T, what string, got, want *Curve) {
 	t.Helper()
-	if !slices.Equal(got.Sols, want.Sols) {
-		t.Fatalf("%s: kernel left\n %v handles %v\nthe reference insert\n %v handles %v", what, got.Sols, refsOf(got), want.Sols, refsOf(want))
+	if !slices.Equal(got.Sols, want.Sols) || !slices.Equal(got.Refs, want.Refs) {
+		t.Fatalf("%s: kernel left\n %v handles %v\nthe reference insert\n %v handles %v", what, got.Sols, got.Refs, want.Sols, want.Refs)
 	}
 }
 
 // TestInsertMatchesReference feeds random grid streams, where duplicates and
-// dominations are common, to Insert and to insertRef, and requires the same
-// decision and the same curve, element for element, after every insert.
+// dominations are common, to InsertRef, to Insert and to fusedInsert, and
+// requires the same decision and the same curve, element for element, after
+// every insert: with handles through InsertRef, and as triples alone
+// through Insert.
 func TestInsertMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	evictions := 0
 	for trial := 0; trial < 2000; trial++ {
-		stream := gridCurve(rng, 1+rng.Intn(60), 0).Sols
-		got, want := &Curve{}, &Curve{}
-		for i, s := range stream {
+		stream := gridCurve(rng, 1+rng.Intn(60), 0)
+		got, bare, want := &Curve{}, &Curve{}, &Curve{}
+		for i, s := range stream.Sols {
 			before := want.Len()
-			admitted := got.Insert(s) == 1
-			if admitted != want.insertRef(s) {
+			admitted := got.InsertRef(s, func() int32 { return stream.Refs[i] })
+			if admitted != want.fusedInsert(s, stream.Refs[i]) || admitted != (bare.Insert(s) == 1) {
 				t.Fatalf("trial %d insert %d %v: kernel admitted=%v, reference %v", trial, i, s, admitted, !admitted)
 			}
 			if admitted && want.Len() <= before {
 				evictions++
 			}
-			checkSameOrder(t, "Insert", got, want)
+			checkSameOrder(t, "InsertRef", got, want)
+			if !slices.Equal(bare.Sols, want.Sols) || len(bare.Refs) != 0 {
+				t.Fatalf("Insert: kernel left\n %v handles %v\nthe reference insert\n %v", bare.Sols, bare.Refs, want.Sols)
+			}
 		}
 	}
 	if evictions < 1000 {

@@ -10,8 +10,8 @@ package curve
 // assertions.
 const InvariantsEnabled = false
 
-func assertFrontier(*Curve, string)           {}
-func assertNonInferior(*Curve, string)        {}
-func assertInserted(*Curve, string)           {}
-func assertFiniteDelay(float64, string)       {}
-func assertNotAliased(*Curve, *Curve, string) {}
+func assertFrontier(*Curve, string)               {}
+func assertNonInferior(*Curve, string)            {}
+func assertInserted(*Curve, string)               {}
+func assertFiniteDelay(float64, string)           {}
+func assertNotAliased(*Curve, []Solution, string) {}

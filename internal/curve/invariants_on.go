@@ -52,6 +52,9 @@ func assertInserted(c *Curve, op string) {
 	if n == 0 {
 		return
 	}
+	if len(c.Refs) != 0 && len(c.Refs) != n-1 {
+		panic(fmt.Sprintf("merlin_invariants: after %s: %d handles for the %d solutions before the insert", op, len(c.Refs), n-1))
+	}
 	s := c.Sols[n-1]
 	if math.IsNaN(s.Load) || math.IsNaN(s.Req) || math.IsNaN(s.Area) ||
 		math.IsInf(s.Load, 0) || s.Load < 0 || math.IsInf(s.Area, 0) || s.Area < 0 {
@@ -77,11 +80,11 @@ func assertFiniteDelay(d float64, op string) {
 	}
 }
 
-// assertNotAliased panics when an operator's source is its own target: the
-// inserts rewrite the target's solutions in place, so the operator would
-// read solutions it had already evicted or overwritten.
-func assertNotAliased(c, src *Curve, op string) {
-	if c == src {
-		panic(fmt.Sprintf("merlin_invariants: %s: the source curve is the target", op))
+// assertNotAliased panics when an operator's source is its target's own
+// list: the inserts rewrite the target's solutions in place, so the
+// operator would read solutions it had already evicted or overwritten.
+func assertNotAliased(c *Curve, src []Solution, op string) {
+	if len(src) > 0 && cap(c.Sols) > 0 && &src[0] == &c.Sols[:1][0] {
+		panic(fmt.Sprintf("merlin_invariants: %s: the source list is the target's", op))
 	}
 }

@@ -107,7 +107,7 @@ func nanf() float64 {
 }
 
 // TestBufferRejectsAliasedSource: Buffer rewrites its target in place, so a
-// source that is the target itself must trip the assertion layer.
+// source that is the target's own list must trip the assertion layer.
 func TestBufferRejectsAliasedSource(t *testing.T) {
 	if !InvariantsEnabled {
 		t.Skip("the aliasing assertion is compiled in only with -tags merlin_invariants")
@@ -115,10 +115,10 @@ func TestBufferRejectsAliasedSource(t *testing.T) {
 	c := &Curve{Sols: []Solution{{Load: 0.5, Req: 5, Area: 0}}}
 	msg := func() (p any) {
 		defer func() { p = recover() }()
-		c.Buffer(kernelTech, c, kernelGates, func(*Solution, int) int32 { return 0 })
+		c.Buffer(kernelTech, c.Sols, kernelGates, func(int, int) int32 { return 0 })
 		return nil
 	}()
-	if !strings.Contains(fmt.Sprint(msg), "source curve is the target") {
+	if !strings.Contains(fmt.Sprint(msg), "source list is the target's") {
 		t.Fatalf("Buffer with its target as source: got panic %v, want the aliasing assertion", msg)
 	}
 }

@@ -3,7 +3,6 @@ package curve
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -31,7 +30,7 @@ var kernelTech = rc.Technology{RPerLambda: 0.001, CPerLambda: 0.002, NominalSlew
 func gridCurve(rng *rand.Rand, n int, id int32) *Curve {
 	c := randomCurve(rng, n)
 	for i := range c.Sols {
-		c.Sols[i].Ref = id + int32(i)
+		c.Refs = append(c.Refs, id+int32(i))
 	}
 	return c
 }
@@ -41,16 +40,29 @@ func gridCurve(rng *rand.Rand, n int, id int32) *Curve {
 func randomTarget(rng *rand.Rand, n int) *Curve {
 	c := gridCurve(rng, n, 0)
 	c.PruneNaive()
-	rng.Shuffle(len(c.Sols), func(i, j int) { c.Sols[i], c.Sols[j] = c.Sols[j], c.Sols[i] })
+	rng.Shuffle(len(c.Sols), func(i, j int) {
+		c.Sols[i], c.Sols[j] = c.Sols[j], c.Sols[i]
+		c.Refs[i], c.Refs[j] = c.Refs[j], c.Refs[i]
+	})
 	return c
 }
 
 // bruteForce is the oracle: target's solutions followed by produced, pruned
 // by PruneNaive (first of equal triples wins).
-func bruteForce(target *Curve, produced []Solution) *Curve {
-	c := &Curve{Sols: append(append([]Solution(nil), target.Sols...), produced...)}
+func bruteForce(target, produced *Curve) *Curve {
+	c := &Curve{
+		Sols: append(append([]Solution(nil), target.Sols...), produced.Sols...),
+		Refs: append(append([]int32(nil), target.Refs...), produced.Refs...),
+	}
 	c.PruneNaive()
 	return c
+}
+
+// produce appends one candidate an operator makes, with the handle the
+// brute force derives for it.
+func (c *Curve) produce(s Solution, h int32) {
+	c.Sols = append(c.Sols, s)
+	c.Refs = append(c.Refs, h)
 }
 
 // checkSameSolutions compares two curves as sets of (triple, handle).
@@ -59,23 +71,17 @@ func checkSameSolutions(t *testing.T, what string, got, want *Curve) {
 	if err := got.CheckFrontier(false); err != nil {
 		t.Fatalf("%s: kernel left an inferior curve: %v", what, err)
 	}
-	g := append([]Solution(nil), got.Sols...)
-	sort.Slice(g, func(i, j int) bool {
-		a, b := g[i], g[j]
-		if a.Load != b.Load {
-			return a.Load < b.Load
-		}
-		if a.Area != b.Area {
-			return a.Area < b.Area
-		}
-		return a.Req > b.Req
-	})
-	if len(g) != len(want.Sols) {
-		t.Fatalf("%s: kernel kept %d solutions, brute force %d\n got %v\nwant %v", what, len(g), len(want.Sols), g, want.Sols)
+	if len(got.Refs) != len(got.Sols) {
+		t.Fatalf("%s: kernel left %d handles for %d solutions", what, len(got.Refs), len(got.Sols))
 	}
-	for i := range g {
-		if g[i] != want.Sols[i] {
-			t.Fatalf("%s: solution %d is %v handle %d, brute force %v handle %d", what, i, g[i], g[i].Ref, want.Sols[i], want.Sols[i].Ref)
+	g := got.Clone()
+	g.Sort()
+	if len(g.Sols) != len(want.Sols) {
+		t.Fatalf("%s: kernel kept %d solutions, brute force %d\n got %v\nwant %v", what, len(g.Sols), len(want.Sols), g.Sols, want.Sols)
+	}
+	for i := range g.Sols {
+		if g.Sols[i] != want.Sols[i] || g.Refs[i] != want.Refs[i] {
+			t.Fatalf("%s: solution %d is %v handle %d, brute force %v handle %d", what, i, g.Sols[i], g.Refs[i], want.Sols[i], want.Refs[i])
 		}
 	}
 }
@@ -96,10 +102,10 @@ func TestJoinOp(t *testing.T) {
 		if trial%10 == 0 {
 			b = &Curve{}
 		}
-		var produced []Solution
-		for _, x := range a.Sols {
-			for _, y := range b.Sols {
-				produced = append(produced, Solution{x.Load + y.Load, math.Min(x.Req, y.Req), x.Area + y.Area, joinHandle(x.Ref, y.Ref)})
+		produced := &Curve{}
+		for i, x := range a.Sols {
+			for j, y := range b.Sols {
+				produced.produce(Solution{x.Load + y.Load, math.Min(x.Req, y.Req), x.Area + y.Area}, joinHandle(a.Refs[i], b.Refs[j]))
 			}
 		}
 		if len(b.Sols) > 0 {
@@ -110,7 +116,7 @@ func TestJoinOp(t *testing.T) {
 		}
 		want := bruteForce(target, produced)
 		got := target.Clone()
-		got.Join(a, b, func(x, y *Solution) int32 { return joinHandle(x.Ref, y.Ref) })
+		got.Join(a.Sols, b.Sols, func(i, j int) int32 { return joinHandle(a.Refs[i], b.Refs[j]) })
 		checkSameSolutions(t, "Join", got, want)
 		checkSameOrder(t, "Join", got, refInserted(target, produced))
 	}
@@ -141,8 +147,8 @@ func TestWireOp(t *testing.T) {
 			case 2: // the previous source again, through the same wire: exact duplicates
 				if q > 0 && srcs[q-1] != nil {
 					srcs[q] = srcs[q-1].Clone()
-					for i := range srcs[q].Sols {
-						srcs[q].Sols[i].Ref = int32(1000*(q+1) + i)
+					for i := range srcs[q].Refs {
+						srcs[q].Refs[i] = int32(1000*(q+1) + i)
 					}
 					lens[q] = lens[q-1]
 					continue
@@ -154,20 +160,23 @@ func TestWireOp(t *testing.T) {
 		}
 		skip := rng.Intn(k+1) - 1
 		areaPerLambda := float64(rng.Intn(3)) / 2
-		var produced []Solution
+		produced := &Curve{}
+		lists := make([][]Solution, k)
 		for q, src := range srcs {
+			if src != nil {
+				lists[q] = src.Sols
+			}
 			if q == skip || src == nil {
 				continue
 			}
 			wc := kernelTech.WireC(lens[q])
 			wa := areaPerLambda * float64(lens[q])
-			for _, s := range src.Sols {
-				produced = append(produced, Solution{
+			for i, s := range src.Sols {
+				produced.produce(Solution{
 					kernelTech.QuantizeLoad(s.Load + wc),
 					s.Req - kernelTech.WireElmore(lens[q], s.Load),
 					s.Area + wa,
-					viaHandle(s.Ref),
-				})
+				}, viaHandle(src.Refs[i]))
 			}
 			if len(src.Sols) > 0 {
 				lo := corner(src.Sols)
@@ -178,7 +187,7 @@ func TestWireOp(t *testing.T) {
 		}
 		want := bruteForce(target, produced)
 		got := target.Clone()
-		got.Wire(kernelTech, srcs, lens, skip, areaPerLambda, func(s *Solution) int32 { return viaHandle(s.Ref) })
+		got.Wire(kernelTech, lists, lens, skip, areaPerLambda, func(q, i int) int32 { return viaHandle(srcs[q].Refs[i]) })
 		checkSameSolutions(t, "Wire", got, want)
 		checkSameOrder(t, "Wire", got, refInserted(target, produced))
 	}
@@ -208,15 +217,14 @@ func TestBufferOp(t *testing.T) {
 		target := randomTarget(rng, rng.Intn(10))
 		src := gridCurve(rng, 1+rng.Intn(6), 100)
 		gates := kernelGates[:1+rng.Intn(len(kernelGates))]
-		var produced []Solution
+		produced := &Curve{}
 		for gi, g := range gates {
-			for _, s := range src.Sols {
-				produced = append(produced, Solution{
+			for i, s := range src.Sols {
+				produced.produce(Solution{
 					kernelTech.QuantizeLoad(g.Cin),
 					s.Req - g.DelayNominal(&kernelTech, s.Load),
 					s.Area + g.Area,
-					bufHandle(s.Ref, gi),
-				})
+				}, bufHandle(src.Refs[i], gi))
 			}
 			if len(src.Sols) > 0 {
 				lo := corner(src.Sols)
@@ -227,7 +235,7 @@ func TestBufferOp(t *testing.T) {
 		}
 		want := bruteForce(target, produced)
 		got := target.Clone()
-		got.Buffer(kernelTech, src, gates, func(s *Solution, gi int) int32 { return bufHandle(s.Ref, gi) })
+		got.Buffer(kernelTech, src.Sols, gates, func(i, gi int) int32 { return bufHandle(src.Refs[i], gi) })
 		checkSameSolutions(t, "Buffer", got, want)
 		checkSameOrder(t, "Buffer", got, refInserted(target, produced))
 	}
@@ -241,44 +249,75 @@ func TestBufferOp(t *testing.T) {
 func TestInsertKeepsFirstDuplicate(t *testing.T) {
 	const first, other, second = 1, 2, 3
 	c := &Curve{}
-	c.Insert(Solution{1, 5, 2, first}, Solution{2, 6, 3, other}, Solution{1, 5, 2, second})
-	if got := refsOf(c); len(got) != 2 || got[0] != first {
-		t.Fatalf("Insert: kept handles %v, want [%d %d]", got, first, other)
+	for _, in := range []struct {
+		s Solution
+		h int32
+	}{{Solution{1, 5, 2}, first}, {Solution{2, 6, 3}, other}, {Solution{1, 5, 2}, second}} {
+		c.InsertRef(in.s, func() int32 { return in.h })
+	}
+	if got := c.Refs; len(got) != 2 || got[0] != first {
+		t.Fatalf("InsertRef: kept handles %v, want [%d %d]", got, first, other)
 	}
 
 	// Join: a0+b0 and a1+b1 both give (1, 3, 1), which nothing dominates.
 	const a0, a1, b0, b1 = 10, 11, 20, 21
-	a := &Curve{Sols: []Solution{{1, 5, 0, a0}, {0, 3, 1, a1}}}
-	b := &Curve{Sols: []Solution{{0, 3, 1, b0}, {1, 5, 0, b1}}}
+	a := &Curve{Sols: []Solution{{1, 5, 0}, {0, 3, 1}}, Refs: []int32{a0, a1}}
+	b := &Curve{Sols: []Solution{{0, 3, 1}, {1, 5, 0}}, Refs: []int32{b0, b1}}
 	j := &Curve{}
-	j.Join(a, b, func(x, y *Solution) int32 { return joinHandle(x.Ref, y.Ref) })
-	if !hasSolution(j, Solution{1, 3, 1, joinHandle(a0, b0)}) || j.Len() != 3 {
-		t.Fatalf("Join: got handles %v, want (1, 3, 1) from a0+b0 among 3", refsOf(j))
+	j.Join(a.Sols, b.Sols, func(x, y int) int32 { return joinHandle(a.Refs[x], b.Refs[y]) })
+	if !hasSolution(j, Solution{1, 3, 1}, joinHandle(a0, b0)) || j.Len() != 3 {
+		t.Fatalf("Join: got handles %v, want (1, 3, 1) from a0+b0 among 3", j.Refs)
 	}
 
 	// Buffer: twin gates produce identical triples; the first gate wins.
 	bc := &Curve{}
-	bc.Buffer(kernelTech, &Curve{Sols: []Solution{{0.5, 5, 0, 0}}}, kernelGates, func(s *Solution, gi int) int32 { return int32(gi) })
-	if got := refsOf(bc); len(got) != 2 || got[0] != 0 || got[1] != 1 {
+	bc.Buffer(kernelTech, []Solution{{0.5, 5, 0}}, kernelGates, func(_, gi int) int32 { return int32(gi) })
+	if got := bc.Refs; len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("Buffer: kept gates %v, want [0 1] (B1, B2)", got)
 	}
 }
 
-func hasSolution(c *Curve, want Solution) bool {
-	for _, s := range c.Sols {
-		if s == want {
+func hasSolution(c *Curve, want Solution, h int32) bool {
+	for i, s := range c.Sols {
+		if s == want && c.Refs[i] == h {
 			return true
 		}
 	}
 	return false
 }
 
-func refsOf(c *Curve) []int32 {
-	out := make([]int32, len(c.Sols))
-	for i, s := range c.Sols {
-		out[i] = s.Ref
+// TestSortAndCapMoveHandles: Sort and Cap reorder and thin a curve's
+// solutions, and every handle must stay with its solution.
+func TestSortAndCapMoveHandles(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 2000; trial++ {
+		c := randomTarget(rng, 1+rng.Intn(40))
+		owner := map[Solution]int32{}
+		for i, s := range c.Sols {
+			owner[s] = c.Refs[i]
+		}
+		check := func(op string) {
+			if len(c.Refs) != len(c.Sols) {
+				t.Fatalf("trial %d: %s left %d handles for %d solutions", trial, op, len(c.Refs), len(c.Sols))
+			}
+			for i, s := range c.Sols {
+				if h, ok := owner[s]; !ok || h != c.Refs[i] {
+					t.Fatalf("trial %d: after %s, %v carries handle %d, want %d", trial, op, s, c.Refs[i], h)
+				}
+			}
+		}
+		c.Sort()
+		check("Sort")
+		if err := c.CheckFrontier(true); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		rng.Shuffle(len(c.Sols), func(i, j int) {
+			c.Sols[i], c.Sols[j] = c.Sols[j], c.Sols[i]
+			c.Refs[i], c.Refs[j] = c.Refs[j], c.Refs[i]
+		})
+		c.Cap(1 + rng.Intn(8))
+		check("Cap")
 	}
-	return out
 }
 
 // TestWireOpMonotone: longer wires can only increase load and decrease the
@@ -287,7 +326,7 @@ func TestWireOpMonotone(t *testing.T) {
 	tech := rc.Default035()
 	wire := func(src *Curve, length int64) Solution {
 		c := &Curve{}
-		c.Wire(tech, []*Curve{src}, []int64{length}, -1, 0, func(*Solution) int32 { return 0 })
+		c.Wire(tech, [][]Solution{src.Sols}, []int64{length}, -1, 0, func(int, int) int32 { return 0 })
 		return c.Sols[0]
 	}
 	prop := func(l1, l2 uint16, loadCenti uint8) bool {
@@ -310,7 +349,7 @@ func TestBufferOpChargesExactly(t *testing.T) {
 	g := rc.Gate{Name: "B", K0: 0.1, K1: 2, K2: 0.1, Cin: 0.02, Area: 300}
 	c := &Curve{Sols: []Solution{sol(0.4, 7, 100), sol(0.8, 9, 500)}}
 	out := &Curve{}
-	out.Buffer(tech, c, []rc.Gate{g}, func(*Solution, int) int32 { return 0 })
+	out.Buffer(tech, c.Sols, []rc.Gate{g}, func(int, int) int32 { return 0 })
 	if out.Len() != 2 {
 		t.Fatalf("both buffered solutions are non-inferior, got %v", out.Sols)
 	}

@@ -10,8 +10,8 @@ const (
 
 // Refs is an owner's table of reconstruction records, the back-pointers
 // BUBBLE_CONSTRUCT rebuilds the tree from (Fig. 9 line 22). A solution
-// names its record by the int32 handle in Solution.Ref, so curves hold no
-// pointers and the collector never scans them.
+// names its record by the int32 handle at its index in its curve's Refs, so
+// curves hold no pointers and the collector never scans them.
 //
 // The table has two regions:
 //
@@ -77,14 +77,14 @@ func (r *Refs[T]) badHandle(h int32) {
 }
 
 // Seal moves the records of c's provisional solutions, in curve order, to
-// the kept region and rewrites their handles, then empties the provisional
-// region. Solutions that already hold kept handles are left alone. Call it
-// right after the curve's Cap, before any other curve is built.
+// the kept region and rewrites their handles in c.Refs, then empties the
+// provisional region. Solutions that already hold kept handles are left
+// alone. Call it right after the curve's Cap, before any other curve is
+// built.
 func (r *Refs[T]) Seal(c *Curve) {
-	for i := range c.Sols {
-		s := &c.Sols[i]
-		if s.Ref < 0 {
-			s.Ref = r.Keep(r.prov[^s.Ref])
+	for i, h := range c.Refs {
+		if h < 0 {
+			c.Refs[i] = r.Keep(r.prov[^h])
 		}
 	}
 	r.prov = r.prov[:0]

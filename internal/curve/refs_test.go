@@ -41,13 +41,14 @@ func TestRefsSeal(t *testing.T) {
 	// has the least load and survives; the five joins form a staircase of
 	// rising load and required time; the wired and buffered solutions add
 	// area for more required time. Cap then drops some of each.
-	c := &Curve{Sols: []Solution{{Load: 0.05, Req: 0.5, Area: 0, Ref: 0}}}
-	a, b := &Curve{}, &Curve{Sols: []Solution{{Load: 0.1, Req: 10, Area: 0, Ref: 200}}}
+	c := &Curve{Sols: []Solution{{Load: 0.05, Req: 0.5, Area: 0}}, Refs: []int32{0}}
+	a, b := &Curve{}, &Curve{Sols: []Solution{{Load: 0.1, Req: 10, Area: 0}}, Refs: []int32{200}}
 	for i := range 5 {
-		a.Sols = append(a.Sols, Solution{Load: 0.1 * float64(i+1), Req: float64(i + 1), Area: 0, Ref: int32(100 + i)})
+		a.Sols = append(a.Sols, Solution{Load: 0.1 * float64(i+1), Req: float64(i + 1), Area: 0})
+		a.Refs = append(a.Refs, int32(100+i))
 	}
-	src := &Curve{Sols: []Solution{{Load: 0.01, Req: 20, Area: 0, Ref: 300}}}
-	base := &Curve{Sols: []Solution{{Load: 0.3, Req: 30, Area: 0, Ref: 400}}}
+	src := &Curve{Sols: []Solution{{Load: 0.01, Req: 20, Area: 0}}, Refs: []int32{300}}
+	base := &Curve{Sols: []Solution{{Load: 0.3, Req: 30, Area: 0}}, Refs: []int32{400}}
 	added := map[int32]testRec{}
 	add := func(id int32) int32 {
 		rec := testRec{id}
@@ -58,35 +59,35 @@ func TestRefsSeal(t *testing.T) {
 		added[h] = rec
 		return h
 	}
-	c.Join(a, b, func(x, y *Solution) int32 { return add(joinHandle(x.Ref, y.Ref)) })
-	c.Wire(kernelTech, []*Curve{src}, []int64{200}, -1, 0.5, func(s *Solution) int32 { return add(viaHandle(s.Ref)) })
-	c.Buffer(kernelTech, base, kernelGates, func(s *Solution, gi int) int32 { return add(bufHandle(s.Ref, gi)) })
+	c.Join(a.Sols, b.Sols, func(i, j int) int32 { return add(joinHandle(a.Refs[i], b.Refs[j])) })
+	c.Wire(kernelTech, [][]Solution{src.Sols}, []int64{200}, -1, 0.5, func(q, i int) int32 { return add(viaHandle(src.Refs[i])) })
+	c.Buffer(kernelTech, base.Sols, kernelGates, func(i, gi int) int32 { return add(bufHandle(base.Refs[i], gi)) })
 	if len(added) == 0 {
 		t.Fatal("no provisional records: the scenario exercises nothing")
 	}
 	c.Cap(6)
-	before := append([]Solution(nil), c.Sols...)
+	before := c.Clone()
 	refs.Seal(c)
 
 	next := int32(pre)
 	kept, stayed := 0, 0
 	for i, s := range c.Sols {
-		old := before[i]
-		if s.Load != old.Load || s.Req != old.Req || s.Area != old.Area {
+		old, oldRef, h := before.Sols[i], before.Refs[i], c.Refs[i]
+		if s != old {
 			t.Fatalf("Seal moved solution %d: %v -> %v", i, old, s)
 		}
-		if old.Ref >= 0 {
-			if s.Ref != old.Ref {
-				t.Fatalf("solution %d: Seal rewrote kept handle %d to %d", i, old.Ref, s.Ref)
+		if oldRef >= 0 {
+			if h != oldRef {
+				t.Fatalf("solution %d: Seal rewrote kept handle %d to %d", i, oldRef, h)
 			}
 			stayed++
 			continue
 		}
 		kept++
-		if s.Ref != next {
-			t.Fatalf("solution %d: sealed to handle %d, want %d (kept records follow curve order)", i, s.Ref, next)
+		if h != next {
+			t.Fatalf("solution %d: sealed to handle %d, want %d (kept records follow curve order)", i, h, next)
 		}
-		if got, want := refs.At(s.Ref), added[old.Ref]; got != want {
+		if got, want := refs.At(h), added[oldRef]; got != want {
 			t.Fatalf("solution %d: sealed record %v, want the record added for it, %v", i, got, want)
 		}
 		next++

@@ -25,7 +25,9 @@ import (
 // and recompute.
 //
 // Writes are temp-file + rename, so a crash mid-write leaves either the old
-// entry or none, never a torn one. The store is safe for concurrent use.
+// entry or none, never a torn one. Every write has a temp file of its own,
+// so concurrent writes of one key cannot truncate each other's: the last
+// rename wins. The store is safe for concurrent use.
 type Store struct {
 	dir string
 
@@ -50,10 +52,20 @@ var ErrCorrupt = errors.New("journal: store entry corrupt (quarantined)")
 // quarantineDir is where corrupt entries are moved, under the store root.
 const quarantineDir = "quarantine"
 
-// OpenStore opens (creating if needed) the store rooted at dir.
+// OpenStore opens (creating if needed) the store rooted at dir. It removes
+// the temp files of writes that a crash cut short: no entry names them.
 func OpenStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, quarantineDir), 0o755); err != nil {
 		return nil, fmt.Errorf("journal: store: %w", err)
+	}
+	tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
+	if err != nil {
+		return nil, fmt.Errorf("journal: store: %w", err)
+	}
+	for _, tmp := range tmps {
+		if err := os.Remove(tmp); err != nil && !os.IsNotExist(err) {
+			return nil, fmt.Errorf("journal: store: %w", err)
+		}
 	}
 	return &Store{dir: dir}, nil
 }
@@ -93,9 +105,14 @@ func (s *Store) PutCtx(ctx context.Context, key string, payload []byte) error {
 	}
 	name := keyFile(key)
 	buf := EncodeEntry(payload)
-	tmp := filepath.Join(s.dir, name+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := os.CreateTemp(s.dir, name+".*.tmp")
 	if err != nil {
+		return fmt.Errorf("journal: store put: %w", err)
+	}
+	tmp := f.Name()
+	if err := f.Chmod(0o644); err != nil {
+		f.Close()
+		os.Remove(tmp)
 		return fmt.Errorf("journal: store put: %w", err)
 	}
 	if _, err := f.Write(buf); err != nil {

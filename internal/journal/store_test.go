@@ -3,9 +3,11 @@ package journal
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"merlin/internal/faultinject"
@@ -60,6 +62,84 @@ func TestStoreOverwriteAndDelete(t *testing.T) {
 	}
 	if err := s.Delete("k|"); err != nil {
 		t.Errorf("double delete: %v", err)
+	}
+}
+
+// TestStoreConcurrentSamePut: concurrent Puts of one key each write a temp
+// file of their own, so none fails and the entry ends up as one of the
+// payloads, whole, with the entry's 0644 mode and no temp file left behind.
+func TestStoreConcurrentSamePut(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, puts = 4, 50
+	errs := make(chan error, writers*puts)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < puts; i++ {
+				if err := s.Put("k|", []byte(fmt.Sprintf("writer %d put %d", w, i))); err != nil {
+					errs <- err
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	failed := 0
+	for err := range errs {
+		if failed == 0 {
+			t.Errorf("Put: %v", err)
+		}
+		failed++
+	}
+	if failed > 0 {
+		t.Fatalf("%d of %d concurrent Puts of one key failed", failed, writers*puts)
+	}
+	got, err := s.Get("k|")
+	if err != nil || !strings.HasPrefix(string(got), "writer ") {
+		t.Fatalf("after the Puts: %q, %v", got, err)
+	}
+	fi, err := os.Stat(filepath.Join(dir, keyFile("k|")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Mode().Perm() != 0o644 {
+		t.Errorf("entry mode %v, want 0644", fi.Mode().Perm())
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+		t.Errorf("temp files left behind: %v", tmps)
+	}
+}
+
+// TestOpenStoreRemovesTempFiles: a write cut short by a crash leaves its
+// temp file; reopening the store removes it and keeps the entries.
+func TestOpenStoreRemovesTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("k|", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	torn := filepath.Join(dir, keyFile("k|")+".123.tmp")
+	if err := os.WriteFile(torn, []byte("MRS1"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err = OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(torn); !os.IsNotExist(err) {
+		t.Errorf("temp file survived OpenStore: %v", err)
+	}
+	if got, err := s.Get("k|"); err != nil || string(got) != "v" {
+		t.Errorf("entry after reopen: %q, %v", got, err)
 	}
 }
 

@@ -38,34 +38,42 @@ var hotpathAllocRule = &Rule{
 // go/types reports (types.Func.FullName). The value records why the
 // function is allocation-sensitive.
 var HotPaths = map[string]string{
-	"(*merlin/internal/curve.Curve).Sort":          "frontier sort: runs before every Flow I/II Cap",
-	"(*merlin/internal/curve.Curve).dominated":     "corner-skip dominance scan of every kernel op",
-	"merlin/internal/curve.corner":                 "optimistic corner of every kernel op input",
-	"(*merlin/internal/curve.Curve).Insert":        "kernel insert of prebuilt solutions (curve merges)",
-	"(*merlin/internal/curve.Curve).insert":        "kernel insert under every op: newest-first rejection scan, then eviction for admitted solutions",
-	"merlin/internal/curve.b2i":                    "branch-free comparison of every dominance test in insert",
-	"(*merlin/internal/curve.Curve).Join":          "kernel join, the O(s²) pair merge of every interval split",
-	"(*merlin/internal/curve.Curve).Wire":          "kernel wire transfer, O(k·s) per target",
-	"(*merlin/internal/curve.Curve).Buffer":        "kernel buffer sweep over every (solution, gate) pair",
-	"(merlin/internal/curve.Solution).Dominates":   "three-way dominance predicate, called O(s²)",
-	"merlin/internal/curve.better":                 "selector tie-break comparator",
-	"(*merlin/internal/core.Engine).starDP":        "*PTREE interval DP, the O(k·t²) core loop",
-	"(*merlin/internal/core.Engine).intervalCell":  "one *PTREE interval at every candidate: joins, buffer passes and transfer",
-	"(*merlin/internal/core.Engine).gammaCell":     "one Γ sub-problem's accumulation of its *PTREE calls at every candidate",
-	"(*merlin/internal/core.Engine).leafCell":      "one INITIALIZATION sub-problem at every candidate",
-	"(*merlin/internal/core.Engine).scanCalls":     "inner-group scan of every (L, E, R) sub-problem, warm passes included",
-	"(*merlin/internal/core.Engine).intervalIDs":   "memo ids of every interval of every *PTREE call",
-	"(*merlin/internal/core.Engine).bufferScratch": "caps and seals the scratch curve, then runs the buffer pass at one candidate",
-	"(*merlin/internal/core.Engine).intervalMask":  "root window of every interval, written into the engine's one mask",
-	"(*merlin/internal/core.Engine).transfer":      "candidate-transfer relaxation, O(k²·s) per hop",
-	"(*merlin/internal/core.Engine).startScratch":  "seeds the scratch curve of every cell pipeline and transfer target",
-	"(*merlin/internal/core.Engine).storeScratch":  "caps, seals and stores the scratch curve at the end of every pipeline",
-	"(*merlin/internal/core.Engine).intern":        "memo key interning, once per interval of every *PTREE call",
-	"(*merlin/internal/core.Engine).itemCode":      "item code of every interval's memo key",
-	"(*merlin/internal/curve.Refs[T]).Add":         "provisional record of every surviving kernel insert",
-	"(*merlin/internal/curve.Refs[T]).Keep":        "kept record of every Cap survivor and leaf",
-	"(*merlin/internal/curve.Refs[T]).At":          "record lookup of every reconstruction step",
-	"(*merlin/internal/curve.Refs[T]).Seal":        "moves a curve's surviving records after every Cap",
+	"(*merlin/internal/curve.Curve).Sort":              "frontier sort: runs before every Flow I/II Cap",
+	"(*merlin/internal/curve.Curve).dominated":         "corner-skip dominance scan of every kernel op",
+	"merlin/internal/curve.corner":                     "optimistic corner of every kernel op input",
+	"(*merlin/internal/curve.Curve).Insert":            "kernel insert of prebuilt solutions (curve merges)",
+	"(*merlin/internal/curve.Curve).InsertRef":         "kernel insert of a prebuilt solution with its handle: every Γ accumulation and LT-Tree level",
+	"merlin/internal/curve.moveRef":                    "moves a handle with its solution in every Sort and Cap",
+	"(*merlin/internal/curve.Curve).insert":            "kernel insert under every op: newest-first rejection scan, then eviction for admitted solutions",
+	"merlin/internal/curve.b2i":                        "branch-free comparison of every dominance test in insert",
+	"(*merlin/internal/curve.Curve).Join":              "kernel join, the O(s²) pair merge of every interval split",
+	"(*merlin/internal/curve.Curve).Wire":              "kernel wire transfer, O(k·s) per target",
+	"(*merlin/internal/curve.Curve).Buffer":            "kernel buffer sweep over every (solution, gate) pair",
+	"(merlin/internal/curve.Solution).Dominates":       "three-way dominance predicate, called O(s²)",
+	"merlin/internal/curve.better":                     "selector tie-break comparator",
+	"(*merlin/internal/core.Engine).starDP":            "*PTREE interval DP, the O(k·t²) core loop",
+	"(*merlin/internal/core.Engine).intervalCell":      "one *PTREE interval at every candidate: joins, buffer passes and transfer",
+	"(*merlin/internal/core.Engine).gammaCell":         "one Γ sub-problem's accumulation of its *PTREE calls at every candidate",
+	"(*merlin/internal/core.Engine).leafCell":          "one INITIALIZATION sub-problem at every candidate",
+	"(*merlin/internal/core.Engine).scanCalls":         "inner-group scan of every (L, E, R) sub-problem, warm passes included",
+	"(*merlin/internal/core.Engine).intervalIDs":       "memo ids of every interval of every *PTREE call",
+	"(*merlin/internal/core.Engine).finalID":           "final memo id of every call of a replayed Γ",
+	"(*merlin/internal/core.Engine).buildItems":        "item list of every *PTREE call, in the engine's working lists",
+	"(*merlin/internal/core.entry).at":                 "in-place view of a stored list: every join, group item and Γ accumulation reads one",
+	"merlin/internal/core.copyCurve":                   "seeds every transfer target's scratch and copies every buffer pass's base",
+	"(*merlin/internal/core.Engine).startLeaf":         "seeds the scratch of every leaf pipeline",
+	"(*merlin/internal/core.Engine).keepBufferedRoots": "filters every final interval's curves in place under ForceGroupBuffers",
+	"(*merlin/internal/core.Engine).bufferScratch":     "caps and seals the scratch curve, then runs the buffer pass at one candidate",
+	"(*merlin/internal/core.Engine).intervalMask":      "root window of every interval, written into the engine's one mask",
+	"(*merlin/internal/core.Engine).transfer":          "candidate-transfer relaxation, O(k²·s) per hop",
+	"(*merlin/internal/core.Engine).startScratch":      "seeds the scratch curve of every cell pipeline and transfer target",
+	"(*merlin/internal/core.Engine).storeScratch":      "caps, seals and stores the scratch curve at the end of every pipeline",
+	"(*merlin/internal/core.Engine).intern":            "memo key interning, once per interval of every *PTREE call",
+	"(*merlin/internal/core.Engine).itemCode":          "item code of every interval's memo key",
+	"(*merlin/internal/curve.Refs[T]).Add":             "provisional record of every surviving kernel insert",
+	"(*merlin/internal/curve.Refs[T]).Keep":            "kept record of every Cap survivor and leaf",
+	"(*merlin/internal/curve.Refs[T]).At":              "record lookup of every reconstruction step",
+	"(*merlin/internal/curve.Refs[T]).Seal":            "moves a curve's surviving records after every Cap",
 }
 
 func checkHotPathAllocs(p *Package) []Diagnostic {

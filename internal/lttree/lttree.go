@@ -68,8 +68,8 @@ type chainRef struct {
 const chainEnd int32 = -1
 
 // Chain is the logic-domain result: the req-sorted order used and the final
-// curve at the driver, each solution's Ref the handle of its top level's
-// chainRef in refs.
+// curve at the driver, whose Refs hold the handle of each solution's top
+// level's chainRef in refs.
 type Chain struct {
 	Net   *net.Net
 	Order order.Order // sinks sorted by increasing required time
@@ -126,29 +126,22 @@ func Build(n *net.Net, lib *buflib.Library, tech rc.Technology, opts Options) (*
 			}
 			baseLoad := loadSum[j] - loadSum[i]
 			baseReq := minReq(i, j)
-			var tails []curve.Solution
-			if j == nn {
-				tails = []curve.Solution{{Req: math.Inf(1)}}
-			} else if dp[j] != nil {
-				tails = dp[j].Sols
-			}
-			for _, tail := range tails {
+			tails := chainTails(dp, j)
+			for ti, tail := range tails.Sols {
 				load := baseLoad + tail.Load
-				child := tail.Ref
+				child := tails.Refs[ti]
 				if j < nn {
 					load += wlm // the wire reaching the chain buffer
-				} else {
-					child = chainEnd
 				}
 				req := math.Min(baseReq, tail.Req)
 				for _, b := range lib.Buffers {
-					if acc.Insert(curve.Solution{
+					acc.InsertRef(curve.Solution{
 						Load: tech.QuantizeLoad(b.Cin),
 						Req:  req - b.DelayNominal(&tech, load),
 						Area: tail.Area + b.Area,
-					}) == 1 {
-						acc.Sols[len(acc.Sols)-1].Ref = refs.Add(chainRef{buffer: b, i: i, direct: direct, child: child})
-					}
+					}, func() int32 {
+						return refs.Add(chainRef{buffer: b, i: i, direct: direct, child: child})
+					})
 				}
 			}
 		}
@@ -175,30 +168,23 @@ func Build(n *net.Net, lib *buflib.Library, tech rc.Technology, opts Options) (*
 		if j == 0 {
 			baseReq = math.Inf(1)
 		}
-		var tails []curve.Solution
-		if j == nn {
-			tails = []curve.Solution{{Req: math.Inf(1)}}
-		} else if dp[j] != nil {
-			tails = dp[j].Sols
-		}
-		for _, tail := range tails {
+		tails := chainTails(dp, j)
+		for ti, tail := range tails.Sols {
 			if j == nn && nn == 0 {
 				continue
 			}
-			child := tail.Ref
+			child := tails.Refs[ti]
 			tailLoad := tail.Load
 			if j < nn {
 				tailLoad += wlm
-			} else {
-				child = chainEnd
 			}
-			if final.Insert(curve.Solution{
+			final.InsertRef(curve.Solution{
 				Load: tech.QuantizeLoad(baseLoad + tailLoad),
 				Req:  math.Min(baseReq, tail.Req),
 				Area: tail.Area,
-			}) == 1 {
-				final.Sols[len(final.Sols)-1].Ref = refs.Add(chainRef{i: 0, direct: direct, child: child})
-			}
+			}, func() int32 {
+				return refs.Add(chainRef{i: 0, direct: direct, child: child})
+			})
 		}
 	}
 	final.Sort()
@@ -208,6 +194,19 @@ func Build(n *net.Net, lib *buflib.Library, tech rc.Technology, opts Options) (*
 		return nil, fmt.Errorf("lttree: no solution for net %q", n.Name)
 	}
 	return &Chain{Net: n, Order: ord, Curve: final, refs: refs}, nil
+}
+
+// endOfChain is the tail a level that drives the last sinks itself
+// continues with: no load, no area, no requirement, and no next level.
+var endOfChain = curve.Curve{Sols: []curve.Solution{{Req: math.Inf(1)}}, Refs: []int32{chainEnd}}
+
+// chainTails returns the curve a level whose direct sinks end before order
+// position j continues with: dp[j], or endOfChain past the last sink.
+func chainTails(dp []*curve.Curve, j int) *curve.Curve {
+	if j == len(dp)-1 {
+		return &endOfChain
+	}
+	return dp[j]
 }
 
 // cluster is one hierarchy level of the chosen chain during embedding.
@@ -237,23 +236,26 @@ func PlaceAndRoute(ch *Chain, lib *buflib.Library, tech rc.Technology, opts Opti
 	if driver.Name == "" {
 		driver = lib.Driver
 	}
-	best := ch.Curve.Sols[0]
-	bestVal := best.Req - driver.DelayNominal(&tech, best.Load)
-	for _, s := range ch.Curve.Sols[1:] {
+	sols := ch.Curve.Sols
+	best := 0
+	bestVal := sols[0].Req - driver.DelayNominal(&tech, sols[0].Load)
+	for i, s := range sols {
 		if v := s.Req - driver.DelayNominal(&tech, s.Load); v > bestVal ||
-			(v == bestVal && s.Area < best.Area) {
-			best, bestVal = s, v
+			(v == bestVal && s.Area < sols[best].Area) {
+			best, bestVal = i, v
 		}
 	}
-	return placeAndRouteSolution(ch, best, tech, opts, maxCands)
+	return placeAndRouteSolution(ch, ch.Curve.Refs[best], tech, opts, maxCands)
 }
 
-func placeAndRouteSolution(ch *Chain, sol curve.Solution, tech rc.Technology, opts Options, maxCands int) (*tree.Tree, error) {
+// placeAndRouteSolution embeds and routes the chain whose top level's
+// record has handle first.
+func placeAndRouteSolution(ch *Chain, first int32, tech rc.Technology, opts Options, maxCands int) (*tree.Tree, error) {
 	n := ch.Net
 	// Materialize clusters from the chain of records.
 	var top *cluster
 	var prev *cluster
-	for h := sol.Ref; h != chainEnd; {
+	for h := first; h != chainEnd; {
 		r := ch.refs.At(h)
 		h = r.child
 		c := &cluster{}

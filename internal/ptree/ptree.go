@@ -61,8 +61,8 @@ const (
 	refVia                 // transfer: wire from point to a's point
 )
 
-// ref is one record of the solver's reconstruction table; a solution's Ref
-// is the handle of its record.
+// ref is one record of the solver's reconstruction table; a curve's Refs
+// hold the handles of its solutions' records.
 type ref struct {
 	kind  refKind
 	point int32 // candidate index the solution is rooted at
@@ -123,14 +123,14 @@ func (s *Solver) SourceIndex() int { return s.srcIdx }
 func (s *Solver) leafCurve(p, sinkIdx int) *curve.Curve {
 	sk := s.Net.Sinks[sinkIdx]
 	wl := geom.Dist(s.Cands[p], sk.Pos)
-	c := &curve.Curve{}
-	c.Insert(curve.Solution{
-		Load: s.Tech.QuantizeLoad(sk.Load + s.Tech.WireC(wl)),
-		Req:  sk.Req - s.Tech.WireElmore(wl, sk.Load),
-		Area: s.Opts.WireCostWeight * float64(wl),
-		Ref:  s.refs.Keep(ref{kind: refLeaf, point: int32(p), a: int32(sinkIdx)}),
-	})
-	return c
+	return &curve.Curve{
+		Sols: []curve.Solution{{
+			Load: s.Tech.QuantizeLoad(sk.Load + s.Tech.WireC(wl)),
+			Req:  sk.Req - s.Tech.WireElmore(wl, sk.Load),
+			Area: s.Opts.WireCostWeight * float64(wl),
+		}},
+		Refs: []int32{s.refs.Keep(ref{kind: refLeaf, point: int32(p), a: int32(sinkIdx)})},
+	}
 }
 
 // Curves computes the full DP table for the given order and returns the
@@ -159,8 +159,9 @@ func (s *Solver) Curves(ord order.Order) []*curve.Curve {
 			for p := 0; p < k; p++ {
 				acc := &curve.Curve{}
 				for u := i; u < j; u++ {
-					acc.Join(tab[p][i*n+u], tab[p][(u+1)*n+j], func(x, y *curve.Solution) int32 {
-						return s.refs.Add(ref{kind: refJoin, point: int32(p), a: x.Ref, b: y.Ref})
+					l, r := tab[p][i*n+u], tab[p][(u+1)*n+j]
+					acc.Join(l.Sols, r.Sols, func(x, y int) int32 {
+						return s.refs.Add(ref{kind: refJoin, point: int32(p), a: l.Refs[x], b: r.Refs[y]})
 					})
 				}
 				acc.Sort()
@@ -188,19 +189,20 @@ func (s *Solver) Curves(ord order.Order) []*curve.Curve {
 func (s *Solver) transfer(tab [][]*curve.Curve, i, j, n int) {
 	k := len(s.Cands)
 	idx := i*n + j
-	live := make([]*curve.Curve, k)
+	live := make([][]curve.Solution, k)
 	for p := 0; p < k; p++ {
-		live[p] = tab[p][idx]
+		live[p] = tab[p][idx].Sols
 	}
 	for hop := 0; hop < s.Opts.TransferHops; hop++ {
 		for p := 0; p < k; p++ {
-			acc := live[p]
-			acc.Wire(s.Tech, live, s.dist[p], p, s.Opts.WireCostWeight, func(old *curve.Solution) int32 {
-				return s.refs.Add(ref{kind: refVia, point: int32(p), a: old.Ref})
+			acc := tab[p][idx]
+			acc.Wire(s.Tech, live, s.dist[p], p, s.Opts.WireCostWeight, func(q, x int) int32 {
+				return s.refs.Add(ref{kind: refVia, point: int32(p), a: tab[q][idx].Refs[x]})
 			})
 			acc.Sort()
 			acc.Cap(s.Opts.MaxSols)
 			s.refs.Seal(acc)
+			live[p] = acc.Sols
 		}
 	}
 }
@@ -218,17 +220,17 @@ func (s *Solver) Solve(ord order.Order) (*tree.Tree, curve.Solution, error) {
 		return nil, curve.Solution{}, fmt.Errorf("ptree: no solution at source")
 	}
 	best, _ := final.BestReq()
-	t := s.BuildTree(best)
-	return t, best, nil
+	t := s.BuildTree(final.Refs[best])
+	return t, final.Sols[best], nil
 }
 
-// BuildTree reconstructs the routing tree of a solution returned by the
-// latest Curves or Solve call. The solution must be rooted at the source
-// candidate.
-func (s *Solver) BuildTree(sol curve.Solution) *tree.Tree {
+// BuildTree reconstructs the routing tree of the solution whose handle is h,
+// its entry in the Refs of a curve of the latest Curves or Solve call. The
+// solution must be rooted at the source candidate.
+func (s *Solver) BuildTree(h int32) *tree.Tree {
 	t := tree.New(s.Net)
-	node := s.buildNode(sol.Ref)
-	if int(s.refs.At(sol.Ref).point) == s.srcIdx {
+	node := s.buildNode(h)
+	if int(s.refs.At(h).point) == s.srcIdx {
 		// The DP root coincides with the source: graft its children directly.
 		t.Root.Children = node.Children
 	} else {

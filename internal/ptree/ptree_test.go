@@ -138,9 +138,10 @@ func TestSteinerSharing(t *testing.T) {
 		t.Fatalf("no trunk sharing on the frontier: best wirelength %.0f vs star %.0f", bestWL, star)
 	}
 	// And reconstructing that solution yields a tree with that wirelength.
-	for _, sol := range finals[s.SourceIndex()].Sols {
+	src := finals[s.SourceIndex()]
+	for i, sol := range src.Sols {
 		if s.WirelengthOf(sol) == bestWL {
-			tr := s.BuildTree(sol)
+			tr := s.BuildTree(src.Refs[i])
 			if err := tr.Validate(); err != nil {
 				t.Fatal(err)
 			}
@@ -175,15 +176,17 @@ func TestMoreCandidatesNeverWorse(t *testing.T) {
 	ord := order.TSP(nt.Source, nt.SinkPoints())
 	small := newSolver(nt, 6, opts)
 	big := NewSolver(nt, geom.ReducedHanan(nt.Terminals(), 25), testTech(), opts)
-	sSmall, ok := small.Curves(ord)[small.SourceIndex()].BestReq()
+	cSmall := small.Curves(ord)[small.SourceIndex()]
+	iSmall, ok := cSmall.BestReq()
 	if !ok {
 		t.Fatal("no solution at the source with the small candidate set")
 	}
-	sBig, ok := big.Curves(ord)[big.SourceIndex()].BestReq()
+	cBig := big.Curves(ord)[big.SourceIndex()]
+	iBig, ok := cBig.BestReq()
 	if !ok {
 		t.Fatal("no solution at the source with the large candidate set")
 	}
-	if sBig.Req < sSmall.Req-1e-9 {
+	if sBig, sSmall := cBig.Sols[iBig], cSmall.Sols[iSmall]; sBig.Req < sSmall.Req-1e-9 {
 		t.Fatalf("more candidates got worse: %.6f < %.6f", sBig.Req, sSmall.Req)
 	}
 }

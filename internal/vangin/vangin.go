@@ -44,9 +44,9 @@ const (
 	refBuf                   // a buffer at pos driving a
 )
 
-// ref is one record of an insertion's reconstruction table; a solution's
-// Ref is the handle of its record. A branch node with children c1 … cm is
-// the chain join(…join(branch, c1)…, cm).
+// ref is one record of an insertion's reconstruction table; a curve's Refs
+// hold the handles of its solutions' records. A branch node with children
+// c1 … cm is the chain join(…join(branch, c1)…, cm).
 type ref struct {
 	kind    refKind
 	pos     geom.Point
@@ -86,20 +86,20 @@ func Insert(t *tree.Tree, lib *buflib.Library, tech rc.Technology, opts Options)
 	if driver.Name == "" {
 		driver = lib.Driver
 	}
-	best := c.Sols[0]
-	bestVal := best.Req - driver.DelayNominal(&tech, best.Load)
-	for _, s := range c.Sols[1:] {
+	best := 0
+	bestVal := c.Sols[0].Req - driver.DelayNominal(&tech, c.Sols[0].Load)
+	for i, s := range c.Sols {
 		if v := s.Req - driver.DelayNominal(&tech, s.Load); v > bestVal ||
-			(v == bestVal && s.Area < best.Area) {
-			best, bestVal = s, v
+			(v == bestVal && s.Area < c.Sols[best].Area) {
+			best, bestVal = i, v
 		}
 	}
 	out := tree.New(t.Net)
-	out.Root.Children = ins.buildNode(best.Ref).Children
+	out.Root.Children = ins.buildNode(c.Refs[best]).Children
 	if err := out.Validate(); err != nil {
 		return nil, curve.Solution{}, fmt.Errorf("vangin: rebuilt tree invalid: %w", err)
 	}
-	return out, best, nil
+	return out, c.Sols[best], nil
 }
 
 // bottomUp returns the solution curve looking into node n from its parent,
@@ -110,23 +110,22 @@ func (ins *inserter) bottomUp(n *tree.Node) *curve.Curve {
 	var base *curve.Curve
 	switch n.Kind {
 	case tree.KindSink:
-		base = &curve.Curve{}
 		s := ins.t.Net.Sinks[n.SinkIdx]
-		base.Insert(curve.Solution{
-			Load: tech.QuantizeLoad(s.Load),
-			Req:  s.Req,
-			Ref:  ins.refs.Keep(ref{kind: refSink, pos: n.Pos, sinkIdx: n.SinkIdx}),
-		})
-		return base // no buffer directly on a sink pin
+		return &curve.Curve{ // no buffer directly on a sink pin
+			Sols: []curve.Solution{{Load: tech.QuantizeLoad(s.Load), Req: s.Req}},
+			Refs: []int32{ins.refs.Keep(ref{kind: refSink, pos: n.Pos, sinkIdx: n.SinkIdx})},
+		}
 	default:
 		// Join children through their wires.
-		base = &curve.Curve{}
-		base.Insert(curve.Solution{Req: inf(), Ref: ins.refs.Keep(ref{kind: refBranch, pos: n.Pos})})
+		base = &curve.Curve{
+			Sols: []curve.Solution{{Req: inf()}},
+			Refs: []int32{ins.refs.Keep(ref{kind: refBranch, pos: n.Pos})},
+		}
 		for _, ch := range n.Children {
 			cc := ins.wireWithInsertion(ins.bottomUp(ch), n.Pos, ch.Pos)
 			joined := &curve.Curve{}
-			joined.Join(base, cc, func(x, y *curve.Solution) int32 {
-				return ins.refs.Add(ref{kind: refJoin, pos: n.Pos, a: x.Ref, b: y.Ref})
+			joined.Join(base.Sols, cc.Sols, func(x, y int) int32 {
+				return ins.refs.Add(ref{kind: refJoin, pos: n.Pos, a: base.Refs[x], b: cc.Refs[y]})
 			})
 			base = joined
 			base.Sort()
@@ -137,8 +136,8 @@ func (ins *inserter) bottomUp(n *tree.Node) *curve.Curve {
 	if n.Kind == tree.KindBuffer {
 		// Existing buffer is fixed: apply it, no choice.
 		buffered := &curve.Curve{}
-		buffered.Buffer(tech, base, []rc.Gate{n.Buffer}, func(old *curve.Solution, _ int) int32 {
-			return ins.refs.Add(ref{kind: refBuf, pos: n.Pos, gate: &n.Buffer, a: old.Ref})
+		buffered.Buffer(tech, base.Sols, []rc.Gate{n.Buffer}, func(i, _ int) int32 {
+			return ins.refs.Add(ref{kind: refBuf, pos: n.Pos, gate: &n.Buffer, a: base.Refs[i]})
 		})
 		buffered.Sort()
 		ins.refs.Seal(buffered)
@@ -155,8 +154,8 @@ func (ins *inserter) bottomUp(n *tree.Node) *curve.Curve {
 // library cell, at position pos. c must be sealed; so is the result.
 func (ins *inserter) withBufferOption(c *curve.Curve, pos geom.Point) *curve.Curve {
 	acc := c.Clone()
-	acc.Buffer(ins.tech, c, ins.lib.Buffers, func(old *curve.Solution, gi int) int32 {
-		return ins.refs.Add(ref{kind: refBuf, pos: pos, gate: &ins.lib.Buffers[gi], a: old.Ref})
+	acc.Buffer(ins.tech, c.Sols, ins.lib.Buffers, func(i, gi int) int32 {
+		return ins.refs.Add(ref{kind: refBuf, pos: pos, gate: &ins.lib.Buffers[gi], a: c.Refs[i]})
 	})
 	acc.Sort()
 	acc.Cap(ins.opts.MaxSols)
@@ -190,8 +189,8 @@ func (ins *inserter) wireWithInsertion(c *curve.Curve, parentPos, childPos geom.
 			Y: childPos.Y + int64(frac*float64(parentPos.Y-childPos.Y)),
 		}
 		wired := &curve.Curve{}
-		wired.Wire(ins.tech, []*curve.Curve{cur}, []int64{segLen}, -1, 0, func(old *curve.Solution) int32 {
-			return ins.refs.Add(ref{kind: refVia, pos: pos, a: old.Ref})
+		wired.Wire(ins.tech, [][]curve.Solution{cur.Sols}, []int64{segLen}, -1, 0, func(_, i int) int32 {
+			return ins.refs.Add(ref{kind: refVia, pos: pos, a: cur.Refs[i]})
 		})
 		cur = wired
 		cur.Sort()
