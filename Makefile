@@ -166,7 +166,7 @@ bench:
 	$(GO) run ./cmd/merlinbench -out BENCH_$(BENCH_N).json
 	@cat BENCH_$(BENCH_N).json
 
-# The paper-evaluation benchmarks (Table 1/2 regeneration etc.) stay on the
-# stock tooling.
+# The paper-evaluation benchmarks (E3-E8 and the DP's layers) stay on the
+# stock tooling; cmd/table1 and cmd/table2 regenerate Tables 1 and 2.
 bench-tables:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

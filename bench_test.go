@@ -1,22 +1,19 @@
-// Benchmarks regenerating the paper's evaluation (see DESIGN.md §3 for the
-// experiment index). Heavy table benches run a single iteration under the
-// default -benchtime; custom metrics carry the quality numbers the paper's
-// tables report, so `go test -bench . -benchmem` reproduces both the rows
-// (printed to stderr) and the headline ratios (as benchmark metrics).
+// Benchmarks of the paper's smaller experiments and of the DP's layers (see
+// DESIGN.md §3 for the experiment index); custom metrics carry the quality
+// numbers next to the times. Tables 1 and 2 are reproduced by cmd/table1
+// and cmd/table2.
 package merlin_test
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
-	"os"
 	"sync"
 	"testing"
 
 	"merlin/internal/core"
 	"merlin/internal/curve"
 	"merlin/internal/degrade"
-	"merlin/internal/expt"
 	"merlin/internal/flows"
 	"merlin/internal/geom"
 	"merlin/internal/net"
@@ -25,65 +22,6 @@ import (
 	"merlin/internal/service"
 	"merlin/internal/vangin"
 )
-
-// benchProfile trades more quality for speed than flows.ProfileFor so the
-// table benches fit a CI budget: the big-net rows run with coarser curve
-// caps and a single outer loop. cmd/table1 and cmd/table2 run the full
-// profiles; EXPERIMENTS.md reports both.
-func benchProfile(n int) flows.Profile {
-	p := flows.ProfileFor(n)
-	if n > 24 {
-		p.Lib = p.Lib.Small(3)
-		p.MaxCands = 8
-		p.Core.Alpha = 3
-		p.Core.MaxSols = 2
-		p.Core.MaxLoops = 1
-	}
-	return p
-}
-
-// BenchmarkTable1 is experiment E1: the full 18-net Table 1 run (bench
-// budget profile). The three ratio averages the paper reports (area, delay,
-// runtime of Flows II and III over Flow I) are attached as metrics.
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := expt.RunTable1(expt.Table1Options{Profile: benchProfile}, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			expt.WriteTable1(os.Stderr, rows)
-			aII, dII, rII, aIII, dIII, rIII := expt.Table1Averages(rows)
-			b.ReportMetric(aII, "II/I-area")
-			b.ReportMetric(dII, "II/I-delay")
-			b.ReportMetric(rII, "II/I-rt")
-			b.ReportMetric(aIII, "III/I-area")
-			b.ReportMetric(dIII, "III/I-delay")
-			b.ReportMetric(rIII, "III/I-rt")
-		}
-	}
-}
-
-// BenchmarkTable2 is experiment E2: the post-layout full-flow Table 2 over
-// all 15 synthetic benchmark circuits (at the documented budget scale).
-func BenchmarkTable2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := expt.RunTable2(expt.Table2Options{Scale: 0.02, Profile: benchProfile}, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			expt.WriteTable2(os.Stderr, rows)
-			aII, dII, rII, aIII, dIII, rIII := expt.Table2Averages(rows)
-			b.ReportMetric(aII, "II/I-area")
-			b.ReportMetric(dII, "II/I-delay")
-			b.ReportMetric(rII, "II/I-rt")
-			b.ReportMetric(aIII, "III/I-area")
-			b.ReportMetric(dIII, "III/I-delay")
-			b.ReportMetric(rIII, "III/I-rt")
-		}
-	}
-}
 
 // BenchmarkNeighborhoodEnum is experiment E3 (Theorem 1): exhaustive
 // enumeration of the order neighborhood, whose Fibonacci size is the

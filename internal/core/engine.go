@@ -50,15 +50,6 @@ type Options struct {
 	// points (the full *P_Tree). When false, buffers appear only at Cα_Tree
 	// internal nodes.
 	BufferAtSteiner bool
-	// RootWindow restricts the candidate roots of each sub-group to points
-	// within its sink bounding box inflated by this fraction of the net's
-	// half-perimeter (plus the source, always). 0 disables the restriction.
-	// This is the standard P-Tree candidate-pruning heuristic: structures
-	// rooted far from everything they drive are dominated once the
-	// connecting wire is charged. It cuts the k² transfer and k join work
-	// per sub-problem at a small optimality cost (measured in the E6/E8
-	// benches).
-	RootWindow float64
 	// MaxInternalChildren bounds how many internal nodes an internal node
 	// may have among its immediate children: 0 or 1 (the default) is
 	// Definition 2's Cα_Tree, whose internal nodes form a chain (Lemma 2); 2
@@ -97,9 +88,17 @@ func DefaultOptions() Options {
 		MaxSols:         8,
 		TransferHops:    1,
 		BufferAtSteiner: true,
-		RootWindow:      0.08,
 	}
 }
+
+// rootWindow restricts the candidate roots of each sub-group to points
+// within its sink bounding box inflated by this fraction of the net's
+// half-perimeter (plus the source, always). This is the standard P-Tree
+// candidate-pruning heuristic: structures rooted far from everything they
+// drive are dominated once the connecting wire is charged. It cuts the k²
+// transfer and k join work per sub-problem at a small optimality cost
+// (measured in the E6/E8 benches).
+const rootWindow = 0.08
 
 func (o Options) withDefaults() Options {
 	if o.Alpha <= 0 {
@@ -163,7 +162,7 @@ type Engine struct {
 
 	srcIdx int
 	dist   [][]int64
-	margin int64 // root-window inflation in λ (0 = unrestricted)
+	margin int64 // root-window inflation in λ
 
 	// ids and memo are the memo: the per-candidate curves of every Γ
 	// sub-problem and every *PTREE interval computed so far, keyed by
@@ -290,21 +289,15 @@ func NewEngine(n *net.Net, cands []geom.Point, lib *buflib.Library, tech rc.Tech
 			en.dist[i][j] = geom.Dist(en.Cands[i], en.Cands[j])
 		}
 	}
-	if en.Opts.RootWindow > 0 {
-		hp := geom.BoundingBox(n.Terminals()).HalfPerimeter()
-		en.margin = int64(en.Opts.RootWindow * float64(hp))
-	}
+	hp := geom.BoundingBox(n.Terminals()).HalfPerimeter()
+	en.margin = int64(rootWindow * float64(hp))
 	return en
 }
 
 // intervalMask returns, for a run of items, which candidate roots are inside
-// the items' inflated bounding box (the source is always allowed). A nil
-// return means "all allowed". The mask is the engine's, valid until the next
-// call.
+// the items' inflated bounding box (the source is always allowed). The mask
+// is the engine's, valid until the next call.
 func (en *Engine) intervalMask(items []item) []bool {
-	if en.Opts.RootWindow <= 0 {
-		return nil
-	}
 	box := items[0].bbox
 	for _, it := range items[1:] {
 		b := it.bbox
@@ -366,9 +359,9 @@ type item struct {
 }
 
 // Construct runs BUBBLE_CONSTRUCT (Fig. 9) for the given sink order and
-// returns the final per-candidate solution curves Γ(n, χ0, R=n−1, ·).
-// Use Extract / BuildTree on the result.
-func (en *Engine) Construct(ord order.Order) ([]*curve.Curve, error) {
+// returns the final solution curve at the source, Γ(n, χ0, R=n−1) rooted
+// at the driver. Use Extract / BuildTree on the result.
+func (en *Engine) Construct(ord order.Order) (*curve.Curve, error) {
 	return en.ConstructCtx(context.Background(), ord)
 }
 
@@ -384,26 +377,26 @@ func (en *Engine) Construct(ord order.Order) ([]*curve.Curve, error) {
 // sub-problem granularity as cancellation, returning ErrBudgetExceeded when
 // the retained-solution count or wall-time bound is crossed.
 //
-// The final curves read the engine's memo entry in place: each curve's
-// solution list is its candidate's part of the stored block (see entry),
-// which later constructions read back, so callers must treat them as
-// read-only and Clone a curve before trimming or editing it.
-func (en *Engine) ConstructCtx(ctx context.Context, ord order.Order) (final []*curve.Curve, err error) {
+// The final curve reads the engine's memo entry in place: its solution list
+// is the source's part of the stored block (see entry), which later
+// constructions read back, so callers must treat it as read-only and Clone
+// it before trimming or editing it.
+func (en *Engine) ConstructCtx(ctx context.Context, ord order.Order) (final *curve.Curve, err error) {
 	defer recoverToErr(&err)
 	if en.beginBudget() {
 		defer en.endBudget()
 	}
-	top, err := en.construct(ctx, ord)
+	src, err := en.construct(ctx, ord)
 	if err != nil {
 		return nil, err
 	}
-	return top.views(), nil
+	return &curve.Curve{Sols: src}, nil
 }
 
 // construct is ConstructCtx inside the caller's budget window and panic
-// guard. It returns the final Γ's memo entry, which the caller reads before
-// the memo grows again.
-func (en *Engine) construct(ctx context.Context, ord order.Order) (*entry, error) {
+// guard. It returns the final curve at the source, read in place from the
+// final Γ's memo entry.
+func (en *Engine) construct(ctx context.Context, ord order.Order) ([]curve.Solution, error) {
 	n := len(ord)
 	if n == 0 || n != en.Net.N() || !ord.Valid() {
 		return nil, fmt.Errorf("core: order must be a permutation of the %d sinks", en.Net.N())
@@ -448,8 +441,15 @@ func (en *Engine) construct(ctx context.Context, ord order.Order) (*entry, error
 		return nil, err
 	}
 
-	// CONSTRUCTION (lines 5–20).
+	// CONSTRUCTION (lines 5–20). Lines 21–22 read the top sub-problem
+	// Γ(n, χ0, n−1) at the source alone, so that level is built there alone:
+	// its calls' final intervals run their last transfer hop into the
+	// source, and its Γ cell accumulates there.
 	for L := 2; L <= n; L++ {
+		root := -1
+		if L == n {
+			root = en.srcIdx
+		}
 		for _, E := range en.Opts.Chis {
 			span := L + Stretch(E)
 			if span > n {
@@ -475,9 +475,9 @@ func (en *Engine) construct(ctx context.Context, ord order.Order) (*entry, error
 					en.scanCalls(L, R, span)
 					for i := range en.calls {
 						en.items = en.callItems(en.items[:0], ord, i)
-						en.calls[i].final = en.starDP(en.items)
+						en.calls[i].final = en.starDP(en.items, root)
 					}
-					if !en.gammaCell(-1) {
+					if !en.gammaCell(root) {
 						continue
 					}
 					en.memo[key] = storeEntry(en.cur)
@@ -491,9 +491,10 @@ func (en *Engine) construct(ctx context.Context, ord order.Order) (*entry, error
 	if !top.stored() {
 		return nil, fmt.Errorf("core: no solution constructed (n=%d, α=%d)", n, en.Opts.Alpha)
 	}
-	assertFinalCurves(top, "construct")
+	src := top.at(en.srcIdx)
+	assertFinalCurves(src, "construct")
 	en.ord = append(en.ord, ord...)
-	return top, nil
+	return src, nil
 }
 
 // scanCalls lists the *PTREE calls of sub-problem Γ(L, E, R), whose span
@@ -585,8 +586,8 @@ func (en *Engine) callItems(dst []item, ord order.Order, i int) []item {
 // gammaCell is the cell of one Γ sub-problem: for every candidate, the
 // final curves of its *PTREE calls (en.calls, already computed) inserted in
 // call order and capped into en.cur. Candidates are independent, so root ≥
-// 0 computes that candidate's curve alone, which is all a replay needs. It
-// reports whether any computed curve has a solution.
+// 0 computes that candidate's curve alone, which is all a replay and the
+// top level need. It reports whether any computed curve has a solution.
 func (en *Engine) gammaCell(root int) bool {
 	en.refs.Reset()
 	any := false
@@ -686,7 +687,9 @@ func (en *Engine) startLeaf(p, sinkIdx int) {
 // block of (load, req, area) triples, candidate p's at
 // sols[off[p]:off[p+1]]. The block is written once, when its cell stores
 // its curves, and a stored solution's index in its candidate's list is its
-// identity. An entry without offsets holds no curves.
+// identity. The entries of the top level, built at the source alone (see
+// construct), hold an empty list at every other candidate. An entry
+// without offsets holds no curves.
 type entry struct {
 	sols []curve.Solution
 	off  []int32
@@ -716,19 +719,6 @@ func (e *entry) stored() bool { return e.off != nil }
 func (e *entry) at(p int) []curve.Solution {
 	lo, hi := e.off[p], e.off[p+1]
 	return e.sols[lo:hi:hi]
-}
-
-// views returns one curve per candidate whose solution list is the entry's
-// (see at).
-func (e *entry) views() []*curve.Curve {
-	k := len(e.off) - 1
-	cells := make([]curve.Curve, k)
-	cs := make([]*curve.Curve, k)
-	for p := range cs {
-		cells[p].Sols = e.at(p)
-		cs[p] = &cells[p]
-	}
-	return cs
 }
 
 // clearCurve empties c, keeping its lists for reuse, and returns it.
@@ -823,10 +813,11 @@ sinks:
 
 // starDP is *PTREE (§3.2.3): the P-Tree interval DP over the ordered item
 // list, producing for every candidate p the non-inferior curve of buffered
-// routings rooted at p that drive all items. Every interval is memoized by
-// its items' codes, across sub-problems and MERLIN iterations. It returns
-// the memo id of the final interval [0, t−1].
-func (en *Engine) starDP(items []item) int32 {
+// routings rooted at p that drive all items; root ≥ 0 builds the final
+// interval's curve at that candidate alone (see intervalCell). Every
+// interval is memoized by its items' codes, across sub-problems and MERLIN
+// iterations. It returns the memo id of the final interval [0, t−1].
+func (en *Engine) starDP(items []item, root int) int32 {
 	t := len(items)
 	id := en.intervalIDs(items)
 	if en.memo[id[t-1]].stored() {
@@ -841,7 +832,11 @@ func (en *Engine) starDP(items []item) int32 {
 				en.MemoHits++
 				continue
 			}
-			en.intervalCell(items, id, a, b, -1)
+			r := -1
+			if length == t {
+				r = root
+			}
+			en.intervalCell(items, id, a, b, r)
 			en.memo[id[a*t+b]] = storeEntry(en.cur)
 		}
 	}
@@ -893,7 +888,8 @@ func (en *Engine) finalKey(id int32) int32 {
 // whose shorter intervals are stored under id: it computes the interval's
 // curve at every candidate into en.cur. root < 0 runs the last transfer hop
 // into every candidate; root ≥ 0 runs it into that one, which is all a
-// replay of that candidate's curve needs.
+// replay of that candidate's curve, or a final interval of the top level,
+// needs.
 //
 // Per-interval passes: raw → buffer → transfer → buffer, run in the scratch
 // curve as two pipelines: raw (join, leaf or inner group) → buffer below,
@@ -911,7 +907,7 @@ func (en *Engine) intervalCell(items []item, id []int32, a, b int, root int) {
 	mask := en.intervalMask(items[a : b+1])
 	for p := range en.cur {
 		c := clearCurve(&en.cur[p])
-		if mask != nil && !mask[p] {
+		if !mask[p] {
 			continue
 		}
 		switch it := &items[a]; {
@@ -981,7 +977,7 @@ func (en *Engine) transfer(mask []bool, buffered bool, root int) {
 		}
 		for p := range en.cur {
 			c := clearCurve(&en.cur[p])
-			if (mask != nil && !mask[p]) || (hop == en.Opts.TransferHops && root >= 0 && p != root) {
+			if !mask[p] || (hop == en.Opts.TransferHops && root >= 0 && p != root) {
 				continue
 			}
 			copyCurve(&en.scratch, &pre[p])
@@ -996,62 +992,43 @@ func (en *Engine) transfer(mask []bool, buffered bool, root int) {
 	}
 }
 
-// driver returns the gate model for the net source.
-func (en *Engine) driver() rc.Gate {
-	if en.Net.Driver.Name != "" {
-		return en.Net.Driver
-	}
-	return en.Lib.Driver
+// Extract picks the solution of the final curve at the source that best
+// satisfies the goal (Fig. 9 lines 21–22), accounting for the driver's
+// load-dependent delay, and returns the solution together with its
+// driver-input required time.
+func (en *Engine) Extract(final *curve.Curve, goal Goal) (curve.Solution, float64, error) {
+	return en.extract(final.Sols, goal)
 }
 
-// Extract picks the solution of the final curves that best satisfies the
-// goal (Fig. 9 lines 21–22), accounting for the driver's load-dependent
-// delay, and returns the solution together with its driver-input required
-// time.
-func (en *Engine) Extract(final []*curve.Curve, goal Goal) (curve.Solution, float64, error) {
-	var src []curve.Solution
-	if c := final[en.srcIdx]; c != nil {
-		src = c.Sols
-	}
-	return en.extract(src, goal)
-}
-
-// extract is Extract on the final curve at the source, src.
+// extract is Extract on the final curve's solution list, src.
 func (en *Engine) extract(src []curve.Solution, goal Goal) (curve.Solution, float64, error) {
 	if len(src) == 0 {
 		return curve.Solution{}, 0, fmt.Errorf("core: no solution at source")
 	}
-	drv := en.driver()
-	reqAt := func(s curve.Solution) float64 { return s.Req - drv.DelayNominal(&en.Tech, s.Load) }
-	var best curve.Solution
-	found := false
+	drv := en.Net.DriverOr(en.Lib.Driver)
 	switch goal.Mode {
 	case GoalMaxReq:
-		for _, s := range src {
-			if goal.AreaBudget > 0 && s.Area > goal.AreaBudget {
-				continue
-			}
-			if !found || reqAt(s) > reqAt(best) || (reqAt(s) == reqAt(best) && s.Area < best.Area) {
-				best, found = s, true
-			}
+		if i, req := curve.BestAtDriver(src, &en.Tech, &drv, goal.AreaBudget); i >= 0 {
+			return src[i], req, nil
 		}
 	case GoalMinArea:
+		var best curve.Solution
+		bestReq, found := 0.0, false
 		for _, s := range src {
-			if reqAt(s) < goal.ReqFloor {
+			req := s.ReqAtDriver(&en.Tech, &drv)
+			if req < goal.ReqFloor {
 				continue
 			}
-			if !found || s.Area < best.Area || (s.Area == best.Area && reqAt(s) > reqAt(best)) {
-				best, found = s, true
+			if !found || s.Area < best.Area || (s.Area == best.Area && req > bestReq) {
+				best, bestReq, found = s, req, true
 			}
 		}
-		if !found {
-			// Infeasible floor: fall back to the max-req solution so callers
-			// still get the closest structure; they can detect the shortfall.
-			return en.extract(src, Goal{Mode: GoalMaxReq})
+		if found {
+			return best, bestReq, nil
 		}
+		// Infeasible floor: fall back to the max-req solution so callers
+		// still get the closest structure; they can detect the shortfall.
+		return en.extract(src, Goal{Mode: GoalMaxReq})
 	}
-	if !found {
-		return curve.Solution{}, 0, fmt.Errorf("core: no solution satisfies the goal")
-	}
-	return best, reqAt(best), nil
+	return curve.Solution{}, 0, fmt.Errorf("core: no solution satisfies the goal")
 }

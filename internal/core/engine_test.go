@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -34,34 +35,35 @@ func exactOpts() Options {
 }
 
 // TestSolutionTreeConsistency: for every solution of the final curve, the
-// reconstructed tree must realize exactly the solution's buffer area, and
-// the DP's required time must match a nominal-slew re-evaluation. This is
-// the regression test for the extraction path (Fig. 9 lines 21–22).
+// reconstructed tree must realize exactly the solution's buffer area. This
+// is the regression test for the extraction path (Fig. 9 lines 21–22). The
+// seeds give it at least 54 trees to check.
 func TestSolutionTreeConsistency(t *testing.T) {
-	nt, cands, lib, tech := testSetup(6, 5, 10)
-	opts := exactOpts()
-	opts.MaxSols = 6
-	en := NewEngine(nt, cands, lib, tech, opts)
-	final, err := en.Construct(order.Identity(nt.N()))
-	if err != nil {
-		t.Fatal(err)
-	}
 	checked := 0
-	for p := range final {
-		for _, sol := range final[p].Sols {
-			tr, err := en.BuildTree(sol, p)
+	for seed := int64(5); seed < 14; seed++ {
+		nt, cands, lib, tech := testSetup(6, seed, 10)
+		opts := exactOpts()
+		opts.MaxSols = 6
+		en := NewEngine(nt, cands, lib, tech, opts)
+		final, err := en.Construct(order.Identity(nt.N()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sol := range final.Sols {
+			tr, err := en.BuildTree(sol)
 			if err != nil {
-				t.Fatalf("BuildTree: %v", err)
+				t.Fatalf("seed %d: BuildTree: %v", seed, err)
 			}
 			if math.Abs(tr.BufferArea()-sol.Area) > 1e-6 {
-				t.Fatalf("solution area %.2f but tree area %.2f\n%s", sol.Area, tr.BufferArea(), tr)
+				t.Fatalf("seed %d: solution area %.2f but tree area %.2f\n%s", seed, sol.Area, tr.BufferArea(), tr)
 			}
 			checked++
 		}
 	}
-	if checked == 0 {
-		t.Fatal("no solutions to check")
+	if checked < 54 {
+		t.Fatalf("only %d trees checked, want at least 54", checked)
 	}
+	t.Logf("%d trees checked", checked)
 }
 
 // TestDPReqMatchesEvaluation: with quantization off and a slew-insensitive
@@ -86,7 +88,7 @@ func TestDPReqMatchesEvaluation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := en.BuildTree(sol, en.SourceIndex())
+	tr, err := en.BuildTree(sol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,9 +98,11 @@ func TestDPReqMatchesEvaluation(t *testing.T) {
 	}
 }
 
-// TestLemma5: any order realized by BUBBLE_CONSTRUCT is in N(Π).
+// TestLemma5: any order realized by BUBBLE_CONSTRUCT is in N(Π). The seeds
+// give it at least 225 trees to check.
 func TestLemma5(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
+	checked := 0
+	for seed := int64(0); seed < 45; seed++ {
 		nt, cands, lib, tech := testSetup(6, 20+seed, 8)
 		opts := exactOpts()
 		opts.MaxSols = 5
@@ -109,22 +113,25 @@ func TestLemma5(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for p := range final {
-			for _, sol := range final[p].Sols {
-				tr, err := en.BuildTree(sol, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				realized := tr.SinkOrder()
-				if !realized.Valid() {
-					t.Fatalf("realized %v is not a permutation", realized)
-				}
-				if !order.InNeighborhood(pi, realized) {
-					t.Fatalf("Lemma 5 violated: realized %v not in N(%v)", realized, pi)
-				}
+		for _, sol := range final.Sols {
+			tr, err := en.BuildTree(sol)
+			if err != nil {
+				t.Fatal(err)
 			}
+			realized := tr.SinkOrder()
+			if !realized.Valid() {
+				t.Fatalf("realized %v is not a permutation", realized)
+			}
+			if !order.InNeighborhood(pi, realized) {
+				t.Fatalf("Lemma 5 violated: realized %v not in N(%v)", realized, pi)
+			}
+			checked++
 		}
 	}
+	if checked < 225 {
+		t.Fatalf("only %d trees checked, want at least 225", checked)
+	}
+	t.Logf("%d trees checked", checked)
 }
 
 // TestLemma6AndTheorem4: BUBBLE_CONSTRUCT (with bubbling) must do at least
@@ -230,7 +237,7 @@ func TestCaTreeStructure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := en.BuildTree(sol, en.SourceIndex())
+		tr, err := en.BuildTree(sol)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,7 +375,7 @@ func TestCoincidentGammaKeys(t *testing.T) {
 
 // TestWarmEngineMatchesFresh: the memo is keyed by content alone, so an
 // engine that has already built other orders must return, for every order,
-// exactly the final curves a fresh engine builds — triple for triple in
+// exactly the final curve a fresh engine builds — triple for triple in
 // curve order. The orders chain TSP, three random neighbors and the identity,
 // so later constructions reuse intervals and sub-groups of earlier ones.
 // The option sets cover both pipelines of a final interval: with
@@ -392,7 +399,8 @@ func TestWarmEngineMatchesFresh(t *testing.T) {
 }
 
 // warmMatchesFresh runs one seeded net's order chain through one warm
-// engine and compares each final curve with a fresh engine's.
+// engine and compares each final curve at the source, and each Γ entry of
+// the construct at every candidate, with a fresh engine's.
 func warmMatchesFresh(t *testing.T, n int, seed int64, set func(*Options)) {
 	nt, cands, lib, tech := testSetup(n, seed, 8)
 	opts := DefaultOptions()
@@ -409,20 +417,99 @@ func warmMatchesFresh(t *testing.T, n int, seed int64, set func(*Options)) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := NewEngine(nt, cands, lib, tech, opts).Construct(pi)
+		fresh := NewEngine(nt, cands, lib, tech, opts)
+		want, err := fresh.Construct(pi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for p := range want {
-			g, w := got[p].Sols, want[p].Sols
-			same := len(g) == len(w)
-			for j := 0; same && j < len(w); j++ {
-				same = g[j].Load == w[j].Load && g[j].Req == w[j].Req && g[j].Area == w[j].Area
-			}
-			if !same {
-				t.Fatalf("n=%d order %d %v, candidate %d: warm curve %v, fresh %v", n, i, pi, p, g, w)
+		if !slices.Equal(got.Sols, want.Sols) {
+			t.Fatalf("n=%d order %d %v: warm curve %v, fresh %v", n, i, pi, got.Sols, want.Sols)
+		}
+		for l := range warm.gamma {
+			for e := range warm.gamma[l] {
+				for r, id := range warm.gamma[l][e] {
+					g, w := &warm.memo[id], &fresh.memo[fresh.gamma[l][e][r]]
+					if !slices.Equal(g.sols, w.sols) || !slices.Equal(g.off, w.off) {
+						t.Fatalf("n=%d order %d %v: Γ(%d, %v, %d) warm %v %v, fresh %v %v", n, i, pi, l+1, Chi(e), r, g.off, g.sols, w.off, w.sols)
+					}
+				}
 			}
 		}
+	}
+}
+
+// TestTopLevelAtSourceOnly: Fig. 9 reads the top sub-problem Γ(n, χ0, n−1)
+// at the source alone (lines 21–22), so a construct builds that level there
+// alone. After it, the final Γ's memo entry and the final interval of each
+// of that Γ's *PTREE calls hold solutions at the source and at no other
+// candidate, while the Γ entries one level down still hold curves at other
+// candidates. A second order on the same engine, and a repeat of the first
+// served from the memo, keep it so. The option sets cover both pipelines of
+// a final interval, the relaxed class and a two-hop transfer.
+func TestTopLevelAtSourceOnly(t *testing.T) {
+	for _, v := range []struct {
+		name string
+		set  func(*Options)
+	}{
+		{"default", func(*Options) {}},
+		{"no-steiner-buffers", func(o *Options) { o.BufferAtSteiner = false }},
+		{"force-group-buffers", func(o *Options) { o.ForceGroupBuffers = true }},
+		{"max-internal-2", func(o *Options) { o.MaxInternalChildren = 2 }},
+		{"two-transfer-hops", func(o *Options) { o.TransferHops = 2 }},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			nt, cands, lib, tech := testSetup(6, 160, 8)
+			opts := DefaultOptions()
+			v.set(&opts)
+			en := NewEngine(nt, cands, lib, tech, opts)
+			tsp := order.TSP(nt.Source, nt.SinkPoints())
+			for _, pi := range []order.Order{tsp, order.Identity(nt.N()), tsp} {
+				if _, err := en.Construct(pi); err != nil {
+					t.Fatal(err)
+				}
+				checkTopLevelAtSource(t, en, pi)
+			}
+		})
+	}
+}
+
+// checkTopLevelAtSource checks the top level of en's last construct, over
+// order pi, as TestTopLevelAtSourceOnly describes.
+func checkTopLevelAtSource(t *testing.T, en *Engine, pi order.Order) {
+	t.Helper()
+	n, src := en.Net.N(), en.SourceIndex()
+	atSourceOnly := func(what string, id int32) {
+		t.Helper()
+		e := &en.memo[id]
+		if !e.stored() || len(e.at(src)) == 0 {
+			t.Fatalf("order %v: %s (memo id %d) holds no solution at the source", pi, what, id)
+		}
+		for p := range en.Cands {
+			if l := e.at(p); p != src && len(l) > 0 {
+				t.Fatalf("order %v: %s (memo id %d) holds %d solutions at candidate %d", pi, what, id, len(l), p)
+			}
+		}
+	}
+	atSourceOnly("the final Γ", en.gamma[n-1][Chi0][n-1])
+	en.g = appendSinkSet(en.g[:0], n-1, n, Chi0)
+	en.scanCalls(n, n-1, n)
+	if len(en.calls) == 0 {
+		t.Fatalf("order %v: the final Γ has no calls", pi)
+	}
+	for i := range en.calls {
+		en.items = en.callItems(en.items[:0], en.ord, i)
+		atSourceOnly(fmt.Sprintf("call %d's final interval", i), en.finalID(en.items))
+	}
+	elsewhere := false
+	for _, id := range en.gamma[n-2][Chi0] {
+		for p := range en.Cands {
+			if e := &en.memo[id]; p != src && e.stored() && len(e.at(p)) > 0 {
+				elsewhere = true
+			}
+		}
+	}
+	if !elsewhere {
+		t.Fatalf("order %v: no Γ(%d, χ0, ·) holds a curve away from the source", pi, n-1)
 	}
 }
 
@@ -483,7 +570,7 @@ func TestExtractGoalFallback(t *testing.T) {
 
 // TestBuildTreeRejectsBadHandles: BuildTree names a stored solution by its
 // triple, so a solution that is no solution of the final curve at the
-// candidate, or a candidate out of range, is an error, not a panic.
+// source is an error, not a panic.
 func TestBuildTreeRejectsBadHandles(t *testing.T) {
 	nt, cands, lib, tech := testSetup(4, 3, 6)
 	en := NewEngine(nt, cands, lib, tech, exactOpts())
@@ -495,23 +582,16 @@ func TestBuildTreeRejectsBadHandles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := en.SourceIndex()
-	if _, err := en.BuildTree(sol, src); err != nil {
+	if _, err := en.BuildTree(sol); err != nil {
 		t.Fatalf("extracted solution: %v", err)
 	}
 	for _, bad := range []curve.Solution{
 		{Load: sol.Load, Req: sol.Req + 1, Area: sol.Area},
 		{Load: -1, Req: sol.Req, Area: sol.Area},
 	} {
-		tr, err := en.BuildTree(bad, src)
+		tr, err := en.BuildTree(bad)
 		if err == nil || !strings.Contains(err.Error(), "is no solution of the last construct's curve") {
 			t.Fatalf("solution %v: got tree %v, error %v; want the no-such-solution error", bad, tr, err)
-		}
-	}
-	for _, p := range []int{-1, len(en.Cands)} {
-		tr, err := en.BuildTree(sol, p)
-		if err == nil || !strings.Contains(err.Error(), "out of range") {
-			t.Fatalf("candidate %d: got tree %v, error %v; want the out-of-range error", p, tr, err)
 		}
 	}
 }
@@ -565,12 +645,10 @@ func TestStoredListsAreBounded(t *testing.T) {
 	if checked < 10 {
 		t.Fatalf("only %d adjacent pairs of non-empty lists checked", checked)
 	}
-	src := en.SourceIndex()
-	before := slices.Clone(final[src].Sols)
-	for p := range final {
-		final[p].Sols = append(final[p].Sols, extra)
-	}
-	if again := en.memo[en.gamma[nt.N()-1][Chi0][nt.N()-1]].at(src); !slices.Equal(again, before) {
-		t.Fatalf("appending to the final curves changed the stored source list to %v, want %v", again, before)
+	stored := &en.memo[en.gamma[nt.N()-1][Chi0][nt.N()-1]]
+	before := slices.Clone(stored.sols)
+	final.Sols = append(final.Sols, extra)
+	if !slices.Equal(stored.sols, before) {
+		t.Fatalf("appending to the final curve changed the stored block to %v, want %v", stored.sols, before)
 	}
 }

@@ -13,19 +13,17 @@ import (
 // `-tags merlin_invariants` (`make invariants`); invariants_off.go is the
 // zero-cost production mirror. Where the curve package asserts each frontier
 // mutation locally, this file asserts the engine-level contracts: the final
-// per-candidate curves of a construction are true non-inferior frontiers,
+// curve of a construction at the source is a true non-inferior frontier,
 // and every extracted tree realizes a sink order and — in the strict
 // Definition 2 configuration — is a Cα_Tree with branching ≤ α.
 
-// assertFinalCurves panics unless every per-candidate curve of a finished
-// construction's final entry is a pairwise non-inferior frontier (the
-// curves are Cap-thinned, so sort order is not required).
-func assertFinalCurves(final *entry, where string) {
-	for p := 0; p+1 < len(final.off); p++ {
-		c := curve.Curve{Sols: final.at(p)}
-		if err := c.CheckFrontier(false); err != nil {
-			panic(fmt.Sprintf("merlin_invariants: %s: candidate %d: %v", where, p, err))
-		}
+// assertFinalCurves panics unless a finished construction's final curve at
+// the source, src, is a pairwise non-inferior frontier (the curve is
+// Cap-thinned, so sort order is not required).
+func assertFinalCurves(src []curve.Solution, where string) {
+	c := curve.Curve{Sols: src}
+	if err := c.CheckFrontier(false); err != nil {
+		panic(fmt.Sprintf("merlin_invariants: %s: source: %v", where, err))
 	}
 }
 

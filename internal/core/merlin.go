@@ -107,7 +107,7 @@ func (en *Engine) MerlinCtx(ctx context.Context, initOrder order.Order) (out *Re
 		// the DP hot phase a traced request mostly consists of.
 		cctx, csp := trace.StartSpan(ctx, "dp.construct")
 		csp.SetAttr("loop", strconv.Itoa(res.Loops))
-		top, err := en.construct(cctx, pi)
+		frontier, err := en.construct(cctx, pi)
 		csp.End()
 		if err != nil {
 			return nil, err
@@ -116,13 +116,12 @@ func (en *Engine) MerlinCtx(ctx context.Context, initOrder order.Order) (out *Re
 		// solution and rebuild its embedded tree. The frontier is read in
 		// place, from the stored block.
 		_, esp := trace.StartSpan(ctx, "dp.extract")
-		frontier := top.at(en.srcIdx)
 		sol, reqAt, err := en.extract(frontier, en.Opts.Goal)
 		if err != nil {
 			esp.End()
 			return nil, err
 		}
-		t, err := en.BuildTree(sol, en.srcIdx)
+		t, err := en.BuildTree(sol)
 		esp.End()
 		if err != nil {
 			return nil, err

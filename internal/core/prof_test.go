@@ -60,7 +60,7 @@ func BenchmarkBuildTree(b *testing.B) {
 				if v.forget {
 					clear(en.trees)
 				}
-				if _, err := en.BuildTree(sol, en.SourceIndex()); err != nil {
+				if _, err := en.BuildTree(sol); err != nil {
 					b.Fatal(err)
 				}
 			}

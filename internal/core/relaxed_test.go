@@ -38,7 +38,7 @@ func TestRelaxedCaTree(t *testing.T) {
 	if reqR < reqS-1e-9 {
 		t.Fatalf("relaxed space (req %.6f) lost to strict chain (req %.6f)", reqR, reqS)
 	}
-	tr, err := enR.BuildTree(solR, enR.SourceIndex())
+	tr, err := enR.BuildTree(solR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +47,8 @@ func TestRelaxedCaTree(t *testing.T) {
 		t.Fatalf("relaxed realized order %v breaks the neighborhood property", realized)
 	}
 	// Solutions across the relaxed frontier keep tree/solution consistency.
-	for _, sol := range finR[enR.SourceIndex()].Sols {
-		tr, err := enR.BuildTree(sol, enR.SourceIndex())
+	for _, sol := range finR.Sols {
+		tr, err := enR.BuildTree(sol)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,9 +19,9 @@ import (
 // touches again, with the same code, and following the records each
 // replayed cell writes.
 
-// treeKey names a solution of a construct's final curves: the final Γ's
-// memo id, the candidate and the solution's index.
-type treeKey struct{ id, p, i int32 }
+// treeKey names a solution of a construct's final curve at the source: the
+// final Γ's memo id and the solution's index.
+type treeKey struct{ id, i int32 }
 
 // spot names a stored solution by position, with what replaying its cell
 // needs: an interval [a, b] of a *PTREE call's items, or, when items is
@@ -37,31 +37,28 @@ type spot struct {
 }
 
 // BuildTree reconstructs the buffered routing tree of solution sol of the
-// final curve at candidate p of the most recent construct (Fig. 9 line 22),
-// as Extract returns it. A curve is non-inferior, so no two of its
-// solutions share a triple, and sol's triple names it. The first rebuild of
+// most recent construct's final curve at the source (Fig. 9 line 22), as
+// Extract returns it. A curve is non-inferior, so no two of its solutions
+// share a triple, and sol's triple names it. The first rebuild of
 // a solution replays the cells its tree touches and checks that each
 // reproduces its stored curve, triple for triple and in curve order,
 // returning an error wrapping ErrInternal if one does not; the engine keeps
 // the expanded records, so a repeat rebuild replays nothing.
-func (en *Engine) BuildTree(sol curve.Solution, p int) (t *tree.Tree, err error) {
+func (en *Engine) BuildTree(sol curve.Solution) (t *tree.Tree, err error) {
 	defer recoverToErr(&err)
 	n := en.Net.N()
 	if len(en.ord) != n {
 		return nil, fmt.Errorf("core: no finished construct to rebuild a tree from")
 	}
-	if p < 0 || p >= len(en.Cands) {
-		return nil, fmt.Errorf("core: candidate %d out of range (%d candidates)", p, len(en.Cands))
-	}
 	id := en.gamma[n-1][Chi0][n-1]
-	i := slices.Index(en.memo[id].at(p), sol)
+	i := slices.Index(en.memo[id].at(en.srcIdx), sol)
 	if i < 0 {
-		return nil, fmt.Errorf("core: solution %v is no solution of the last construct's curve at candidate %d", sol, p)
+		return nil, fmt.Errorf("core: solution %v is no solution of the last construct's curve at the source", sol)
 	}
-	key := treeKey{id, int32(p), int32(i)}
+	key := treeKey{id, int32(i)}
 	recs, ok := en.trees[key]
 	if !ok {
-		if recs, err = en.expand(spot{p: p, i: i, l: n, e: Chi0, r: n - 1}); err != nil {
+		if recs, err = en.expand(spot{p: en.srcIdx, i: i, l: n, e: Chi0, r: n - 1}); err != nil {
 			return nil, err
 		}
 		en.trees[key] = recs

@@ -82,20 +82,20 @@ func TestReplayDetectsAlteredCurves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := en.BuildTree(sol, src)
+	want, err := en.BuildTree(sol)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rebuild := func() error {
 		clear(en.trees)
-		tr, err := en.BuildTree(sol, src)
+		tr, err := en.BuildTree(sol)
 		if err == nil && tr.String() != want.String() {
 			t.Fatalf("rebuilt tree\n%s\nwant\n%s", tr, want)
 		}
 		return err
 	}
 
-	sols := final[src].Sols
+	sols := final.Sols
 	if len(sols) < 2 {
 		t.Fatalf("source curve has %d solutions; need another one to alter", len(sols))
 	}

@@ -450,6 +450,29 @@ func (c *Curve) BestReq() (best int, ok bool) {
 	return best, len(c.Sols) > 0
 }
 
+// ReqAtDriver returns the required time at the input of gate drv driving
+// the solution's load, with the technology's nominal input slew.
+func (s Solution) ReqAtDriver(t *rc.Technology, drv *rc.Gate) float64 {
+	return s.Req - drv.DelayNominal(t, s.Load)
+}
+
+// BestAtDriver returns the index of the solution of sols with the largest
+// ReqAtDriver, and that required time; ties go to the smaller area, then
+// to the earlier solution. With maxArea > 0, solutions whose area exceeds
+// it are skipped. The index is −1 when no solution is left.
+func BestAtDriver(sols []Solution, t *rc.Technology, drv *rc.Gate, maxArea float64) (int, float64) {
+	best, bestReq := -1, 0.0
+	for i, s := range sols {
+		if maxArea > 0 && s.Area > maxArea {
+			continue
+		}
+		if req := s.ReqAtDriver(t, drv); best < 0 || req > bestReq || (req == bestReq && s.Area < sols[best].Area) {
+			best, bestReq = i, req
+		}
+	}
+	return best, bestReq
+}
+
 func better(a, b Solution) bool {
 	if a.Req != b.Req {
 		return a.Req > b.Req

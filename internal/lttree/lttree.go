@@ -33,9 +33,6 @@ import (
 
 // Options control the DP.
 type Options struct {
-	// MaxFanout bounds the number of children per node (0 = unbounded, the
-	// true LT-Tree setting).
-	MaxFanout int
 	// WireLoadPerSink is the wire-load-model capacitance (pF) added per
 	// fanout during the logic-domain DP. Fanout optimizers cannot see real
 	// wire loads (positions are unknown at that stage); mapped flows of the
@@ -51,7 +48,7 @@ type Options struct {
 
 // DefaultOptions returns the experiment configuration.
 func DefaultOptions() Options {
-	return Options{MaxFanout: 0, MaxSols: 10, PTree: ptree.DefaultOptions()}
+	return Options{MaxSols: 10, PTree: ptree.DefaultOptions()}
 }
 
 // chainRef reconstructs a chain solution: the node drives direct sinks
@@ -117,13 +114,6 @@ func Build(n *net.Net, lib *buflib.Library, tech rc.Technology, opts Options) (*
 		acc := &curve.Curve{}
 		for j := i + 1; j <= nn; j++ {
 			direct := j - i
-			fanout := direct
-			if j < nn {
-				fanout++ // plus the chain child
-			}
-			if opts.MaxFanout > 0 && fanout > opts.MaxFanout {
-				break
-			}
 			baseLoad := loadSum[j] - loadSum[i]
 			baseReq := minReq(i, j)
 			tails := chainTails(dp, j)
@@ -156,13 +146,6 @@ func Build(n *net.Net, lib *buflib.Library, tech rc.Technology, opts Options) (*
 	final := &curve.Curve{}
 	for j := 0; j <= nn; j++ {
 		direct := j
-		fanout := direct
-		if j < nn {
-			fanout++
-		}
-		if opts.MaxFanout > 0 && fanout > opts.MaxFanout {
-			break
-		}
 		baseLoad := loadSum[j]
 		baseReq := minReq(0, j)
 		if j == 0 {
@@ -232,19 +215,8 @@ func PlaceAndRoute(ch *Chain, lib *buflib.Library, tech rc.Technology, opts Opti
 	// Pick the chain that maximizes the required time at the driver INPUT:
 	// the driver's delay depends on the chain's root load, so comparing raw
 	// root required times would always favor the bufferless chain.
-	driver := ch.Net.Driver
-	if driver.Name == "" {
-		driver = lib.Driver
-	}
-	sols := ch.Curve.Sols
-	best := 0
-	bestVal := sols[0].Req - driver.DelayNominal(&tech, sols[0].Load)
-	for i, s := range sols {
-		if v := s.Req - driver.DelayNominal(&tech, s.Load); v > bestVal ||
-			(v == bestVal && s.Area < sols[best].Area) {
-			best, bestVal = i, v
-		}
-	}
+	driver := ch.Net.DriverOr(lib.Driver)
+	best, _ := curve.BestAtDriver(ch.Curve.Sols, &tech, &driver, 0)
 	return placeAndRouteSolution(ch, ch.Curve.Refs[best], tech, opts, maxCands)
 }
 

@@ -168,21 +168,6 @@ func TestWLMChangesStructure(t *testing.T) {
 	}
 }
 
-func TestMaxFanoutHonored(t *testing.T) {
-	tech, lib := setup()
-	nt := testNet(9, 13)
-	opts := DefaultOptions()
-	opts.MaxFanout = 3
-	opts.WireLoadPerSink = 0.3
-	tr, err := Solve(nt, lib, tech, opts, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.IsCaTree(opts.MaxFanout); err != nil {
-		t.Fatalf("fanout bound violated: %v\n%s", err, tr)
-	}
-}
-
 func TestBuildRejectsInvalidNet(t *testing.T) {
 	tech, lib := setup()
 	if _, err := Build(&net.Net{Name: "empty"}, lib, tech, DefaultOptions()); err == nil {

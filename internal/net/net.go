@@ -39,6 +39,15 @@ type Net struct {
 // N returns the number of sinks.
 func (n *Net) N() int { return len(n.Sinks) }
 
+// DriverOr returns the gate driving the net: the net's own Driver, or def
+// when the net names none.
+func (n *Net) DriverOr(def rc.Gate) rc.Gate {
+	if n.Driver.Name == "" {
+		return def
+	}
+	return n.Driver
+}
+
 // Validate checks the instance for basic sanity. NaN loads need an explicit
 // check: NaN compares false against everything, so `Load <= 0` alone would
 // wave it through into the DP where it poisons every pruning comparison.

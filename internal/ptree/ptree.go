@@ -6,9 +6,9 @@
 // over a set of candidate (Hanan) points by dynamic programming over
 // contiguous order intervals: S(p,i,j) is the non-inferior solution curve of
 // routings rooted at candidate p driving sinks i..j of the order. Curves are
-// (load, required time, wire cost) triples pruned per Definition 6; the wire
-// cost occupies the curve's Area dimension so callers get the paper's
-// explicit area/delay trade-off.
+// (load, required time, wirelength) triples pruned per Definition 6; the
+// wirelength in λ occupies the curve's Area dimension so callers get the
+// paper's explicit area/delay trade-off.
 package ptree
 
 import (
@@ -27,30 +27,18 @@ type Options struct {
 	// MaxSols caps every solution curve (0 = uncapped). Capping trades
 	// optimality for speed exactly like coarser load quantization.
 	MaxSols int
-	// TransferHops is the number of Bellman-Ford sweeps propagating merged
-	// curves across candidate locations (the S = min{d(p,p′)+S′} recursion).
-	// One sweep finds all single-hop transfers; additional sweeps approach
-	// the fixed point. Values above 2 rarely change results.
-	TransferHops int
-	// WireCostWeight scales how wirelength enters the curve's area
-	// dimension; 1 reports raw λ.
-	WireCostWeight float64
 }
 
 // DefaultOptions returns the options used by the experiments.
 func DefaultOptions() Options {
-	return Options{MaxSols: 10, TransferHops: 2, WireCostWeight: 1}
+	return Options{MaxSols: 10}
 }
 
-func (o Options) withDefaults() Options {
-	if o.TransferHops <= 0 {
-		o.TransferHops = 1
-	}
-	if o.WireCostWeight <= 0 {
-		o.WireCostWeight = 1
-	}
-	return o
-}
+// transferHops is the number of Bellman-Ford sweeps propagating merged
+// curves across candidate locations (the S = min{d(p,p′)+S′} recursion).
+// One sweep finds all single-hop transfers; the second approaches the fixed
+// point, and more rarely change results.
+const transferHops = 2
 
 // refKind discriminates ref shapes.
 type refKind int8
@@ -91,7 +79,7 @@ type Solver struct {
 // candidate set if not already present, because the final tree is rooted
 // there.
 func NewSolver(n *net.Net, cands []geom.Point, tech rc.Technology, opts Options) *Solver {
-	s := &Solver{Net: n, Tech: tech, Opts: opts.withDefaults()}
+	s := &Solver{Net: n, Tech: tech, Opts: opts}
 	s.Cands = append(s.Cands, cands...)
 	s.srcIdx = -1
 	for i, p := range s.Cands {
@@ -127,7 +115,7 @@ func (s *Solver) leafCurve(p, sinkIdx int) *curve.Curve {
 		Sols: []curve.Solution{{
 			Load: s.Tech.QuantizeLoad(sk.Load + s.Tech.WireC(wl)),
 			Req:  sk.Req - s.Tech.WireElmore(wl, sk.Load),
-			Area: s.Opts.WireCostWeight * float64(wl),
+			Area: float64(wl),
 		}},
 		Refs: []int32{s.refs.Keep(ref{kind: refLeaf, point: int32(p), a: int32(sinkIdx)})},
 	}
@@ -180,7 +168,7 @@ func (s *Solver) Curves(ord order.Order) []*curve.Curve {
 }
 
 // transfer runs the S(p,i,j) = min{ d(p,p′) + S(p′,i,j) } relaxation for one
-// interval across all candidate pairs, Opts.TransferHops times.
+// interval across all candidate pairs, transferHops times.
 //
 // Unlike core's Jacobi transfer, each sweep is Gauss–Seidel: the sources
 // are the live table curves, which Sort and Cap rewrite as each target is
@@ -193,10 +181,10 @@ func (s *Solver) transfer(tab [][]*curve.Curve, i, j, n int) {
 	for p := 0; p < k; p++ {
 		live[p] = tab[p][idx].Sols
 	}
-	for hop := 0; hop < s.Opts.TransferHops; hop++ {
+	for hop := 0; hop < transferHops; hop++ {
 		for p := 0; p < k; p++ {
 			acc := tab[p][idx]
-			acc.Wire(s.Tech, live, s.dist[p], p, s.Opts.WireCostWeight, func(q, x int) int32 {
+			acc.Wire(s.Tech, live, s.dist[p], p, 1, func(q, x int) int32 {
 				return s.refs.Add(ref{kind: refVia, point: int32(p), a: tab[q][idx].Refs[x]})
 			})
 			acc.Sort()
@@ -263,14 +251,4 @@ func (s *Solver) buildNode(h int32) *tree.Node {
 		}
 	}
 	return n
-}
-
-// WirelengthOf returns the λ wirelength recorded in a solution's area
-// dimension (undoing WireCostWeight).
-func (s *Solver) WirelengthOf(sol curve.Solution) float64 {
-	w := s.Opts.WireCostWeight
-	if w <= 0 {
-		w = 1
-	}
-	return sol.Area / w
 }

@@ -53,22 +53,15 @@ func TestClusterChaos(t *testing.T) {
 		ln.Close()
 		dirs[i] = t.TempDir()
 	}
-	children := make([]*exec.Cmd, nBackends)
+	children := make([]*drillChild, nBackends)
 	for i := range children {
 		children[i] = startClusterChild(t, addrs[i], dirs[i])
 	}
-	defer func() {
-		for _, c := range children {
-			if c != nil && c.Process != nil {
-				_ = c.Process.Kill()
-				_ = c.Wait()
-			}
-		}
-	}()
+	defer killDrillChildren(children)
 	backends := make([]string, nBackends)
 	for i, a := range addrs {
 		backends[i] = "http://" + a
-		waitClusterReady(t, backends[i], 30*time.Second)
+		children[i].waitReady(t, backends[i], 30*time.Second)
 	}
 
 	// --- Router in front, tuned for a fast drill: quick ejection, moderate
@@ -192,10 +185,10 @@ func TestClusterChaos(t *testing.T) {
 	time.Sleep(400 * time.Millisecond)
 
 	// --- SIGKILL one backend mid-storm. Its breaker must open. ---
-	if err := children[0].Process.Signal(syscall.SIGKILL); err != nil {
+	if err := children[0].cmd.Process.Signal(syscall.SIGKILL); err != nil {
 		t.Fatal(err)
 	}
-	_ = children[0].Wait()
+	<-children[0].done
 	children[0] = nil
 	waitStats("victim breaker to open", 20*time.Second, func(st Stats) bool {
 		return st.Backends[victim].Opens >= 1
@@ -302,12 +295,76 @@ func clusterRouteBody(seed int64) []byte {
 	return body
 }
 
+// drillChild is one re-exec'd copy of this test binary serving as a backend
+// in a subprocess drill. Its stdout, where -test.v and t.Fatal write, and
+// its stderr both go to the parent's stderr, so a child that dies says why.
+// done is closed once the child has exited; err then holds its exit status.
+type drillChild struct {
+	cmd  *exec.Cmd
+	done chan struct{}
+	err  error
+}
+
+// startDrillChild re-execs this test binary to run the test named run
+// alone, with env added to its environment.
+func startDrillChild(t *testing.T, run string, env ...string) *drillChild {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], "-test.run=^"+run+"$", "-test.v")
+	cmd.Env = append(os.Environ(), env...)
+	cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	c := &drillChild{cmd: cmd, done: make(chan struct{})}
+	go func() {
+		c.err = cmd.Wait()
+		close(c.done)
+	}()
+	return c
+}
+
+// killDrillChildren SIGKILLs and reaps whatever children are still up.
+func killDrillChildren(children []*drillChild) {
+	for i, c := range children {
+		if c != nil {
+			_ = c.cmd.Process.Kill()
+			<-c.done
+			children[i] = nil
+		}
+	}
+}
+
+// waitReady polls the readyz of the backend the child serves at base until
+// it serves. It fails at once, with the child's exit status, if the child
+// exits first.
+func (c *drillChild) waitReady(t *testing.T, base string, within time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(within)
+	for {
+		resp, err := http.Get(base + "/v1/readyz")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				return
+			}
+		}
+		select {
+		case <-c.done:
+			t.Fatalf("backend %s exited before it became ready: %v", base, c.err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("backend %s never became ready: %v", base, err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // startClusterChild re-execs this test binary as one durable merlind
 // backend serving at addr over journal dir.
-func startClusterChild(t *testing.T, addr, dir string) *exec.Cmd {
+func startClusterChild(t *testing.T, addr, dir string) *drillChild {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], "-test.run=^TestClusterChaosChild$", "-test.v")
-	cmd.Env = append(os.Environ(),
+	return startDrillChild(t, "TestClusterChaosChild",
 		"MERLIN_CLUSTER_CHILD=1",
 		"MERLIN_CLUSTER_ADDR="+addr,
 		"MERLIN_CLUSTER_DIR="+dir,
@@ -315,11 +372,6 @@ func startClusterChild(t *testing.T, addr, dir string) *exec.Cmd {
 		// behind the worker, so the SIGKILL provably lands on acked jobs.
 		"MERLIN_FAULTS=service.worker=delay:50ms",
 	)
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	return cmd
 }
 
 // TestClusterChaosChild is the re-exec'd backend: a durable merlind server
@@ -341,23 +393,4 @@ func TestClusterChaosChild(t *testing.T) {
 	}
 	// Serve until SIGKILL; no graceful path out.
 	_ = http.Serve(ln, s.Handler())
-}
-
-// waitClusterReady polls a backend's readyz until it serves.
-func waitClusterReady(t *testing.T, base string, within time.Duration) {
-	t.Helper()
-	deadline := time.Now().Add(within)
-	for {
-		resp, err := http.Get(base + "/v1/readyz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("backend %s never became ready: %v", base, err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 }

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"syscall"
@@ -36,16 +35,16 @@ func TestFailoverChaos(t *testing.T) {
 
 	addrs, dirs, backends := reserveFailoverFleet(t, 3)
 	ring := strings.Join(backends, ",")
-	children := make([]*exec.Cmd, len(backends))
+	children := make([]*drillChild, len(backends))
 	for i := range children {
 		// A per-job delay keeps a queue of acknowledged-but-unfinished work
 		// behind the workers, so the SIGKILL provably lands on acked jobs.
 		children[i] = startFailoverChild(t, addrs[i], dirs[i],
 			failoverPeersOf(backends, nil, backends[i]), ring, "service.worker=delay:100ms")
 	}
-	defer killFailoverChildren(children)
-	for _, b := range backends {
-		waitClusterReady(t, b, 30*time.Second)
+	defer killDrillChildren(children)
+	for i, b := range backends {
+		children[i].waitReady(t, b, 30*time.Second)
 	}
 
 	// Router in front, gossiping with the backends so the claimant-aware
@@ -103,10 +102,10 @@ func TestFailoverChaos(t *testing.T) {
 	})
 
 	// SIGKILL the victim while its queue is deep. It never comes back.
-	if err := children[0].Process.Signal(syscall.SIGKILL); err != nil {
+	if err := children[0].cmd.Process.Signal(syscall.SIGKILL); err != nil {
 		t.Fatal(err)
 	}
-	_ = children[0].Wait()
+	<-children[0].done
 	children[0] = nil
 
 	// Every acknowledged job reaches a truthful terminal state through the
@@ -186,7 +185,7 @@ func TestFailoverChaos(t *testing.T) {
 
 	// Freeze the fleet (SIGKILL — a graceful shutdown would compact the
 	// WALs we are about to judge) and inspect the journals.
-	killFailoverChildren(children)
+	killDrillChildren(children)
 	recs := map[string][]leaseWALRecord{}
 	for i, d := range dirs {
 		recs[backends[i]] = replayLeaseWAL(t, d)
@@ -228,7 +227,7 @@ func TestFencingSplitBrain(t *testing.T) {
 
 	addrs, dirs, backends := reserveFailoverFleet(t, 3)
 	ring := strings.Join(backends, ",")
-	children := make([]*exec.Cmd, len(backends))
+	children := make([]*drillChild, len(backends))
 	for i := range children {
 		faults := "" // peers compute instantly, so the claim finishes fast
 		if i == 0 {
@@ -241,9 +240,9 @@ func TestFencingSplitBrain(t *testing.T) {
 		children[i] = startFailoverChild(t, addrs[i], dirs[i],
 			failoverPeersOf(backends, nil, backends[i]), ring, faults)
 	}
-	defer killFailoverChildren(children)
-	for _, b := range backends {
-		waitClusterReady(t, b, 30*time.Second)
+	defer killDrillChildren(children)
+	for i, b := range backends {
+		children[i].waitReady(t, b, 30*time.Second)
 	}
 	hc := &http.Client{Timeout: 30 * time.Second}
 	victim, peers := backends[0], backends[1:]
@@ -267,7 +266,7 @@ func TestFencingSplitBrain(t *testing.T) {
 	})
 
 	// Partition the owner: frozen mid-sleep, silent to gossip.
-	if err := children[0].Process.Signal(syscall.SIGSTOP); err != nil {
+	if err := children[0].cmd.Process.Signal(syscall.SIGSTOP); err != nil {
 		t.Fatal(err)
 	}
 
@@ -293,7 +292,7 @@ func TestFencingSplitBrain(t *testing.T) {
 
 	// Thaw the owner: its worker wakes, finishes the job at stale term 1,
 	// and pushes the result — which the fenced replica write must reject.
-	if err := children[0].Process.Signal(syscall.SIGCONT); err != nil {
+	if err := children[0].cmd.Process.Signal(syscall.SIGCONT); err != nil {
 		t.Fatal(err)
 	}
 	waitFailoverCond(t, 20*time.Second, "stale-term push fenced", func() bool {
@@ -326,7 +325,7 @@ func TestFencingSplitBrain(t *testing.T) {
 
 	// Journal verdict: the claimant holds the claim and the terminal at a
 	// term above 1, and nowhere did two owners acknowledge the same term.
-	killFailoverChildren(children)
+	killDrillChildren(children)
 	recs := map[string][]leaseWALRecord{}
 	for i, d := range dirs {
 		recs[backends[i]] = replayLeaseWAL(t, d)
@@ -519,23 +518,11 @@ func waitFailoverCond(t *testing.T, within time.Duration, what string, pred func
 	}
 }
 
-// killFailoverChildren SIGKILLs and reaps whatever children are still up.
-func killFailoverChildren(children []*exec.Cmd) {
-	for i, c := range children {
-		if c != nil && c.Process != nil {
-			_ = c.Process.Kill()
-			_ = c.Wait()
-			children[i] = nil
-		}
-	}
-}
-
 // startFailoverChild re-execs this test binary as one gossiping,
 // replicating, takeover-enabled durable merlind backend.
-func startFailoverChild(t *testing.T, addr, dir, peers, ring, faults string) *exec.Cmd {
+func startFailoverChild(t *testing.T, addr, dir, peers, ring, faults string) *drillChild {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], "-test.run=^TestFailoverChaosChild$", "-test.v")
-	cmd.Env = append(os.Environ(),
+	return startDrillChild(t, "TestFailoverChaosChild",
 		"MERLIN_FAILOVER_CHILD=1",
 		"MERLIN_FAILOVER_ADDR="+addr,
 		"MERLIN_FAILOVER_DIR="+dir,
@@ -543,11 +530,6 @@ func startFailoverChild(t *testing.T, addr, dir, peers, ring, faults string) *ex
 		"MERLIN_FAILOVER_RING="+ring,
 		"MERLIN_FAULTS="+faults,
 	)
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	return cmd
 }
 
 // TestFailoverChaosChild is the re-exec'd backend: a durable merlind that

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"os/exec"
 	"strings"
 	"sync"
 	"syscall"
@@ -91,20 +90,13 @@ func TestPartitionChaos(t *testing.T) {
 		}
 		return strings.Join(ps, ",")
 	}
-	children := make([]*exec.Cmd, nBackends)
+	children := make([]*drillChild, nBackends)
 	for i := range children {
 		children[i] = startPartitionChild(t, backendAddrs[i], dirs[i], peersOf(backends[i]), ring)
 	}
-	defer func() {
-		for _, c := range children {
-			if c != nil && c.Process != nil {
-				_ = c.Process.Kill()
-				_ = c.Wait()
-			}
-		}
-	}()
-	for _, b := range backends {
-		waitClusterReady(t, b, 30*time.Second)
+	defer killDrillChildren(children)
+	for i, b := range backends {
+		children[i].waitReady(t, b, 30*time.Second)
 	}
 
 	// --- Two routers in front, gossiping with the backends, coordinating
@@ -286,10 +278,10 @@ func TestPartitionChaos(t *testing.T) {
 
 	// --- SIGKILL backends[2] mid-storm: same 2s convergence bound. ---
 	killed := backends[2]
-	if err := children[2].Process.Signal(syscall.SIGKILL); err != nil {
+	if err := children[2].cmd.Process.Signal(syscall.SIGKILL); err != nil {
 		t.Fatal(err)
 	}
-	_ = children[2].Wait()
+	<-children[2].done
 	children[2] = nil
 	for _, front := range fronts {
 		waitStats(front, "gossip convergence on the kill", 2*time.Second, func(st Stats) bool {
@@ -310,11 +302,11 @@ func TestPartitionChaos(t *testing.T) {
 	// --- Heal: thaw the partitioned backend (it drains its acknowledged
 	// queue and replicates results outbound, but never serves again — its
 	// listener is gone), and restart the killed one over its journal. ---
-	if err := children[1].Process.Signal(syscall.SIGCONT); err != nil {
+	if err := children[1].cmd.Process.Signal(syscall.SIGCONT); err != nil {
 		t.Fatal(err)
 	}
 	children[2] = startPartitionChild(t, backendAddrs[2], dirs[2], peersOf(killed), ring)
-	waitClusterReady(t, killed, 30*time.Second)
+	children[2].waitReady(t, killed, 30*time.Second)
 
 	time.Sleep(400 * time.Millisecond)
 	close(stop)
@@ -418,10 +410,9 @@ func TestPartitionChaos(t *testing.T) {
 
 // startPartitionChild re-execs this test binary as one gossiping, replicating
 // durable merlind backend.
-func startPartitionChild(t *testing.T, addr, dir, peers, ring string) *exec.Cmd {
+func startPartitionChild(t *testing.T, addr, dir, peers, ring string) *drillChild {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], "-test.run=^TestPartitionChaosChild$", "-test.v")
-	cmd.Env = append(os.Environ(),
+	return startDrillChild(t, "TestPartitionChaosChild",
 		"MERLIN_PARTITION_CHILD=1",
 		"MERLIN_PARTITION_ADDR="+addr,
 		"MERLIN_PARTITION_DIR="+dir,
@@ -432,11 +423,6 @@ func startPartitionChild(t *testing.T, addr, dir, peers, ring string) *exec.Cmd 
 		// and the survivor's queue utilization provably saturates.
 		"MERLIN_FAULTS=service.worker=delay:50ms",
 	)
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	return cmd
 }
 
 // TestPartitionChaosChild is the re-exec'd backend: a durable merlind server

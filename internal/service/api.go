@@ -322,7 +322,6 @@ func cacheKeys(req *RouteRequest, fl flows.ID, p flows.Profile) (resultKey, engi
 	b = appendKeyI64(b, int64(p.Core.MaxSols))
 	b = appendKeyI64(b, int64(p.Core.TransferHops))
 	b = appendKeyI64(b, boolI64(p.Core.BufferAtSteiner))
-	b = appendKeyF64(b, p.Core.RootWindow)
 	b = appendKeyI64(b, int64(p.Core.MaxInternalChildren))
 	b = appendKeyI64(b, boolI64(p.Core.ForceGroupBuffers))
 	b = appendKeyI64(b, int64(len(p.Core.Chis)))

@@ -45,19 +45,26 @@ func TestCrashRecovery(t *testing.T) {
 		// are provably acknowledged-but-unfinished when the kill lands.
 		"MERLIN_FAULTS=service.worker=delay:400ms",
 	)
-	cmd.Stderr = os.Stderr
+	// The child's stdout carries its -test.v log and any t.Fatal, so a child
+	// that dies at start-up says why.
+	cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	killed := false
+	// exited is closed once the child has exited; childErr then holds its
+	// exit status.
+	exited := make(chan struct{})
+	var childErr error
+	go func() {
+		childErr = cmd.Wait()
+		close(exited)
+	}()
 	defer func() {
-		if !killed {
-			_ = cmd.Process.Kill()
-		}
-		_ = cmd.Wait()
+		_ = cmd.Process.Kill()
+		<-exited
 	}()
 
-	base := waitForChildURL(t, filepath.Join(dir, "url"))
+	base := waitForChildURL(t, filepath.Join(dir, "url"), exited, &childErr)
 
 	// Submit jobs with distinct idempotency keys, plus one duplicate submit
 	// of the first key — the dedup must hold across the crash.
@@ -84,8 +91,7 @@ func TestCrashRecovery(t *testing.T) {
 	if err := cmd.Process.Signal(syscall.SIGKILL); err != nil {
 		t.Fatal(err)
 	}
-	killed = true
-	_ = cmd.Wait()
+	<-exited
 
 	// --- Phase 2: inject what a crash can leave behind. ---
 	tearJournalTail(t, filepath.Join(dir, "wal"))
@@ -277,12 +283,19 @@ func TestCrashRecoveryChild(t *testing.T) {
 	_ = http.Serve(ln, s.Handler())
 }
 
-func waitForChildURL(t *testing.T, path string) string {
+// waitForChildURL waits for the child to publish its URL at path. It fails
+// at once, with the child's exit status *childErr, if exited closes first.
+func waitForChildURL(t *testing.T, path string, exited <-chan struct{}, childErr *error) string {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		if b, err := os.ReadFile(path); err == nil && len(b) > 0 {
 			return string(b)
+		}
+		select {
+		case <-exited:
+			t.Fatalf("child exited before it published its URL: %v", *childErr)
+		default:
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("child never published its URL")

@@ -221,10 +221,7 @@ type Eval struct {
 // driver gate is taken from the net (falling back to drv if the net carries
 // none).
 func (t *Tree) Evaluate(tech rc.Technology, drv rc.Gate) Eval {
-	driver := t.Net.Driver
-	if driver.Name == "" {
-		driver = drv
-	}
+	driver := t.Net.DriverOr(drv)
 	ld := t.loads(tech)
 
 	ev := Eval{

@@ -82,18 +82,8 @@ func Insert(t *tree.Tree, lib *buflib.Library, tech rc.Technology, opts Options)
 	if c.Empty() {
 		return nil, curve.Solution{}, fmt.Errorf("vangin: no solutions")
 	}
-	driver := t.Net.Driver
-	if driver.Name == "" {
-		driver = lib.Driver
-	}
-	best := 0
-	bestVal := c.Sols[0].Req - driver.DelayNominal(&tech, c.Sols[0].Load)
-	for i, s := range c.Sols {
-		if v := s.Req - driver.DelayNominal(&tech, s.Load); v > bestVal ||
-			(v == bestVal && s.Area < c.Sols[best].Area) {
-			best, bestVal = i, v
-		}
-	}
+	driver := t.Net.DriverOr(lib.Driver)
+	best, _ := curve.BestAtDriver(c.Sols, &tech, &driver, 0)
 	out := tree.New(t.Net)
 	out.Root.Children = ins.buildNode(c.Refs[best]).Children
 	if err := out.Validate(); err != nil {
