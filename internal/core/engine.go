@@ -200,8 +200,13 @@ type Engine struct {
 	items []item
 
 	// refs holds the reconstruction records of the cell being computed or
-	// replayed; every cell resets it when it starts.
+	// replayed; every cell resets it when it starts. rec reports whether the
+	// running cell writes records at all: a construct computes triples alone,
+	// except in a final interval under ForceGroupBuffers, whose
+	// keepBufferedRoots reads its records, and every replayed cell writes
+	// them. Without records, the cell's curves carry no handles.
 	refs curve.Refs[ref]
+	rec  bool
 	// scratch is the curve every join, buffer and wire pass accumulates
 	// into; its capped result is sealed and moved into a curve of cur (see
 	// storeScratch).
@@ -239,9 +244,11 @@ type Engine struct {
 // source position appended if missing.
 //
 // Concurrency contract: an Engine is NOT safe for concurrent use. Construct
-// and Merlin mutate the engine's memo (ids, curves), its per-cell table of
-// reconstruction records, its scratch curves and its stats counters without
-// synchronization, and BuildTree replays cells into the same table and
+// and Merlin mutate the engine's memo (ids, curves), its scratch curves, its
+// stats counters and its per-cell table of reconstruction records, which
+// every cell resets (a construct writes records only in a final interval
+// under ForceGroupBuffers), without synchronization, and BuildTree replays
+// cells, which write their records into the same table, into the same
 // scratch curves and adds to the engine's kept trees — the memo is the
 // whole point of engine reuse (§III.4's OVERLAP optimization), and guarding
 // them would serialize the DP hot loops. Use one Engine per goroutine. The
@@ -431,7 +438,7 @@ func (en *Engine) construct(ctx context.Context, ord order.Order) ([]curve.Solut
 			key := en.gammaID(e, ord, en.g)
 			gamma[0][e][r] = key
 			if !en.memo[key].stored() {
-				en.leafCell(ord[en.g[0]])
+				en.leafCell(ord[en.g[0]], false)
 				en.memo[key] = storeEntry(en.cur)
 			}
 			en.chargeSols(&en.memo[key])
@@ -477,7 +484,7 @@ func (en *Engine) construct(ctx context.Context, ord order.Order) ([]curve.Solut
 						en.items = en.callItems(en.items[:0], ord, i)
 						en.calls[i].final = en.starDP(en.items, root)
 					}
-					if !en.gammaCell(root) {
+					if !en.gammaCell(root, false) {
 						continue
 					}
 					en.memo[key] = storeEntry(en.cur)
@@ -587,9 +594,11 @@ func (en *Engine) callItems(dst []item, ord order.Order, i int) []item {
 // final curves of its *PTREE calls (en.calls, already computed) inserted in
 // call order and capped into en.cur. Candidates are independent, so root ≥
 // 0 computes that candidate's curve alone, which is all a replay and the
-// top level need. It reports whether any computed curve has a solution.
-func (en *Engine) gammaCell(root int) bool {
+// top level need. rec writes the cell's records. It reports whether any
+// computed curve has a solution.
+func (en *Engine) gammaCell(root int, rec bool) bool {
 	en.refs.Reset()
+	en.rec = rec
 	any := false
 	for p := range en.cur {
 		c := clearCurve(&en.cur[p])
@@ -598,9 +607,13 @@ func (en *Engine) gammaCell(root int) bool {
 		}
 		for j := range en.calls {
 			for i, s := range en.memo[en.calls[j].final].at(p) {
-				c.InsertRef(s, func() int32 {
-					return en.refs.Add(ref{kind: refCall, point: int32(p), a: int32(i), b: int32(j)})
-				})
+				var call func() int32
+				if rec {
+					call = func() int32 {
+						return en.refs.Add(ref{kind: refCall, point: int32(p), a: int32(i), b: int32(j)})
+					}
+				}
+				c.InsertRef(s, call)
 			}
 		}
 		c.Cap(en.Opts.MaxSols)
@@ -614,9 +627,10 @@ func (en *Engine) gammaCell(root int) bool {
 
 // leafCell is the cell of one INITIALIZATION sub-problem: for every
 // candidate, the minimum-distance path to net sink s, driven with or
-// without a buffer, into en.cur.
-func (en *Engine) leafCell(s int) {
+// without a buffer, into en.cur. rec writes the cell's records.
+func (en *Engine) leafCell(s int, rec bool) {
 	en.refs.Reset()
+	en.rec = rec
 	for p := range en.cur {
 		en.startLeaf(p, s)
 		en.bufferScratch(p)
@@ -671,7 +685,8 @@ func (en *Engine) itemCode(it *item) int32 {
 
 // startLeaf seeds the scratch curve with the minimum-distance path from
 // candidate p to net sink sinkIdx. It is the only solution of its curve, so
-// no Cap can drop it, and its record is kept directly.
+// no Cap can drop it, and its record, if the cell writes records, is kept
+// directly.
 func (en *Engine) startLeaf(p, sinkIdx int) {
 	sk := en.Net.Sinks[sinkIdx]
 	wl := geom.Dist(en.Cands[p], sk.Pos)
@@ -680,7 +695,9 @@ func (en *Engine) startLeaf(p, sinkIdx int) {
 		Load: en.Tech.QuantizeLoad(sk.Load + en.Tech.WireC(wl)),
 		Req:  sk.Req - en.Tech.WireElmore(wl, sk.Load),
 	})
-	sc.Refs = append(sc.Refs, en.refs.Keep(ref{kind: refLeaf, point: int32(p), a: int32(sinkIdx)}))
+	if en.rec {
+		sc.Refs = append(sc.Refs, en.refs.Keep(ref{kind: refLeaf, point: int32(p), a: int32(sinkIdx)}))
+	}
 }
 
 // entry is one memo entry: the curves of all k candidates, stored as one
@@ -756,9 +773,13 @@ func (en *Engine) bufferScratch(p int) {
 	sc.Cap(en.Opts.MaxSols)
 	en.refs.Seal(sc)
 	copyCurve(&en.base, sc)
-	sc.Buffer(en.Tech, en.base.Sols, en.Lib.Buffers, func(i, gi int) int32 {
-		return en.refs.Add(ref{kind: refBuf, point: int32(p), a: en.base.Refs[i], b: int32(gi)})
-	})
+	var buf func(i, gi int) int32
+	if en.rec {
+		buf = func(i, gi int) int32 {
+			return en.refs.Add(ref{kind: refBuf, point: int32(p), a: en.base.Refs[i], b: int32(gi)})
+		}
+	}
+	sc.Buffer(en.Tech, en.base.Sols, en.Lib.Buffers, buf)
 }
 
 // keyedItem is an item with its place in buildItems' ordering.
@@ -836,7 +857,7 @@ func (en *Engine) starDP(items []item, root int) int32 {
 			if length == t {
 				r = root
 			}
-			en.intervalCell(items, id, a, b, r)
+			en.intervalCell(items, id, a, b, r, false)
 			en.memo[id[a*t+b]] = storeEntry(en.cur)
 		}
 	}
@@ -889,7 +910,8 @@ func (en *Engine) finalKey(id int32) int32 {
 // curve at every candidate into en.cur. root < 0 runs the last transfer hop
 // into every candidate; root ≥ 0 runs it into that one, which is all a
 // replay of that candidate's curve, or a final interval of the top level,
-// needs.
+// needs. rec writes the cell's records; a final interval under
+// ForceGroupBuffers writes them anyway, since keepBufferedRoots reads them.
 //
 // Per-interval passes: raw → buffer → transfer → buffer, run in the scratch
 // curve as two pipelines: raw (join, leaf or inner group) → buffer below,
@@ -899,11 +921,12 @@ func (en *Engine) finalKey(id int32) int32 {
 // the second pass lets a buffer at p drive the incoming wire. This realizes
 // the paper's mutual S/S_b recursion with buffers at Steiner points to one
 // relaxation depth per level.
-func (en *Engine) intervalCell(items []item, id []int32, a, b int, root int) {
-	en.refs.Reset()
+func (en *Engine) intervalCell(items []item, id []int32, a, b int, root int, rec bool) {
 	t := len(items)
 	final := b-a+1 == t
 	buffered := final || en.Opts.BufferAtSteiner
+	en.refs.Reset()
+	en.rec = rec || final && en.Opts.ForceGroupBuffers
 	mask := en.intervalMask(items[a : b+1])
 	for p := range en.cur {
 		c := clearCurve(&en.cur[p])
@@ -914,15 +937,21 @@ func (en *Engine) intervalCell(items []item, id []int32, a, b int, root int) {
 		case a < b:
 			sc := en.startScratch()
 			for u := a; u < b; u++ {
-				sc.Join(en.memo[id[a*t+u]].at(p), en.memo[id[(u+1)*t+b]].at(p), func(x, y int) int32 {
-					return en.refs.Add(ref{kind: refJoin, point: int32(p), a: int32(x), b: int32(y), u: int32(u)})
-				})
+				var join func(x, y int) int32
+				if en.rec {
+					join = func(x, y int) int32 {
+						return en.refs.Add(ref{kind: refJoin, point: int32(p), a: int32(x), b: int32(y), u: int32(u)})
+					}
+				}
+				sc.Join(en.memo[id[a*t+u]].at(p), en.memo[id[(u+1)*t+b]].at(p), join)
 			}
 		case it.group != 0:
 			sc := en.startScratch()
 			sc.Sols = append(sc.Sols, en.memo[it.group].at(p)...)
-			for i := range sc.Sols {
-				sc.Refs = append(sc.Refs, en.refs.Keep(ref{kind: refGroup, point: int32(p), a: int32(i), b: it.group}))
+			if en.rec {
+				for i := range sc.Sols {
+					sc.Refs = append(sc.Refs, en.refs.Keep(ref{kind: refGroup, point: int32(p), a: int32(i), b: it.group}))
+				}
 			}
 		default:
 			en.startLeaf(p, it.sinkIdx)
@@ -981,9 +1010,13 @@ func (en *Engine) transfer(mask []bool, buffered bool, root int) {
 				continue
 			}
 			copyCurve(&en.scratch, &pre[p])
-			en.scratch.Wire(en.Tech, en.srcs, en.dist[p], p, 0, func(q, i int) int32 {
-				return en.refs.Add(ref{kind: refVia, point: int32(p), a: pre[q].Refs[i]})
-			})
+			var via func(q, i int) int32
+			if en.rec {
+				via = func(q, i int) int32 {
+					return en.refs.Add(ref{kind: refVia, point: int32(p), a: pre[q].Refs[i]})
+				}
+			}
+			en.scratch.Wire(en.Tech, en.srcs, en.dist[p], p, 0, via)
 			if buffered && hop == en.Opts.TransferHops {
 				en.bufferScratch(p)
 			}

@@ -108,7 +108,7 @@ func (en *Engine) replay(s spot) (int32, error) {
 		if !en.memo[id].stored() {
 			return 0, fmt.Errorf("%w: %s has no stored curves", ErrInternal, s)
 		}
-		en.intervalCell(s.items, ids, s.a, s.b, s.p)
+		en.intervalCell(s.items, ids, s.a, s.b, s.p, true)
 	} else {
 		span := s.l + Stretch(s.e)
 		id = en.gamma[s.l-1][s.e][s.r]
@@ -117,7 +117,7 @@ func (en *Engine) replay(s spot) (int32, error) {
 		}
 		en.g = appendSinkSet(en.g[:0], s.r, span, s.e)
 		if s.l == 1 {
-			en.leafCell(en.ord[en.g[0]])
+			en.leafCell(en.ord[en.g[0]], true)
 		} else {
 			en.scanCalls(s.l, s.r, span)
 			for i := range en.calls {
@@ -128,7 +128,7 @@ func (en *Engine) replay(s spot) (int32, error) {
 				}
 				en.calls[i].final = fid
 			}
-			en.gammaCell(s.p)
+			en.gammaCell(s.p, true)
 		}
 	}
 	got, want := &en.cur[s.p], en.memo[id].at(s.p)

@@ -5,16 +5,36 @@ import (
 	"slices"
 	"testing"
 
+	"merlin/internal/curve"
 	"merlin/internal/order"
 )
 
-// TestCellTableHoldsOneCell: every cell resets the reconstruction table, so
-// after a cold solve and its tree rebuilds the table holds at most one
-// cell's records, and a cell run twice leaves the records of one run. A
-// cell keeps, per candidate, at most MaxSols survivors of its raw pass and
-// of each buffer pass, two per transfer hop and one more pair before it.
+// TestCellTableHoldsOneCell: a construct computes triples alone, so right
+// after a cold one the reconstruction table holds no record, kept or
+// provisional, and no working curve holds a handle. Every cell resets the
+// table, so after a solve and its tree rebuilds, whose replayed cells write
+// records, the table holds at most one cell's records, and a cell run twice
+// in recording mode leaves the records of one run. A cell keeps, per
+// candidate, at most MaxSols survivors of its raw pass and of each buffer
+// pass, two per transfer hop and one more pair before it.
 func TestCellTableHoldsOneCell(t *testing.T) {
 	en := robustEngine(t, 8, 3, Budget{})
+	if _, err := en.Construct(order.Identity(en.Net.N())); err != nil {
+		t.Fatal(err)
+	}
+	// Add hands out handle ^0 only into an empty provisional region.
+	if kept, next := en.refs.Len(), en.refs.Add(ref{}); kept != 0 || next != ^int32(0) {
+		t.Fatalf("a cold construct left %d kept records, and the next provisional handle is %d, not %d", kept, next, ^int32(0))
+	}
+	en.refs.Reset()
+	for _, cs := range [][]curve.Curve{en.cur, en.pre, {en.scratch, en.base}} {
+		for p := range cs {
+			if len(cs[p].Refs) != 0 {
+				t.Fatalf("a cold construct left %d handles in a working curve", len(cs[p].Refs))
+			}
+		}
+	}
+
 	if _, err := en.Merlin(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -47,9 +67,9 @@ func TestCellTableHoldsOneCell(t *testing.T) {
 		name string
 		run  func()
 	}{
-		{"leaf", func() { en.leafCell(0) }},
-		{"interval", func() { en.intervalCell(items, ids, 0, len(items)-1, -1) }},
-		{"gamma", func() { en.gammaCell(-1) }},
+		{"leaf", func() { en.leafCell(0, true) }},
+		{"interval", func() { en.intervalCell(items, ids, 0, len(items)-1, -1, true) }},
+		{"gamma", func() { en.gammaCell(-1, true) }},
 	} {
 		c.run()
 		once := en.refs.Len()

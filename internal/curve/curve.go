@@ -28,11 +28,13 @@
 //   - First wins: a solution equal in all three coordinates to a stored one
 //     is rejected, so of two structures with the same triple the curve keeps
 //     the one inserted first.
-//   - Corner skip: an operator first maps an input's optimistic corner (min
-//     load, max req, min area; see corner) through the same transform as
-//     its solutions. Every transform is monotone, so if the target already
-//     dominates the mapped corner it dominates everything the input could
-//     produce, and the whole input is skipped.
+//   - Corner skip: Join and Wire first map an input's optimistic corner
+//     (min load, max req, min area; see corner) through the same transform
+//     as its solutions. Every transform is monotone, so if the target
+//     already dominates the mapped corner it dominates everything the input
+//     could produce, and the whole input is skipped. Buffer has no skip: a
+//     target seldom dominates a whole gate's output (0.21% of gates on
+//     dp-cold's seed-1 plan), so a scan per gate seldom pays for itself.
 //   - Sources are read in place: an operator takes its inputs as solution
 //     lists, which may be views into an owner's storage, and names an input
 //     solution to its ref callback by its index in its list.
@@ -40,6 +42,8 @@
 //     operator calls its ref callback, which writes a provisional record into
 //     the owner's Refs table, right after the insert admits the solution,
 //     and appends the handle it returns to the target's Refs.
+//   - A nil ref callback builds no handle: the operator computes triples
+//     alone, and the target's Refs stay as they are.
 package curve
 
 import (
@@ -81,9 +85,9 @@ type Curve struct {
 	// Refs, on a curve whose owner keeps reconstruction records, is parallel
 	// to Sols: Refs[i] is the handle of Sols[i]'s record in the owner's Refs
 	// table. The kernel operators append a handle for every solution they
-	// admit, and insert, Sort, Cap and PruneNaive move each handle with its
-	// solution. A curve filled by Insert alone, or stored without its
-	// records, has none.
+	// admit through a ref callback, and insert, Sort, Cap and PruneNaive move
+	// each handle with its solution. A curve filled by Insert alone or with
+	// nil ref callbacks, or stored without its records, has none.
 	Refs []int32
 }
 
@@ -219,13 +223,15 @@ func (c *Curve) Insert(sols ...Solution) int {
 }
 
 // InsertRef inserts s like Insert into a curve that keeps handles and, only
-// if s is admitted, appends the handle ref returns. It reports whether s
-// was admitted.
+// if s is admitted, appends the handle ref returns; a nil ref builds none.
+// It reports whether s was admitted.
 func (c *Curve) InsertRef(s Solution, ref func() int32) bool {
 	if !c.insert(s) {
 		return false
 	}
-	c.Refs = append(c.Refs, ref())
+	if ref != nil {
+		c.Refs = append(c.Refs, ref())
+	}
 	return true
 }
 
@@ -296,7 +302,7 @@ func b2i(b bool) int {
 // Join inserts into c the merge of every pair (a[i], b[j]) of two
 // structures rooted at the same point: loads and areas add, required times
 // take the minimum. Pairs are inserted i-major. ref(i, j) returns a
-// surviving merge's handle, built from its two parts.
+// surviving merge's handle, built from its two parts; a nil ref builds none.
 func (c *Curve) Join(a, b []Solution, ref func(i, j int) int32) {
 	if len(a) == 0 || len(b) == 0 {
 		return
@@ -309,7 +315,7 @@ func (c *Curve) Join(a, b []Solution, ref func(i, j int) int32) {
 		x := &a[i]
 		for j := range b {
 			y := &b[j]
-			if c.insert(Solution{Load: x.Load + y.Load, Req: minReq(x.Req, y.Req), Area: x.Area + y.Area}) {
+			if c.insert(Solution{Load: x.Load + y.Load, Req: minReq(x.Req, y.Req), Area: x.Area + y.Area}) && ref != nil {
 				c.Refs = append(c.Refs, ref(i, j))
 			}
 		}
@@ -330,7 +336,7 @@ func minReq(a, b float64) float64 {
 // required time, its capacitance added to the load (then quantized), and
 // areaPerLambda·lens[q] added to the area. Sources are read in index order;
 // none may share storage with c. ref(q, i) returns a surviving solution's
-// handle, built from source solution srcs[q][i].
+// handle, built from source solution srcs[q][i]; a nil ref builds none.
 func (c *Curve) Wire(t rc.Technology, srcs [][]Solution, lens []int64, skip int, areaPerLambda float64, ref func(q, i int) int32) {
 	for q, src := range srcs {
 		if q == skip || len(src) == 0 {
@@ -347,7 +353,7 @@ func (c *Curve) Wire(t rc.Technology, srcs [][]Solution, lens []int64, skip int,
 			s := &src[i]
 			d := t.WireElmore(wl, s.Load)
 			assertFiniteDelay(d, "curve.Wire: WireElmore")
-			if c.insert(Solution{Load: t.QuantizeLoad(s.Load + wc), Req: s.Req - d, Area: s.Area + wa}) {
+			if c.insert(Solution{Load: t.QuantizeLoad(s.Load + wc), Req: s.Req - d, Area: s.Area + wa}) && ref != nil {
 				c.Refs = append(c.Refs, ref(q, i))
 			}
 		}
@@ -359,24 +365,17 @@ func (c *Curve) Wire(t rc.Technology, srcs [][]Solution, lens []int64, skip int,
 // the gate's nominal-slew delay is charged and its area added. src must not
 // be c's own list: inserts rewrite c.Sols in place. ref(i, gi) returns a
 // surviving solution's handle, built from src[i] and its gate's index in
-// gates.
+// gates; a nil ref builds none.
 func (c *Curve) Buffer(t rc.Technology, src []Solution, gates []rc.Gate, ref func(i, gi int) int32) {
 	assertNotAliased(c, src, "curve.Buffer")
-	if len(src) == 0 {
-		return
-	}
-	lo := corner(src)
 	for gi := range gates {
 		g := &gates[gi]
 		cin := t.QuantizeLoad(g.Cin)
-		if c.dominated(cin, lo.Req-g.DelayNominal(&t, lo.Load), lo.Area+g.Area) {
-			continue
-		}
 		for i := range src {
 			s := &src[i]
 			d := g.DelayNominal(&t, s.Load)
 			assertFiniteDelay(d, "curve.Buffer: DelayNominal")
-			if c.insert(Solution{Load: cin, Req: s.Req - d, Area: s.Area + g.Area}) {
+			if c.insert(Solution{Load: cin, Req: s.Req - d, Area: s.Area + g.Area}) && ref != nil {
 				c.Refs = append(c.Refs, ref(i, gi))
 			}
 		}

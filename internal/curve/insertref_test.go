@@ -61,28 +61,33 @@ func checkSameOrder(t *testing.T, what string, got, want *Curve) {
 }
 
 // TestInsertMatchesReference feeds random grid streams, where duplicates and
-// dominations are common, to InsertRef, to Insert and to fusedInsert, and
-// requires the same decision and the same curve, element for element, after
-// every insert: with handles through InsertRef, and as triples alone
-// through Insert.
+// dominations are common, to InsertRef, to Insert, to InsertRef with a nil
+// ref and to fusedInsert, and requires the same decision and the same curve,
+// element for element, after every insert: with handles through InsertRef,
+// and as triples alone, with no handle, through Insert and the nil ref.
 func TestInsertMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	evictions := 0
 	for trial := 0; trial < 2000; trial++ {
 		stream := gridCurve(rng, 1+rng.Intn(60), 0)
-		got, bare, want := &Curve{}, &Curve{}, &Curve{}
+		got, bare, nilRef, want := &Curve{}, &Curve{}, &Curve{}, &Curve{}
 		for i, s := range stream.Sols {
 			before := want.Len()
 			admitted := got.InsertRef(s, func() int32 { return stream.Refs[i] })
-			if admitted != want.fusedInsert(s, stream.Refs[i]) || admitted != (bare.Insert(s) == 1) {
+			if admitted != want.fusedInsert(s, stream.Refs[i]) || admitted != (bare.Insert(s) == 1) || admitted != nilRef.InsertRef(s, nil) {
 				t.Fatalf("trial %d insert %d %v: kernel admitted=%v, reference %v", trial, i, s, admitted, !admitted)
 			}
 			if admitted && want.Len() <= before {
 				evictions++
 			}
 			checkSameOrder(t, "InsertRef", got, want)
-			if !slices.Equal(bare.Sols, want.Sols) || len(bare.Refs) != 0 {
-				t.Fatalf("Insert: kernel left\n %v handles %v\nthe reference insert\n %v", bare.Sols, bare.Refs, want.Sols)
+			for _, c := range []struct {
+				what string
+				c    *Curve
+			}{{"Insert", bare}, {"InsertRef with a nil ref", nilRef}} {
+				if !slices.Equal(c.c.Sols, want.Sols) || len(c.c.Refs) != 0 {
+					t.Fatalf("%s: kernel left\n %v handles %v\nthe reference insert\n %v", c.what, c.c.Sols, c.c.Refs, want.Sols)
+				}
 			}
 		}
 	}

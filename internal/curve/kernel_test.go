@@ -3,6 +3,7 @@ package curve
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -15,11 +16,14 @@ import (
 // solution carries a distinct handle, and each operator's ref callback
 // derives the output handle from its inputs the way the brute force does, so
 // the kernel must leave the same solutions — triples and handles — and the
-// property covers dominance, first-wins on exact duplicates and the corner
-// skip at once. Brute force compares sets; each operator's curve must also
-// equal, element for element, the reference insert of insertref_test.go
-// applied to the target's solutions and then to the produced candidates in
-// operator order, which pins the order Cap reads.
+// property covers dominance, first-wins on exact duplicates and Join's and
+// Wire's corner skip at once. Brute force compares sets; each operator's
+// curve must also equal, element for element, the reference insert of
+// insertref_test.go applied to the target's solutions and then to the
+// produced candidates in operator order, which pins the order Cap reads.
+// Every trial runs the operator once more with a nil ref callback on the
+// target's triples alone, which must leave the same triples in the same
+// order and build no handle.
 
 // kernelTech has wires and quantization coarse enough, next to the test
 // grids, that wires create and merge duplicates.
@@ -63,6 +67,19 @@ func bruteForce(target, produced *Curve) *Curve {
 func (c *Curve) produce(s Solution, h int32) {
 	c.Sols = append(c.Sols, s)
 	c.Refs = append(c.Refs, h)
+}
+
+// withoutRefs returns a copy of c's triples without handles: the target an
+// operator given a nil ref callback builds on.
+func withoutRefs(c *Curve) *Curve { return &Curve{Sols: slices.Clone(c.Sols)} }
+
+// checkBare requires the curve an operator left with a nil ref callback to
+// hold got's triples, in got's order, and no handle.
+func checkBare(t *testing.T, what string, b, got *Curve) {
+	t.Helper()
+	if !slices.Equal(b.Sols, got.Sols) || len(b.Refs) != 0 {
+		t.Fatalf("%s with a nil ref: kernel left\n %v handles %v\nwith refs\n %v", what, b.Sols, b.Refs, got.Sols)
+	}
 }
 
 // checkSameSolutions compares two curves as sets of (triple, handle).
@@ -119,6 +136,9 @@ func TestJoinOp(t *testing.T) {
 		got.Join(a.Sols, b.Sols, func(i, j int) int32 { return joinHandle(a.Refs[i], b.Refs[j]) })
 		checkSameSolutions(t, "Join", got, want)
 		checkSameOrder(t, "Join", got, refInserted(target, produced))
+		nilRef := withoutRefs(target)
+		nilRef.Join(a.Sols, b.Sols, nil)
+		checkBare(t, "Join", nilRef, got)
 	}
 	if skips < 100 {
 		t.Fatalf("corner skip fired in only %d trials", skips)
@@ -190,6 +210,9 @@ func TestWireOp(t *testing.T) {
 		got.Wire(kernelTech, lists, lens, skip, areaPerLambda, func(q, i int) int32 { return viaHandle(srcs[q].Refs[i]) })
 		checkSameSolutions(t, "Wire", got, want)
 		checkSameOrder(t, "Wire", got, refInserted(target, produced))
+		nilRef := withoutRefs(target)
+		nilRef.Wire(kernelTech, lists, lens, skip, areaPerLambda, nil)
+		checkBare(t, "Wire", nilRef, got)
 	}
 	if skips < 100 {
 		t.Fatalf("corner skip fired in only %d sources", skips)
@@ -209,10 +232,9 @@ var kernelGates = []rc.Gate{
 }
 
 // TestBufferOp: Buffer from another curve keeps exactly what brute force
-// keeps, including gates the corner skip drops.
+// keeps.
 func TestBufferOp(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	skips := 0
 	for trial := 0; trial < 3000; trial++ {
 		target := randomTarget(rng, rng.Intn(10))
 		src := gridCurve(rng, 1+rng.Intn(6), 100)
@@ -226,21 +248,15 @@ func TestBufferOp(t *testing.T) {
 					s.Area + g.Area,
 				}, bufHandle(src.Refs[i], gi))
 			}
-			if len(src.Sols) > 0 {
-				lo := corner(src.Sols)
-				if target.dominated(kernelTech.QuantizeLoad(g.Cin), lo.Req-g.DelayNominal(&kernelTech, lo.Load), lo.Area+g.Area) {
-					skips++
-				}
-			}
 		}
 		want := bruteForce(target, produced)
 		got := target.Clone()
 		got.Buffer(kernelTech, src.Sols, gates, func(i, gi int) int32 { return bufHandle(src.Refs[i], gi) })
 		checkSameSolutions(t, "Buffer", got, want)
 		checkSameOrder(t, "Buffer", got, refInserted(target, produced))
-	}
-	if skips < 100 {
-		t.Fatalf("corner skip fired for only %d gates", skips)
+		nilRef := withoutRefs(target)
+		nilRef.Buffer(kernelTech, src.Sols, gates, nil)
+		checkBare(t, "Buffer", nilRef, got)
 	}
 }
 

@@ -39,8 +39,8 @@ var hotpathAllocRule = &Rule{
 // function is allocation-sensitive.
 var HotPaths = map[string]string{
 	"(*merlin/internal/curve.Curve).Sort":              "frontier sort: runs before every Flow I/II Cap",
-	"(*merlin/internal/curve.Curve).dominated":         "corner-skip dominance scan of every kernel op",
-	"merlin/internal/curve.corner":                     "optimistic corner of every kernel op input",
+	"(*merlin/internal/curve.Curve).dominated":         "corner-skip dominance scan of every Join and Wire input",
+	"merlin/internal/curve.corner":                     "optimistic corner of every Join and Wire input",
 	"(*merlin/internal/curve.Curve).Insert":            "kernel insert of prebuilt solutions (curve merges)",
 	"(*merlin/internal/curve.Curve).InsertRef":         "kernel insert of a prebuilt solution with its handle: every Γ accumulation and LT-Tree level",
 	"merlin/internal/curve.moveRef":                    "moves a handle with its solution in every Sort and Cap",

@@ -172,6 +172,29 @@ func TestJobTableBounded(t *testing.T) {
 	}
 }
 
+// TestShutdownTearsDownOnce: a second Shutdown of a journaled server
+// returns once the first one's drain is done and leaves the closed journal
+// alone, so it counts no journal error.
+func TestShutdownTearsDownOnce(t *testing.T) {
+	s, err := NewDurable(Config{Workers: 1, JournalDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ack, _, err := s.SubmitJob(context.Background(), &RouteRequest{Net: testNet(t, 6, 41)}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, s, ack.ID, 30*time.Second)
+	for i := 1; i <= 2; i++ {
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Fatalf("Shutdown call %d: %v", i, err)
+		}
+	}
+	if n := s.met.get("journal.errors"); n != 0 {
+		t.Fatalf("journal.errors = %d after two Shutdown calls, want 0", n)
+	}
+}
+
 // TestJobDurableRecovery is the in-process restart path: jobs submitted to a
 // durable server survive Shutdown + NewDurable on the same directory with
 // their state, identity and results intact, and the persistent store warms

@@ -214,7 +214,7 @@ type Server struct {
 	draining  bool
 	inflight  sync.WaitGroup // accepted jobs not yet finished
 	workers   sync.WaitGroup
-	closeJobs sync.Once
+	closeOnce sync.Once // runs Shutdown's tearDown once
 
 	brown     *degrade.Hysteresis
 	stopBrown chan struct{}
@@ -609,9 +609,10 @@ func (s *Server) Drain(ctx context.Context) {
 }
 
 // Shutdown drains the service: it calls Drain, lets queued and running jobs
-// run to completion (or their own deadlines), then the workers exit. It
-// returns ctx.Err() if the drain outlives ctx; calling it again is safe and
-// waits for the same drain.
+// run to completion (or their own deadlines), then the workers exit and the
+// service tears down its lease handoff, replication, gossip, journal and
+// audit log. It returns ctx.Err() if the drain outlives ctx; calling it
+// again is safe and waits for the same drain, and the teardown runs once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.Drain(ctx)
 	s.stopOnce.Do(func() { close(s.stopBrown) })
@@ -625,7 +626,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-	s.closeJobs.Do(func() { close(s.jobs) })
+	// A second call blocks in Do until the first call's teardown is done.
+	s.closeOnce.Do(s.tearDown)
+	return nil
+}
+
+// tearDown is Shutdown's work after the drain: it stops the workers and
+// runners, hands off the leases, stops replication and gossip and closes
+// the collector, the journal and the audit log. Shutdown runs it once.
+func (s *Server) tearDown() {
+	close(s.jobs)
 	s.workers.Wait()
 	// Async runners have either finished or parked their jobs back to queued
 	// (the WAL carries those to the next boot). Wait for them before the
@@ -665,7 +675,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if err := s.audit.Close(); err != nil {
 		log.Printf("service: audit close: %v", err)
 	}
-	return nil
 }
 
 // Draining reports whether Drain (or Shutdown) has begun.
