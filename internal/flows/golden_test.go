@@ -108,6 +108,13 @@ type flowAnswer struct {
 	WL   int64   `json:"wl"`
 }
 
+// routedAnswer is Flow I's or Flow II's answer: the evaluated tree, and the
+// tree itself, node for node, as the lines of tree.String.
+type routedAnswer struct {
+	flowAnswer
+	Tree []string `json:"tree"`
+}
+
 // merlinAnswer adds what Flow III exposes beyond the tree's evaluation: the
 // realized sink order, the source frontier as (load, req, area) triples in
 // curve order, and the tree itself, node for node, as the lines of
@@ -121,13 +128,18 @@ type merlinAnswer struct {
 
 type goldenEntry struct {
 	goldenCase
-	FlowI   *flowAnswer   `json:"flow1,omitempty"`
-	FlowII  *flowAnswer   `json:"flow2,omitempty"`
+	FlowI   *routedAnswer `json:"flow1,omitempty"`
+	FlowII  *routedAnswer `json:"flow2,omitempty"`
 	FlowIII *merlinAnswer `json:"flow3,omitempty"`
 }
 
 func answerOf(r Result) flowAnswer {
 	return flowAnswer{Req: r.Eval.ReqAtDriverInput, Area: r.Eval.BufferArea, WL: r.Eval.Wirelength}
+}
+
+// treeLines returns the lines of r's tree.String.
+func treeLines(r Result) []string {
+	return strings.Split(strings.TrimSuffix(r.Tree.String(), "\n"), "\n")
 }
 
 func frontierOf(c *curve.Curve) [][3]float64 {
@@ -153,8 +165,8 @@ func runGolden(t *testing.T, c goldenCase) goldenEntry {
 		}
 		checkTiming(t, c.Name+" flow I", r1, p)
 		checkTiming(t, c.Name+" flow II", r2, p)
-		a1, a2 := answerOf(r1), answerOf(r2)
-		e.FlowI, e.FlowII = &a1, &a2
+		e.FlowI = &routedAnswer{flowAnswer: answerOf(r1), Tree: treeLines(r1)}
+		e.FlowII = &routedAnswer{flowAnswer: answerOf(r2), Tree: treeLines(r2)}
 	}
 	if c.Variant == variantFlows12 {
 		return e
@@ -182,15 +194,16 @@ func runGolden(t *testing.T, c goldenCase) goldenEntry {
 		flowAnswer: answerOf(r3),
 		Order:      r3.Tree.SinkOrder(),
 		Frontier:   frontierOf(r3.Frontier),
-		Tree:       strings.Split(strings.TrimSuffix(r3.Tree.String(), "\n"), "\n"),
+		Tree:       treeLines(r3),
 	}
 	return e
 }
 
-// TestGolden pins every flow's answer on a seeded corpus, float for float.
-// The DP is deterministic (TestFlowsDeterministic), so any difference means
-// the code computes a different answer. Every tree is also timed against
-// the map-based reference of timingref_test.go. A change that does so on purpose
+// TestGolden pins every flow's answer on a seeded corpus, float for float,
+// and every flow's tree node for node. The DP is deterministic
+// (TestFlowsDeterministic), so any difference means the code computes a
+// different answer. Every tree is also timed against the map-based
+// reference of timingref_test.go. A change that does so on purpose
 // regenerates the corpus with
 //
 //	go test ./internal/flows -run TestGolden -update
@@ -231,8 +244,8 @@ func TestGolden(t *testing.T) {
 		if g.goldenCase != w.goldenCase {
 			t.Fatalf("entry %d: case %+v, corpus has %+v (regenerate with -update)", i, g.goldenCase, w.goldenCase)
 		}
-		compareFlow(t, g.Name+" flow I", g.FlowI, w.FlowI)
-		compareFlow(t, g.Name+" flow II", g.FlowII, w.FlowII)
+		compareRouted(t, g.Name+" flow I", g.FlowI, w.FlowI)
+		compareRouted(t, g.Name+" flow II", g.FlowII, w.FlowII)
 		compareMerlin(t, g.Name+" flow III", g.FlowIII, w.FlowIII)
 	}
 }
@@ -248,6 +261,26 @@ func compareFlow(t *testing.T, name string, got, want *flowAnswer) {
 	}
 }
 
+func compareRouted(t *testing.T, name string, got, want *routedAnswer) {
+	t.Helper()
+	if got == nil || want == nil {
+		if got != want {
+			t.Errorf("%s: ran=%v, pinned=%v", name, got != nil, want != nil)
+		}
+		return
+	}
+	compareFlow(t, name, &got.flowAnswer, &want.flowAnswer)
+	compareTree(t, name, got.Tree, want.Tree)
+}
+
+// compareTree compares two trees as the lines of tree.String.
+func compareTree(t *testing.T, name string, got, want []string) {
+	t.Helper()
+	if !slices.Equal(got, want) {
+		t.Errorf("%s: tree\n%s\npinned\n%s", name, strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
 func compareMerlin(t *testing.T, name string, got, want *merlinAnswer) {
 	t.Helper()
 	if got == nil || want == nil {
@@ -260,9 +293,7 @@ func compareMerlin(t *testing.T, name string, got, want *merlinAnswer) {
 	if !slices.Equal(got.Order, want.Order) {
 		t.Errorf("%s: realized order %v, pinned %v", name, got.Order, want.Order)
 	}
-	if !slices.Equal(got.Tree, want.Tree) {
-		t.Errorf("%s: tree\n%s\npinned\n%s", name, strings.Join(got.Tree, "\n"), strings.Join(want.Tree, "\n"))
-	}
+	compareTree(t, name, got.Tree, want.Tree)
 	if len(got.Frontier) != len(want.Frontier) {
 		t.Errorf("%s: frontier has %d solutions, pinned %d:\n got %v\npinned %v", name, len(got.Frontier), len(want.Frontier), got.Frontier, want.Frontier)
 		return
