@@ -149,7 +149,8 @@ verify: build test perfbench lint race chaos fuzz invariants crash cluster-chaos
 
 # The performance baseline: merlinbench writes BENCH_$(BENCH_N).json, where
 # BENCH_N is the PR number the baseline belongs to. It records the
-# environment (Go version, OS, CPUs); core.construct's exact allocs/op; the
+# environment (Go version, OS, CPUs); the exact allocs/op of core.construct
+# and of ptree.solve, one 32-sink PTREE solve; the
 # repository benchmark (perfbench/run.sh) on dp-cold, flows-baseline and
 # serve-fleet over seeds 1-10, untraced then traced, as the median and
 # quartiles of every metric perfbench prints; the timer-bound fleet sections

@@ -161,10 +161,12 @@ func BenchmarkBubbleConstruct(b *testing.B) {
 	}
 }
 
-// BenchmarkPTree measures the routing baseline (Lemma 1's DP).
+// BenchmarkPTree measures the routing baseline (Lemma 1's DP), one solver
+// reused across solves as a caller that solves many orders would.
 func BenchmarkPTree(b *testing.B) {
 	for _, n := range []int{8, 16, 32} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
 			prof := flows.ProfileFor(n)
 			nt := net.Generate(net.DefaultGenSpec(n, int64(n)), prof.Tech, prof.Lib.Driver)
 			solver := ptree.NewSolver(nt, geom.ReducedHanan(nt.Terminals(), prof.MaxCands), prof.Tech, prof.PTree)

@@ -13,6 +13,10 @@
 //   - core.construct — one full MERLIN construct loop on the reference net
 //     (testing.Benchmark: ns/op, allocs/op). Its allocs/op is exact from run
 //     to run, so it is the DP's allocation count a change diffs.
+//   - ptree.solve — one PTREE solve, Flow II's routing step, by a fresh
+//     solver on a 32-sink net (testing.Benchmark: ns/op, allocs/op): the
+//     allocation count of the Flows I and II DP, as core.construct is
+//     MERLIN's.
 //   - perfbench — the repository benchmark (bash perfbench/run.sh) on each
 //     of its three workloads, dp-cold, flows-baseline and serve-fleet, over
 //     the fixed seeds 1–10 for 30 s each, untraced and then traced: the
@@ -70,6 +74,8 @@ import (
 	"merlin/internal/journal"
 	"merlin/internal/lint"
 	"merlin/internal/net"
+	"merlin/internal/order"
+	"merlin/internal/ptree"
 	"merlin/internal/service"
 )
 
@@ -171,6 +177,20 @@ func run(outPath string) error {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := core.MerlinCtx(context.Background(), coreNet, cands, prof.Lib, prof.Tech, prof.Core, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}))
+
+	// ptree.solve: Flow II's routing DP, as RunFlowII runs it.
+	ptProf := flows.ProfileFor(32)
+	ptNet := benchNet(32, 1)
+	ptCands := geom.ReducedHanan(ptNet.Terminals(), ptProf.MaxCands)
+	ptOrd := order.TSP(ptNet.Source, ptNet.SinkPoints())
+	doc.Benchmarks["ptree.solve"] = wire(testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := ptree.NewSolver(ptNet, ptCands, ptProf.Tech, ptProf.PTree).Solve(ptOrd); err != nil {
 				b.Fatal(err)
 			}
 		}

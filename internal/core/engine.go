@@ -219,10 +219,11 @@ type Engine struct {
 	// cur holds, per candidate, the curves of the cell being computed or
 	// replayed, with their handles; a computed cell's triples are stored
 	// from it as one block. pre holds an interval's curves before a
-	// transfer hop, which reads them while it writes cur, and srcs views
-	// their solution lists.
+	// transfer hop, which reads them while it writes cur, srcs views their
+	// solution lists and corners holds their corners, computed once per hop.
 	cur, pre []curve.Curve
 	srcs     [][]curve.Solution
+	corners  []curve.Solution
 	// trees keeps the expanded records of every solution BuildTree has
 	// rebuilt, so a repeat rebuild replays nothing.
 	trees map[treeKey][]ref
@@ -280,6 +281,7 @@ func NewEngine(n *net.Net, cands []geom.Point, lib *buflib.Library, tech rc.Tech
 	en.cur = make([]curve.Curve, k)
 	en.pre = make([]curve.Curve, k)
 	en.srcs = make([][]curve.Solution, k)
+	en.corners = make([]curve.Solution, k)
 	en.trees = map[treeKey][]ref{}
 	en.inG = make([]bool, n.N())
 	en.gamma = make([][][]int32, n.N())
@@ -1003,6 +1005,7 @@ func (en *Engine) transfer(mask []bool, buffered bool, root int) {
 		pre := en.pre
 		for q := range pre {
 			en.srcs[q] = pre[q].Sols
+			en.corners[q] = curve.Corner(pre[q].Sols)
 		}
 		for p := range en.cur {
 			c := clearCurve(&en.cur[p])
@@ -1016,7 +1019,7 @@ func (en *Engine) transfer(mask []bool, buffered bool, root int) {
 					return en.refs.Add(ref{kind: refVia, point: int32(p), a: pre[q].Refs[i]})
 				}
 			}
-			en.scratch.Wire(en.Tech, en.srcs, en.dist[p], p, 0, via)
+			en.scratch.Wire(en.Tech, en.srcs, en.corners, en.dist[p], p, 0, via)
 			if buffered && hop == en.Opts.TransferHops {
 				en.bufferScratch(p)
 			}

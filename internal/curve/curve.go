@@ -28,13 +28,18 @@
 //   - First wins: a solution equal in all three coordinates to a stored one
 //     is rejected, so of two structures with the same triple the curve keeps
 //     the one inserted first.
-//   - Corner skip: Join and Wire first map an input's optimistic corner
-//     (min load, max req, min area; see corner) through the same transform
-//     as its solutions. Every transform is monotone, so if the target
-//     already dominates the mapped corner it dominates everything the input
-//     could produce, and the whole input is skipped. Buffer has no skip: a
-//     target seldom dominates a whole gate's output (0.21% of gates on
-//     dp-cold's seed-1 plan), so a scan per gate seldom pays for itself.
+//   - Corner skip: Wire first maps each source's optimistic corner (min
+//     load, max req, min area; see Corner) through the source's wire. Every
+//     transform is monotone, so if the target already dominates the mapped
+//     corner it dominates everything the source could produce, and the
+//     whole source is skipped. The caller supplies the corners and computes
+//     each where it is cheapest: ptree when it writes a list into its
+//     table, core once per transfer hop. Join and Buffer test no corner: a
+//     target seldom dominates a whole join (none of core's, 2.8% of
+//     ptree's) or a whole gate's output (0.21% of dp-cold's gates), so the
+//     test does not pay for its scans. A caller that keeps its inputs'
+//     corners may still skip a Join whose merged corner the target
+//     dominates: Join would leave the target unchanged.
 //   - Sources are read in place: an operator takes its inputs as solution
 //     lists, which may be views into an owner's storage, and names an input
 //     solution to its ref callback by its index in its list.
@@ -187,10 +192,14 @@ func (c *Curve) dominated(load, req, area float64) bool {
 	return false
 }
 
-// corner returns the optimistic corner of a non-empty solution list: its
-// minimum load, maximum required time and minimum area, a triple that
-// dominates every solution in the list.
-func corner(sols []Solution) Solution {
+// Corner returns the optimistic corner of a solution list: its minimum
+// load, maximum required time and minimum area, a triple that dominates
+// every solution in the list. An empty list's corner is the zero Solution,
+// which no operator reads.
+func Corner(sols []Solution) Solution {
+	if len(sols) == 0 {
+		return Solution{}
+	}
 	lo := sols[0]
 	for i := 1; i < len(sols); i++ {
 		t := &sols[i]
@@ -303,14 +312,8 @@ func b2i(b bool) int {
 // structures rooted at the same point: loads and areas add, required times
 // take the minimum. Pairs are inserted i-major. ref(i, j) returns a
 // surviving merge's handle, built from its two parts; a nil ref builds none.
+// Join tests no corner (see the package comment).
 func (c *Curve) Join(a, b []Solution, ref func(i, j int) int32) {
-	if len(a) == 0 || len(b) == 0 {
-		return
-	}
-	ca, cb := corner(a), corner(b)
-	if c.dominated(ca.Load+cb.Load, minReq(ca.Req, cb.Req), ca.Area+cb.Area) {
-		return
-	}
 	for i := range a {
 		x := &a[i]
 		for j := range b {
@@ -335,9 +338,11 @@ func minReq(a, b float64) float64 {
 // lens[q] λ to c's root: the wire's Elmore delay is charged against the
 // required time, its capacitance added to the load (then quantized), and
 // areaPerLambda·lens[q] added to the area. Sources are read in index order;
-// none may share storage with c. ref(q, i) returns a surviving solution's
-// handle, built from source solution srcs[q][i]; a nil ref builds none.
-func (c *Curve) Wire(t rc.Technology, srcs [][]Solution, lens []int64, skip int, areaPerLambda float64, ref func(q, i int) int32) {
+// none may share storage with c. corners[q] is the caller's Corner of
+// srcs[q]: a source whose corner, carried through its wire, c dominates is
+// skipped whole. ref(q, i) returns a surviving solution's handle, built
+// from source solution srcs[q][i]; a nil ref builds none.
+func (c *Curve) Wire(t rc.Technology, srcs [][]Solution, corners []Solution, lens []int64, skip int, areaPerLambda float64, ref func(q, i int) int32) {
 	for q, src := range srcs {
 		if q == skip || len(src) == 0 {
 			continue
@@ -345,7 +350,7 @@ func (c *Curve) Wire(t rc.Technology, srcs [][]Solution, lens []int64, skip int,
 		wl := lens[q]
 		wc := t.WireC(wl)
 		wa := areaPerLambda * float64(wl)
-		lo := corner(src)
+		lo := &corners[q]
 		if c.dominated(lo.Load+wc, lo.Req-t.WireElmore(wl, lo.Load), lo.Area+wa) {
 			continue
 		}

@@ -60,7 +60,7 @@ func TestRefsSeal(t *testing.T) {
 		return h
 	}
 	c.Join(a.Sols, b.Sols, func(i, j int) int32 { return add(joinHandle(a.Refs[i], b.Refs[j])) })
-	c.Wire(kernelTech, [][]Solution{src.Sols}, []int64{200}, -1, 0.5, func(q, i int) int32 { return add(viaHandle(src.Refs[i])) })
+	c.Wire(kernelTech, [][]Solution{src.Sols}, []Solution{Corner(src.Sols)}, []int64{200}, -1, 0.5, func(q, i int) int32 { return add(viaHandle(src.Refs[i])) })
 	c.Buffer(kernelTech, base.Sols, kernelGates, func(i, gi int) int32 { return add(bufHandle(base.Refs[i], gi)) })
 	if len(added) == 0 {
 		t.Fatal("no provisional records: the scenario exercises nothing")

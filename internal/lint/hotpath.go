@@ -39,8 +39,8 @@ var hotpathAllocRule = &Rule{
 // function is allocation-sensitive.
 var HotPaths = map[string]string{
 	"(*merlin/internal/curve.Curve).Sort":              "frontier sort: runs before every Flow I/II Cap",
-	"(*merlin/internal/curve.Curve).dominated":         "corner-skip dominance scan of every Join and Wire input",
-	"merlin/internal/curve.corner":                     "optimistic corner of every Join and Wire input",
+	"(*merlin/internal/curve.Curve).dominated":         "Wire's corner-skip dominance scan of the target, once per source",
+	"merlin/internal/curve.Corner":                     "optimistic corner of every ptree slot when it is written, and of every core transfer source once per hop",
 	"(*merlin/internal/curve.Curve).Insert":            "kernel insert of prebuilt solutions (curve merges)",
 	"(*merlin/internal/curve.Curve).InsertRef":         "kernel insert of a prebuilt solution with its handle: every Γ accumulation and LT-Tree level",
 	"merlin/internal/curve.moveRef":                    "moves a handle with its solution in every Sort and Cap",
@@ -70,6 +70,9 @@ var HotPaths = map[string]string{
 	"(*merlin/internal/core.Engine).storeScratch":      "caps, seals and stores the scratch curve at the end of every pipeline",
 	"(*merlin/internal/core.Engine).intern":            "memo key interning, once per interval of every *PTREE call",
 	"(*merlin/internal/core.Engine).itemCode":          "item code of every interval's memo key",
+	"(*merlin/internal/ptree.Solver).Curves":           "PTREE interval DP of Flows I and II, the O(k·n³) join loop over the flat table",
+	"(*merlin/internal/ptree.Solver).transfer":         "PTREE candidate transfer, O(k²·s) per hop, reading and rewriting the live slots",
+	"(*merlin/internal/ptree.Solver).store":            "copies every capped ptree list into the table's slabs",
 	"(*merlin/internal/curve.Refs[T]).Add":             "provisional record of every surviving kernel insert",
 	"(*merlin/internal/curve.Refs[T]).Keep":            "kept record of every Cap survivor and leaf",
 	"(*merlin/internal/curve.Refs[T]).At":              "record lookup of every reconstruction step",

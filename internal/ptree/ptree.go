@@ -13,6 +13,7 @@ package ptree
 
 import (
 	"fmt"
+	"slices"
 
 	"merlin/internal/curve"
 	"merlin/internal/geom"
@@ -62,8 +63,8 @@ type ref struct {
 // any sink order; the candidate set and technology are fixed per solver.
 //
 // Each Curves call (and so each Solve) starts the solver's reconstruction
-// table afresh, so BuildTree takes solutions of the latest Curves call
-// only. A Solver is not safe for concurrent use.
+// table and DP table afresh, so BuildTree takes solutions of the latest
+// Curves call only. A Solver is not safe for concurrent use.
 type Solver struct {
 	Net   *net.Net
 	Cands []geom.Point
@@ -73,7 +74,28 @@ type Solver struct {
 	srcIdx int
 	dist   [][]int64 // candidate-to-candidate Manhattan distances
 	refs   curve.Refs[ref]
+
+	// The DP table of the latest Curves call, over its n sinks: slot
+	// v = ivl(i, j)·k + p holds S(p, i, j), the curve of candidate p over
+	// the order interval [i, j], i ≤ j, as the triples sols[lo:hi] and
+	// their handles hs[lo:hi], where {lo, hi} = slots[v].
+	n     int
+	sols  []curve.Solution
+	hs    []int32
+	slots []span
+	// scratch is the curve every join accumulation and every transfer
+	// target is built in before store copies it into its slot. corners[p]
+	// is the Corner of the list last stored for candidate p, computed once,
+	// when its slot is written; srcs views one interval's lists, the sources
+	// of a transfer target; out holds the views Curves returns.
+	scratch curve.Curve
+	corners []curve.Solution
+	srcs    [][]curve.Solution
+	out     []curve.Curve
 }
+
+// span is where a slot's list sits in the solver's slabs.
+type span struct{ lo, hi int32 }
 
 // NewSolver prepares a PTREE solver. The source position is appended to the
 // candidate set if not already present, because the final tree is rooted
@@ -100,98 +122,154 @@ func NewSolver(n *net.Net, cands []geom.Point, tech rc.Technology, opts Options)
 			s.dist[i][j] = geom.Dist(s.Cands[i], s.Cands[j])
 		}
 	}
+	s.corners = make([]curve.Solution, k)
+	s.srcs = make([][]curve.Solution, k)
+	s.out = make([]curve.Curve, k)
 	return s
 }
 
 // SourceIndex returns the candidate index of the net source.
 func (s *Solver) SourceIndex() int { return s.srcIdx }
 
-// leafCurve builds S(p, i, i): the direct minimum-distance routing from
-// candidate p to the sink at order position i. Its record is kept directly.
-func (s *Solver) leafCurve(p, sinkIdx int) *curve.Curve {
+// ivl returns the index of order interval [i, j], i ≤ j, in the upper
+// triangle of the latest Curves call's n×n intervals, row by row.
+func (s *Solver) ivl(i, j int) int { return i*(2*s.n-i+1)/2 + j - i }
+
+// list returns slot v's solutions and their handles, read in place.
+func (s *Solver) list(v int) ([]curve.Solution, []int32) {
+	sp := s.slots[v]
+	return s.sols[sp.lo:sp.hi:sp.hi], s.hs[sp.lo:sp.hi:sp.hi]
+}
+
+// startScratch empties the scratch curve and returns it.
+func (s *Solver) startScratch() *curve.Curve {
+	sc := &s.scratch
+	sc.Sols, sc.Refs = sc.Sols[:0], sc.Refs[:0]
+	return sc
+}
+
+// store sorts and caps the scratch curve, seals its survivors' records and
+// copies them to the end of the slabs as slot v's list; their corner goes
+// to corners[p], where p = v mod k is the slot's candidate.
+func (s *Solver) store(v int) {
+	sc := &s.scratch
+	sc.Sort()
+	sc.Cap(s.Opts.MaxSols)
+	s.refs.Seal(sc)
+	lo := int32(len(s.sols))
+	s.sols = append(s.sols, sc.Sols...)
+	s.hs = append(s.hs, sc.Refs...)
+	s.slots[v] = span{lo, int32(len(s.sols))}
+	s.corners[v%len(s.corners)] = curve.Corner(sc.Sols)
+}
+
+// leaf stores S(p, i, i) in slot v: the direct minimum-distance routing
+// from candidate p to the sink sinkIdx. Its record is kept directly.
+func (s *Solver) leaf(v, p, sinkIdx int) {
 	sk := s.Net.Sinks[sinkIdx]
 	wl := geom.Dist(s.Cands[p], sk.Pos)
-	return &curve.Curve{
-		Sols: []curve.Solution{{
-			Load: s.Tech.QuantizeLoad(sk.Load + s.Tech.WireC(wl)),
-			Req:  sk.Req - s.Tech.WireElmore(wl, sk.Load),
-			Area: float64(wl),
-		}},
-		Refs: []int32{s.refs.Keep(ref{kind: refLeaf, point: int32(p), a: int32(sinkIdx)})},
-	}
+	sc := s.startScratch()
+	sc.Sols = append(sc.Sols, curve.Solution{
+		Load: s.Tech.QuantizeLoad(sk.Load + s.Tech.WireC(wl)),
+		Req:  sk.Req - s.Tech.WireElmore(wl, sk.Load),
+		Area: float64(wl),
+	})
+	sc.Refs = append(sc.Refs, s.refs.Keep(ref{kind: refLeaf, point: int32(p), a: int32(sinkIdx)}))
+	s.store(v)
 }
 
 // Curves computes the full DP table for the given order and returns the
 // final solution curve at every candidate: result[p] covers all sinks rooted
 // at candidate p. The caller picks a solution and calls BuildTree. Curves
-// empties the reconstruction table first, invalidating the solutions of
-// earlier calls.
-func (s *Solver) Curves(ord order.Order) []*curve.Curve {
+// empties the reconstruction table and the DP table first, invalidating the
+// solutions of earlier calls: the curves it returns are views into the
+// solver's slabs, valid until the next call, and must not be modified.
+func (s *Solver) Curves(ord order.Order) []curve.Curve {
 	n := len(ord)
 	if n == 0 {
 		return nil
 	}
-	s.refs.Reset()
 	k := len(s.Cands)
-	// tab[p][i][j] with j >= i; index intervals by i*n + j.
-	tab := make([][]*curve.Curve, k)
-	for p := 0; p < k; p++ {
-		tab[p] = make([]*curve.Curve, n*n)
-		for i := 0; i < n; i++ {
-			tab[p][i*n+i] = s.leafCurve(p, ord[i])
+	s.n = n
+	s.refs.Reset()
+	nslots := n * (n + 1) / 2 * k
+	s.slots = slices.Grow(s.slots[:0], nslots)[:nslots]
+	s.sols, s.hs = s.sols[:0], s.hs[:0]
+	if m := s.Opts.MaxSols; m > 0 {
+		// Every slot holds at most m solutions, and the last interval's
+		// transfer hops append k lists each before their compaction.
+		s.sols = slices.Grow(s.sols, (nslots+transferHops*k)*m)
+		s.hs = slices.Grow(s.hs, (nslots+transferHops*k)*m)
+	}
+	for i := 0; i < n; i++ {
+		for p := 0; p < k; p++ {
+			s.leaf(s.ivl(i, i)*k+p, p, ord[i])
 		}
 	}
 	for L := 2; L <= n; L++ {
 		for i := 0; i+L-1 < n; i++ {
 			j := i + L - 1
+			base := s.ivl(i, j) * k
 			for p := 0; p < k; p++ {
-				acc := &curve.Curve{}
+				sc := s.startScratch()
 				for u := i; u < j; u++ {
-					l, r := tab[p][i*n+u], tab[p][(u+1)*n+j]
-					acc.Join(l.Sols, r.Sols, func(x, y int) int32 {
-						return s.refs.Add(ref{kind: refJoin, point: int32(p), a: l.Refs[x], b: r.Refs[y]})
+					a, ah := s.list(s.ivl(i, u)*k + p)
+					b, bh := s.list(s.ivl(u+1, j)*k + p)
+					sc.Join(a, b, func(x, y int) int32 {
+						return s.refs.Add(ref{kind: refJoin, point: int32(p), a: ah[x], b: bh[y]})
 					})
 				}
-				acc.Sort()
-				acc.Cap(s.Opts.MaxSols)
-				s.refs.Seal(acc)
-				tab[p][i*n+j] = acc
+				s.store(base + p)
 			}
-			s.transfer(tab, i, j, n)
+			s.transfer(base)
 		}
 	}
-	out := make([]*curve.Curve, k)
-	for p := 0; p < k; p++ {
-		out[p] = tab[p][0*n+(n-1)]
+	base := s.ivl(0, n-1) * k
+	for p := range s.out {
+		a, ah := s.list(base + p)
+		s.out[p] = curve.Curve{Sols: a, Refs: ah}
 	}
-	return out
+	return s.out
 }
 
-// transfer runs the S(p,i,j) = min{ d(p,p′) + S(p′,i,j) } relaxation for one
-// interval across all candidate pairs, transferHops times.
+// transfer runs the S(p,i,j) = min{ d(p,p′) + S(p′,i,j) } relaxation for the
+// interval whose k slots start at slot base, the last lists stored, across
+// all candidate pairs, transferHops times.
 //
 // Unlike core's Jacobi transfer, each sweep is Gauss–Seidel: the sources
-// are the live table curves, which Sort and Cap rewrite as each target is
-// finished, so target p already sees the transfers the sweep made into
-// targets 0..p−1. Flow I and II answers rest on this order.
-func (s *Solver) transfer(tab [][]*curve.Curve, i, j, n int) {
+// are the live slots, and each target's slot and corner are rewritten as
+// soon as it is finished, so target p already sees the transfers the sweep
+// made into targets 0..p−1. Flow I and II answers rest on this order.
+//
+// Every target appends its new list to the slabs, so when the last sweep is
+// done its k lists sit at the slabs' end in candidate order, and transfer
+// moves them down over the interval's dead lists.
+func (s *Solver) transfer(base int) {
 	k := len(s.Cands)
-	idx := i*n + j
-	live := make([][]curve.Solution, k)
-	for p := 0; p < k; p++ {
-		live[p] = tab[p][idx].Sols
-	}
+	start := s.slots[base].lo
 	for hop := 0; hop < transferHops; hop++ {
 		for p := 0; p < k; p++ {
-			acc := tab[p][idx]
-			acc.Wire(s.Tech, live, s.dist[p], p, 1, func(q, x int) int32 {
-				return s.refs.Add(ref{kind: refVia, point: int32(p), a: tab[q][idx].Refs[x]})
+			for q := range s.srcs {
+				s.srcs[q], _ = s.list(base + q)
+			}
+			sc := s.startScratch()
+			a, ah := s.list(base + p)
+			sc.Sols = append(sc.Sols, a...)
+			sc.Refs = append(sc.Refs, ah...)
+			sc.Wire(s.Tech, s.srcs, s.corners, s.dist[p], p, 1, func(q, x int) int32 {
+				return s.refs.Add(ref{kind: refVia, point: int32(p), a: s.hs[s.slots[base+q].lo+int32(x)]})
 			})
-			acc.Sort()
-			acc.Cap(s.Opts.MaxSols)
-			s.refs.Seal(acc)
-			live[p] = acc.Sols
+			s.store(base + p)
 		}
+	}
+	from := s.slots[base].lo
+	copy(s.sols[start:], s.sols[from:])
+	copy(s.hs[start:], s.hs[from:])
+	shift := from - start
+	s.sols, s.hs = s.sols[:int32(len(s.sols))-shift], s.hs[:int32(len(s.hs))-shift]
+	for v := base; v < base+k; v++ {
+		s.slots[v].lo -= shift
+		s.slots[v].hi -= shift
 	}
 }
 
@@ -202,9 +280,8 @@ func (s *Solver) Solve(ord order.Order) (*tree.Tree, curve.Solution, error) {
 	if len(ord) != s.Net.N() || !ord.Valid() {
 		return nil, curve.Solution{}, fmt.Errorf("ptree: order must be a permutation of the %d sinks", s.Net.N())
 	}
-	finals := s.Curves(ord)
-	final := finals[s.srcIdx]
-	if final == nil || final.Empty() {
+	final := &s.Curves(ord)[s.srcIdx]
+	if final.Empty() {
 		return nil, curve.Solution{}, fmt.Errorf("ptree: no solution at source")
 	}
 	best, _ := final.BestReq()

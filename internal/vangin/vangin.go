@@ -179,7 +179,7 @@ func (ins *inserter) wireWithInsertion(c *curve.Curve, parentPos, childPos geom.
 			Y: childPos.Y + int64(frac*float64(parentPos.Y-childPos.Y)),
 		}
 		wired := &curve.Curve{}
-		wired.Wire(ins.tech, [][]curve.Solution{cur.Sols}, []int64{segLen}, -1, 0, func(_, i int) int32 {
+		wired.Wire(ins.tech, [][]curve.Solution{cur.Sols}, []curve.Solution{curve.Corner(cur.Sols)}, []int64{segLen}, -1, 0, func(_, i int) int32 {
 			return ins.refs.Add(ref{kind: refVia, pos: pos, a: cur.Refs[i]})
 		})
 		cur = wired
